@@ -24,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "fim/fim.hpp"
 #include "gpusim/executor.hpp"
 #include "obs/obs.hpp"
+#include "gpapriori_provenance.hpp"  // generated at build time
 
 namespace bench {
 
@@ -220,15 +222,21 @@ inline std::ofstream open_csv(const std::string& stem) {
 }
 
 /// Commit the numbers were produced at: GPAPRIORI_GIT_SHA env var when set
-/// (CI), else the hash baked in at configure time, else "unknown".
+/// (CI), else the commit the binary was built from ("unknown" outside a
+/// git checkout).
 inline std::string git_sha() {
   if (const char* env = std::getenv("GPAPRIORI_GIT_SHA"); env && *env)
     return env;
-#ifdef GPAPRIORI_GIT_SHA
   return GPAPRIORI_GIT_SHA;
-#else
-  return "unknown";
-#endif
+}
+
+/// Provenance fields every BENCH json carries after "git_sha": whether
+/// tracked files differed from that commit at build time (null outside a
+/// git checkout) and the host's core count.
+inline std::string provenance_json_fields() {
+  return std::string("  \"dirty\": ") + GPAPRIORI_GIT_DIRTY + ",\n" +
+         "  \"cores\": " +
+         std::to_string(std::thread::hardware_concurrency()) + ",\n";
 }
 
 /// Machine-readable result file: results/BENCH_<stem>.json (directory from
@@ -285,6 +293,7 @@ inline int run_figure(const char* figure_id, const char* stem,
          << "  \"dataset\": \"" << json_escape(prof.name) << "\",\n"
          << "  \"scale\": " << json_number(scale) << ",\n"
          << "  \"git_sha\": \"" << json_escape(git_sha()) << "\",\n"
+         << provenance_json_fields()
          << "  \"host_threads\": " << host_threads << ",\n"
          << "  \"exec_path\": \"" << (native ? "native" : "interpreted")
          << "\",\n"

@@ -513,6 +513,7 @@ int main(int argc, char** argv) {
          << "  \"bench\": \"soak_serve\",\n"
          << "  \"git_sha\": \"" << bench::json_escape(bench::git_sha())
          << "\",\n"
+         << bench::provenance_json_fields()
          << "  \"seed\": " << seed << ",\n"
          << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
          << "  \"requests\": " << specs.size() << ",\n"

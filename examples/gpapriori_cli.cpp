@@ -423,7 +423,12 @@ int cmd_mine(int argc, char** argv) {
 
   g_active_run.store(&run, std::memory_order_release);
   install_signal_handlers();
-  const auto result = miner->mine(db, p);
+  miners::MiningOutput result;
+  {
+    // Root span of the run: the library's spans nest under it.
+    obs::ScopedSpan span(obs::SpanKind::kOther, "mine");
+    result = miner->mine(db, p);
+  }
   g_active_run.store(nullptr, std::memory_order_release);
   finish_observability(o);
 

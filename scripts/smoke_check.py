@@ -5,7 +5,10 @@ Runs a figure binary in --smoke mode (first support point, GPApriori +
 CPU_TEST only, single repeat) and diffs the emitted BENCH json against the
 committed reference in results/.  Itemset-count mismatches are hard
 failures (exit 1): the mined result changed, which the determinism
-contract forbids.  Wall-clock regressions beyond --wall-tolerance
+contract forbids.  So is a GPApriori row whose wall_ms exceeds
+max(3 x baseline, baseline + 20 ms): a fixed per-mine cost coming back
+(such as a zero-filled device arena) costs 10x or more, while VM noise
+stays under 2x.  Other wall-clock regressions beyond --wall-tolerance
 (default 25%) only warn — timing on shared CI boxes is too noisy to gate
 on, but the number is printed so a human can notice a trend.
 
@@ -32,6 +35,16 @@ import os
 import subprocess
 import sys
 import tempfile
+
+
+# Hard wall-time gate for the GPApriori smoke row (see the module docstring).
+GATED_MINER = "GPApriori"
+GATE_FACTOR = 3.0
+GATE_SLACK_MS = 20.0
+
+
+def wall_gate_ms(baseline_ms):
+    return max(GATE_FACTOR * baseline_ms, baseline_ms + GATE_SLACK_MS)
 
 
 def load(path):
@@ -130,8 +143,9 @@ def main():
     ap.add_argument("--dataset-tool",
                     help="dataset_tool binary (required with --serve-cli)")
     ap.add_argument("--wall-tolerance", type=float, default=0.25,
-                    help="warn when smoke wall_ms exceeds baseline by more "
-                         "than this fraction (default 0.25)")
+                    help="warn when a row's smoke wall_ms exceeds baseline "
+                         "by more than this fraction (default 0.25); the "
+                         "GPApriori row fails past its hard gate instead")
     args = ap.parse_args()
     if args.serve_cli:
         if not args.dataset_tool:
@@ -173,6 +187,14 @@ def main():
                 f"miner={row['miner']!r}: smoke={row['itemsets']} "
                 f"baseline={ref['itemsets']}")
             continue
+        if row["miner"] == GATED_MINER and \
+                row["wall_ms"] > wall_gate_ms(ref["wall_ms"]):
+            failures.append(
+                f"wall_ms regression at minsup={row['minsup']} "
+                f"miner={row['miner']!r}: smoke={row['wall_ms']:.3f}ms "
+                f"exceeds the gate {wall_gate_ms(ref['wall_ms']):.3f}ms "
+                f"(baseline {ref['wall_ms']:.3f}ms)")
+            continue
         if ref["wall_ms"] > 0 and \
                 row["wall_ms"] > (1.0 + args.wall_tolerance) * ref["wall_ms"]:
             print(f"smoke_check: WARNING wall_ms regression at minsup="
@@ -190,7 +212,8 @@ def main():
         sys.exit(1)
     if checked == 0:
         sys.exit("smoke_check: no comparable rows — nothing was checked")
-    print(f"smoke_check: PASS ({checked} rows match baseline itemset counts)")
+    print(f"smoke_check: PASS ({checked} rows match baseline itemset counts, "
+          f"{GATED_MINER} wall time within its gate)")
 
 
 if __name__ == "__main__":

@@ -216,7 +216,7 @@ miners::MiningOutput EqClassApriori::mine(const fim::TransactionDb& db,
   peak_device_bytes_ = 0;
   LevelLoop loop(cfg_, db, params, "eqclass-level");
   if (loop.num_items() == 0) return loop.level1();
-  gpusim::Device device(cfg_.device, make_device_options(cfg_, loop.scope()));
+  gpusim::Device device = make_device(cfg_, loop.scope());
   EqClassCounter counter(device, cfg_, peak_device_bytes_);
   miners::MiningOutput out = loop.run(counter);
   ledger_ = device.ledger();

@@ -60,7 +60,7 @@ miners::MiningOutput GpApriori::mine(const fim::TransactionDb& db,
   LevelLoop loop(cfg_, db, params, "mine-level");
   if (loop.num_items() == 0) return loop.level1();
 
-  gpusim::Device device(cfg_.device, make_device_options(cfg_, loop.scope()));
+  gpusim::Device device = make_device(cfg_, loop.scope());
   FaultAwareDevice fdev(device, cfg_.retry, report_);
   fdev.set_cancel_token(loop.scope().cancel_token());
   auto finish = [&](miners::MiningOutput out) {

@@ -158,7 +158,7 @@ miners::MiningOutput GpuEclat::mine(const fim::TransactionDb& db,
     return out;
   }
 
-  gpusim::Device device(cfg_.device, make_device_options(cfg_, scope));
+  gpusim::Device device = make_device(cfg_, scope);
 
   auto d_gen1 = device.alloc<std::uint32_t>(store.arena().size(),
                                             fim::BitsetStore::kAlignBytes);

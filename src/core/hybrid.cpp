@@ -110,7 +110,7 @@ miners::MiningOutput HybridApriori::mine(const fim::TransactionDb& db,
   reports_.clear();
   LevelLoop loop(cfg_, db, params, "hybrid-level");
   if (loop.num_items() == 0) return loop.level1();
-  gpusim::Device device(cfg_.device, make_device_options(cfg_, loop.scope()));
+  gpusim::Device device = make_device(cfg_, loop.scope());
   HybridCounter counter(device, cfg_, loop.scope(), initial_gpu_fraction_,
                         reports_);
   return loop.run(counter);

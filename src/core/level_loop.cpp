@@ -124,6 +124,11 @@ gpusim::DeviceOptions make_device_options(const Config& cfg,
   return o;
 }
 
+gpusim::Device make_device(const Config& cfg, RunScope& scope) {
+  obs::ScopedSpan span(obs::SpanKind::kOther, "device-init");
+  return gpusim::Device(cfg.device, make_device_options(cfg, scope));
+}
+
 void validate_config(const Config& cfg, const char* driver) {
   const std::string who(driver);
   if (!cfg.valid_block_size())
@@ -339,9 +344,12 @@ LevelLoop::LevelLoop(const Config& cfg, const fim::TransactionDb& db,
 
   // A matching Config::shared_layout (serve DatasetCache) replaces the
   // build with a borrow — pre_ms_ then measures only the digest check.
-  const miners::StopWatch watch;
-  pre_ = &resolve_preprocess(cfg.shared_layout, db, min_count_, pre_local_);
-  pre_ms_ = watch.elapsed_ms();
+  {
+    obs::ScopedSpan span(obs::SpanKind::kOther, "preprocess");
+    const miners::StopWatch watch;
+    pre_ = &resolve_preprocess(cfg.shared_layout, db, min_count_, pre_local_);
+    pre_ms_ = watch.elapsed_ms();
+  }
 
   // The layout digest fingerprints the preprocessing (dense item order +
   // per-item supports): equal digests build identical vertical layouts, so
@@ -404,6 +412,9 @@ miners::MiningOutput LevelLoop::run(SupportCounter& counter,
   if (num_items() != 0) {
     const std::uint32_t compact_level =
         std::min(compact_level_, counter.max_compact_level());
+    // Spans the host bitset build and the counter's store upload.
+    std::optional<obs::ScopedSpan> store_span(
+        std::in_place, obs::SpanKind::kOther, "store-build");
     std::vector<fim::BitsetStore> slices =
         build_slices(out, chunk_trans, compact_level);
     CandidateTrie trie(num_items());
@@ -413,6 +424,7 @@ miners::MiningOutput LevelLoop::run(SupportCounter& counter,
     std::size_t k = 2;
     try {
       counter.attach(slices);
+      store_span.reset();
       if (resume_) {
         k = replay(trie, out) + 1;
         counter.resumed(trie, k - 1, slices);
@@ -428,6 +440,7 @@ miners::MiningOutput LevelLoop::run(SupportCounter& counter,
     }
   }
   out.device_ms = counter.device_ms();
+  obs::ScopedSpan span(obs::SpanKind::kOther, "finalize");
   out.itemsets.canonicalize();
   return out;
 }

@@ -107,6 +107,9 @@ class SupportCounter {
 [[nodiscard]] gpusim::DeviceOptions make_device_options(const Config& cfg,
                                                         RunScope& scope);
 
+/// A driver's simulated device, constructed under a `device-init` span.
+[[nodiscard]] gpusim::Device make_device(const Config& cfg, RunScope& scope);
+
 /// Throws std::invalid_argument naming `driver` unless the config's block
 /// size, unroll factor, and group-size cap are valid.
 void validate_config(const Config& cfg, const char* driver);

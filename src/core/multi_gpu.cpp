@@ -25,13 +25,17 @@ class MultiGpuCounter final : public SupportCounter {
   /// replication copies happen once and concurrently (one PCIe link per
   /// device on the S1070 host), so setup costs one transfer, not N.
   void attach(std::span<const fim::BitsetStore> slices) override {
-    const gpusim::DeviceOptions dopts = make_device_options(cfg_, scope_);
-    for (std::size_t d = 0; d < num_devices_; ++d) {
-      auto& dev = *devices_.emplace_back(
-          std::make_unique<gpusim::Device>(cfg_.device, dopts));
-      d_bitsets_.push_back(upload_store(dev, slices[0]));
-      setup_ns_ = std::max(setup_ns_, dev.ledger().total_ns());
-      dev.reset_ledger();
+    {
+      obs::ScopedSpan span(obs::SpanKind::kOther, "device-init");
+      const gpusim::DeviceOptions dopts = make_device_options(cfg_, scope_);
+      for (std::size_t d = 0; d < num_devices_; ++d)
+        devices_.push_back(
+            std::make_unique<gpusim::Device>(cfg_.device, dopts));
+    }
+    for (auto& dev : devices_) {
+      d_bitsets_.push_back(upload_store(*dev, slices[0]));
+      setup_ns_ = std::max(setup_ns_, dev->ledger().total_ns());
+      dev->reset_ledger();
     }
     device_ms_ = setup_ns_ / 1e6;
   }

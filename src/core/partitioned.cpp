@@ -32,7 +32,7 @@ miners::MiningOutput PartitionedGpApriori::mine(
         "chunk");
   num_partitions_ = (num_trans + chunk - 1) / chunk;
 
-  gpusim::Device device(cfg_.device, make_device_options(cfg_, loop.scope()));
+  gpusim::Device device = make_device(cfg_, loop.scope());
   ResilienceReport report;
   FaultAwareDevice fdev(device, cfg_.retry, report);
   fdev.set_cancel_token(loop.scope().cancel_token());

@@ -182,7 +182,7 @@ miners::MiningOutput PipelinedGpApriori::mine(
   ledger_.reset();
   LevelLoop loop(cfg_, db, params, "pipelined-level");
   if (loop.num_items() == 0) return loop.level1();
-  gpusim::Device device(cfg_.device, make_device_options(cfg_, loop.scope()));
+  gpusim::Device device = make_device(cfg_, loop.scope());
   PipelinedCounter counter(device, cfg_, chunks_);
   miners::MiningOutput out = loop.run(counter);
   ledger_ = device.ledger();

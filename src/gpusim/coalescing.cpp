@@ -15,28 +15,31 @@ std::uint32_t base_segment_bytes(std::uint32_t access_bytes) {
   return 128;
 }
 
-// Services the active lanes in [lo, hi) (a half-warp) and appends the
-// resulting transactions.
-void service_half_warp(const WarpRequest& req, int lo, int hi,
+// Services the active lanes in `half` (a half-warp's 16-lane mask) and
+// appends the resulting transactions. Lane sets are bit masks, so a request
+// allocates nothing. Each transaction starts from the lowest pending lane's
+// segment; that lane is always served, so an access straddling its segment
+// (naturally aligned accesses never do) is charged to the segment it starts
+// in rather than retried forever.
+void service_half_warp(const WarpRequest& req, std::uint32_t half,
                        CoalesceResult& out,
                        std::vector<Transaction>* collect) {
-  std::vector<int> pending;
-  for (int lane = lo; lane < hi; ++lane) {
-    if (req.active_mask & (1u << lane)) pending.push_back(lane);
-  }
-  while (!pending.empty()) {
-    // Start from the lowest-numbered pending lane's segment.
-    const std::uint64_t a0 = req.addr[static_cast<std::size_t>(pending.front())];
-    std::uint32_t seg = base_segment_bytes(req.access_bytes);
-    std::uint64_t seg_base = a0 / seg * seg;
+  const std::uint32_t base_seg = base_segment_bytes(req.access_bytes);
+  std::uint32_t pending = req.active_mask & half;
+  while (pending != 0) {
+    const int first = std::countr_zero(pending);
+    std::uint32_t seg = base_seg;
+    std::uint64_t seg_base = req.addr[static_cast<std::size_t>(first)] / seg * seg;
 
     // Gather every pending lane whose access falls fully inside the segment.
-    std::vector<int> served;
+    std::uint32_t served = 1u << first;
     std::uint64_t min_a = ~std::uint64_t{0}, max_end = 0;
-    for (int lane : pending) {
+    for (std::uint32_t m = pending; m != 0; m &= m - 1) {
+      const int lane = std::countr_zero(m);
       const std::uint64_t a = req.addr[static_cast<std::size_t>(lane)];
-      if (a >= seg_base && a + req.access_bytes <= seg_base + seg) {
-        served.push_back(lane);
+      if (lane == first ||
+          (a >= seg_base && a + req.access_bytes <= seg_base + seg)) {
+        served |= 1u << lane;
         min_a = std::min(min_a, a);
         max_end = std::max(max_end, a + req.access_bytes);
       }
@@ -45,12 +48,12 @@ void service_half_warp(const WarpRequest& req, int lo, int hi,
     // Reduce the transaction size while all served accesses fit inside an
     // aligned half of the current segment (128 -> 64 -> 32).
     while (seg > 32) {
-      const std::uint32_t half = seg / 2;
-      const std::uint64_t hi_half = seg_base + half;
+      const std::uint32_t half_seg = seg / 2;
+      const std::uint64_t hi_half = seg_base + half_seg;
       if (max_end <= hi_half) {
-        seg = half;  // all in the lower half
+        seg = half_seg;  // all in the lower half
       } else if (min_a >= hi_half) {
-        seg = half;
+        seg = half_seg;
         seg_base = hi_half;  // all in the upper half
       } else {
         break;
@@ -60,10 +63,7 @@ void service_half_warp(const WarpRequest& req, int lo, int hi,
     out.transactions += 1;
     out.bytes_transferred += seg;
     if (collect) collect->push_back({seg_base, seg});
-
-    std::erase_if(pending, [&](int lane) {
-      return std::find(served.begin(), served.end(), lane) != served.end();
-    });
+    pending &= ~served;
   }
 }
 
@@ -75,30 +75,41 @@ CoalesceResult coalesce_cc13(const WarpRequest& req,
   out.bytes_requested =
       static_cast<std::uint64_t>(std::popcount(req.active_mask)) *
       req.access_bytes;
-  service_half_warp(req, 0, 16, out, collect);
-  service_half_warp(req, 16, 32, out, collect);
+  service_half_warp(req, 0x0000FFFFu, out, collect);
+  service_half_warp(req, 0xFFFF0000u, out, collect);
   return out;
 }
 
 std::uint32_t shared_bank_serialization(const WarpRequest& req, int banks) {
+  const auto num_banks = static_cast<std::uint64_t>(banks);
   std::uint32_t total = 0;
   for (int half = 0; half < 2; ++half) {
-    const int lo = half * 16, hi = lo + 16;
-    // bank -> set of distinct 32-bit word addresses accessed in that bank.
-    std::vector<std::vector<std::uint64_t>> words(
-        static_cast<std::size_t>(banks));
-    bool any = false;
-    for (int lane = lo; lane < hi; ++lane) {
-      if (!(req.active_mask & (1u << lane))) continue;
-      any = true;
+    std::uint32_t lanes = (req.active_mask >> (half * 16)) & 0xFFFFu;
+    if (lanes == 0) continue;
+    // Distinct 32-bit words of this half-warp (at most one per lane) and
+    // their banks. A new word's bank holds one more distinct word than the
+    // words already seen there; the worst bank sets the degree.
+    std::array<std::uint64_t, 16> words;
+    std::array<std::uint64_t, 16> bank_of;
+    std::size_t distinct = 0;
+    std::uint32_t degree = 1;
+    for (; lanes != 0; lanes &= lanes - 1) {
+      const int lane = half * 16 + std::countr_zero(lanes);
       const std::uint64_t word = req.addr[static_cast<std::size_t>(lane)] / 4;
-      auto& w = words[word % static_cast<std::uint64_t>(banks)];
-      if (std::find(w.begin(), w.end(), word) == w.end()) w.push_back(word);
+      const std::uint64_t bank = word % num_banks;
+      std::uint32_t in_bank = 1;
+      bool seen = false;
+      for (std::size_t j = 0; j < distinct && !seen; ++j) {
+        seen = words[j] == word;  // broadcast: no extra cycle
+        if (bank_of[j] == bank) ++in_bank;
+      }
+      if (seen) continue;
+      words[distinct] = word;
+      bank_of[distinct] = bank;
+      ++distinct;
+      degree = std::max(degree, in_bank);
     }
-    if (!any) continue;
-    std::size_t degree = 1;
-    for (const auto& w : words) degree = std::max(degree, w.size());
-    total += static_cast<std::uint32_t>(degree);
+    total += degree;
   }
   return total;
 }

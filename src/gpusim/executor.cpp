@@ -7,7 +7,6 @@
 #include <functional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "gpusim/error.hpp"
@@ -77,31 +76,46 @@ void BlockRecorder::analyze_phase(MemoryAccessStats& loads,
   }
 }
 
-std::uint64_t BlockRecorder::count_shared_races() const {
-  // byte offset -> tid of (first) writer this phase.
-  std::unordered_map<std::uint64_t, std::uint32_t> writer;
+std::uint64_t BlockRecorder::count_shared_races() {
+  // New phase: every stamp from earlier phases goes stale at once. On the
+  // (2^32-phase) wrap the stamps are cleared so none can alias.
+  if (++epoch_ == 0) {
+    std::fill(first_writer_.begin(), first_writer_.end(), WriterStamp{});
+    epoch_ = 1;
+  }
   std::uint64_t races = 0;
+  bool any_write = false;
   for (std::uint32_t w = 0; w < traces_.size(); ++w) {
     for (std::uint32_t l = 0; l < 32; ++l) {
       const auto& t = traces_[w][l];
       const std::uint32_t tid = w * 32 + l;
       for (std::size_t i = 0; i < t.shared_w_addr.size(); ++i) {
-        for (std::uint32_t b = 0; b < t.shared_w_size[i]; ++b) {
-          auto [it, inserted] = writer.emplace(t.shared_w_addr[i] + b, tid);
-          if (!inserted && it->second != tid) ++races;  // write-write
+        const std::uint64_t end = t.shared_w_addr[i] + t.shared_w_size[i];
+        if (end > first_writer_.size())
+          first_writer_.resize(std::max<std::uint64_t>(
+              end, 2 * first_writer_.size()));
+        for (std::uint64_t a = t.shared_w_addr[i]; a < end; ++a) {
+          WriterStamp& s = first_writer_[a];
+          if (s.epoch != epoch_)
+            s = {epoch_, tid};
+          else if (s.tid != tid)
+            ++races;  // write-write
         }
+        any_write = true;
       }
     }
   }
-  if (writer.empty()) return races;
+  if (!any_write) return races;
   for (std::uint32_t w = 0; w < traces_.size(); ++w) {
     for (std::uint32_t l = 0; l < 32; ++l) {
       const auto& t = traces_[w][l];
       const std::uint32_t tid = w * 32 + l;
       for (std::size_t i = 0; i < t.shared_r_addr.size(); ++i) {
-        for (std::uint32_t b = 0; b < t.shared_r_size[i]; ++b) {
-          auto it = writer.find(t.shared_r_addr[i] + b);
-          if (it != writer.end() && it->second != tid) ++races;  // read-write
+        const std::uint64_t end = std::min<std::uint64_t>(
+            t.shared_r_addr[i] + t.shared_r_size[i], first_writer_.size());
+        for (std::uint64_t a = t.shared_r_addr[i]; a < end; ++a) {
+          const WriterStamp& s = first_writer_[a];
+          if (s.epoch == epoch_ && s.tid != tid) ++races;  // read-write
         }
       }
     }

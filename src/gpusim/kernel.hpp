@@ -80,11 +80,24 @@ class BlockRecorder {
   /// code between two __syncthreads(), so a byte WRITTEN by one thread and
   /// READ or WRITTEN by a different thread within the same phase is a data
   /// race on real hardware. Returns the number of hazardous byte overlaps
-  /// found in the recorded phase (0 = race-free).
-  [[nodiscard]] std::uint64_t count_shared_races() const;
+  /// found in the recorded phase (0 = race-free). Call at most once per
+  /// recorded phase: the check reuses per-byte scratch across phases.
+  [[nodiscard]] std::uint64_t count_shared_races();
 
  private:
+  /// First writer of one shared byte; valid only while `epoch` is the
+  /// current race check's.
+  struct WriterStamp {
+    std::uint32_t epoch = 0;
+    std::uint32_t tid = 0;
+  };
+
   std::vector<std::array<LaneTrace, 32>> traces_;
+  /// Race-check scratch, one stamp per shared byte written so far. Bumping
+  /// epoch_ empties it in O(1), so a check allocates nothing once the
+  /// array covers the block's shared memory.
+  std::vector<WriterStamp> first_writer_;
+  std::uint32_t epoch_ = 0;
 };
 
 }  // namespace detail

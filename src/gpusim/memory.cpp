@@ -1,6 +1,9 @@
 #include "gpusim/memory.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -14,8 +17,25 @@ std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
 
 }  // namespace
 
+GlobalMemory::ZeroedArena::ZeroedArena(std::size_t bytes) {
+  if (bytes == 0) return;
+  // Private anonymous pages read as zero and are committed by the first
+  // write, so an untouched arena costs address space, not memory. Without
+  // MAP_NORESERVE the mapping is charged against the commit limit up
+  // front, so an arena the system cannot back fails here with bad_alloc.
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  data_ = static_cast<std::byte*>(p);
+  size_ = bytes;
+}
+
+GlobalMemory::ZeroedArena::~ZeroedArena() {
+  if (data_ != nullptr) ::munmap(data_, size_);
+}
+
 GlobalMemory::GlobalMemory(std::size_t capacity, bool strict)
-    : data_(capacity), strict_(strict) {
+    : arena_(capacity), strict_(strict) {
   if (capacity == 0) throw SimError("GlobalMemory: zero capacity");
   // Address 0 is the reserved null handle; everything past it starts free.
   if (capacity > 1) gaps_.emplace(1, capacity - 1);
@@ -54,7 +74,7 @@ std::uint64_t GlobalMemory::alloc_bytes(std::size_t n, std::size_t alignment) {
   throw DeviceOomError(
       "GlobalMemory::alloc: out of device memory (requested " +
       std::to_string(n) + " B, in use " + std::to_string(bytes_in_use_) +
-      " / " + std::to_string(data_.size()) + " B)");
+      " / " + std::to_string(capacity()) + " B)");
 }
 
 void GlobalMemory::free_bytes(std::uint64_t addr) {
@@ -86,12 +106,12 @@ void GlobalMemory::free_bytes(std::uint64_t addr) {
 
 void GlobalMemory::write_bytes(std::uint64_t addr, const void* src, std::size_t n) {
   check(addr, n);
-  std::memcpy(data_.data() + addr, src, n);
+  std::memcpy(arena_.data() + addr, src, n);
 }
 
 void GlobalMemory::read_bytes(std::uint64_t addr, void* dst, std::size_t n) const {
   check(addr, n);
-  std::memcpy(dst, data_.data() + addr, n);
+  std::memcpy(dst, arena_.data() + addr, n);
 }
 
 void GlobalMemory::validate() const {
@@ -104,7 +124,7 @@ void GlobalMemory::validate() const {
     if (start < prev_end)
       throw SimError("GlobalMemory::validate: block at " +
                      std::to_string(start) + " overlaps its predecessor");
-    if (start + size > data_.size())
+    if (start + size > capacity())
       throw SimError("GlobalMemory::validate: block at " +
                      std::to_string(start) + " overruns the arena");
     prev_end = start + size;
@@ -121,7 +141,7 @@ void GlobalMemory::validate() const {
   auto bit = blocks_.begin();
   auto git = gaps_.begin();
   bool last_was_gap = false;
-  while (pos < data_.size()) {
+  while (pos < capacity()) {
     if (git != gaps_.end() && git->first == pos) {
       if (git->second == 0)
         throw SimError("GlobalMemory::validate: zero-size gap at " +
@@ -141,13 +161,13 @@ void GlobalMemory::validate() const {
                      " covered by neither a block nor a gap");
     }
   }
-  if (pos != data_.size() || git != gaps_.end() || bit != blocks_.end())
+  if (pos != capacity() || git != gaps_.end() || bit != blocks_.end())
     throw SimError(
         "GlobalMemory::validate: blocks+gaps do not partition the arena");
 }
 
 void GlobalMemory::check(std::uint64_t addr, std::size_t n) const {
-  if (addr == 0 || addr + n > data_.size())
+  if (addr == 0 || addr + n > capacity())
     throw SimError("GlobalMemory: access out of arena bounds at address " +
                    std::to_string(addr) + " size " + std::to_string(n));
   if (!strict_) return;

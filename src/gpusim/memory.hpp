@@ -7,6 +7,11 @@
 // used). DevicePtr<T> is a typed byte offset into the arena — deliberately
 // NOT a host pointer, so host code cannot dereference device data without
 // going through an explicit copy, mirroring the CUDA discipline.
+//
+// The arena is an anonymous zero-filled mapping whose pages the OS commits
+// on first touch, so building a Device costs the same whatever the arena
+// size — like cudaMalloc, which neither clears DRAM nor scales with it.
+// Never-written bytes still read as zero.
 
 #include <atomic>
 #include <cstddef>
@@ -14,7 +19,6 @@
 #include <cstring>
 #include <map>
 #include <span>
-#include <vector>
 
 #include "gpusim/error.hpp"
 
@@ -79,13 +83,13 @@ class GlobalMemory {
   [[nodiscard]] T load(std::uint64_t addr) const {
     check(addr, sizeof(T));
     T v;
-    std::memcpy(&v, data_.data() + addr, sizeof(T));
+    std::memcpy(&v, arena_.data() + addr, sizeof(T));
     return v;
   }
   template <typename T>
   void store(std::uint64_t addr, T v) {
     check(addr, sizeof(T));
-    std::memcpy(data_.data() + addr, &v, sizeof(T));
+    std::memcpy(arena_.data() + addr, &v, sizeof(T));
   }
 
   /// Atomic 32-bit fetch-add, the functional core of the simulated
@@ -95,7 +99,7 @@ class GlobalMemory {
     check(addr, 4);
     if (addr % 4 != 0)
       throw SimError("GlobalMemory: misaligned 32-bit atomic");
-    auto* p = reinterpret_cast<std::uint32_t*>(data_.data() + addr);
+    auto* p = reinterpret_cast<std::uint32_t*>(arena_.data() + addr);
     return std::atomic_ref<std::uint32_t>(*p).fetch_add(
         v, std::memory_order_relaxed);
   }
@@ -109,10 +113,10 @@ class GlobalMemory {
   [[nodiscard]] std::span<const T> view(std::uint64_t addr,
                                         std::size_t count) const {
     if (count != 0) check(addr, count * sizeof(T));
-    return {reinterpret_cast<const T*>(data_.data() + addr), count};
+    return {reinterpret_cast<const T*>(arena_.data() + addr), count};
   }
 
-  [[nodiscard]] std::size_t capacity() const { return data_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return arena_.size(); }
   [[nodiscard]] std::size_t bytes_in_use() const { return bytes_in_use_; }
   [[nodiscard]] std::size_t peak_bytes_in_use() const { return peak_bytes_in_use_; }
   [[nodiscard]] std::size_t allocation_count() const { return blocks_.size(); }
@@ -128,7 +132,25 @@ class GlobalMemory {
   void free_bytes(std::uint64_t addr);
   void check(std::uint64_t addr, std::size_t n) const;
 
-  std::vector<std::byte> data_;
+  /// RAII owner of a zero-filled anonymous mapping whose pages are
+  /// committed on first touch. Throws std::bad_alloc when the mapping
+  /// cannot be made.
+  class ZeroedArena {
+   public:
+    explicit ZeroedArena(std::size_t bytes);
+    ~ZeroedArena();
+    ZeroedArena(const ZeroedArena&) = delete;
+    ZeroedArena& operator=(const ZeroedArena&) = delete;
+
+    [[nodiscard]] std::byte* data() const { return data_; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+
+   private:
+    std::byte* data_ = nullptr;
+    std::size_t size_ = 0;
+  };
+
+  ZeroedArena arena_;
   // Live allocations: start address -> size.
   std::map<std::uint64_t, std::size_t> blocks_;
   // Free regions: start address -> size, address-ordered and coalesced on

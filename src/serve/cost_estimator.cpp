@@ -34,9 +34,9 @@ CostEstimate CostEstimator::estimate(const fim::DatasetStats& stats,
   est.device_bytes = static_cast<std::size_t>(
       std::ceil(bitset_bytes * cal_.bytes_slack)) + (1u << 20);
 
-  // Wall estimate: fixed device setup + the level-2 candidate front's
-  // AND/popcount stream (the widest level on most shapes; deeper levels
-  // shrink) + the linear scan that builds the bitsets.
+  // Wall estimate: the device path's fixed floor + the level-2 candidate
+  // front's AND/popcount stream (the widest level on most shapes; deeper
+  // levels shrink) + the linear scan that builds the bitsets.
   const double c2 = f1 * (f1 - 1.0) / 2.0;
   const double mwords = c2 * static_cast<double>(est.words_per_row) / 1e6;
   est.wall_ms = cal_.device_fixed_ms + mwords * cal_.ms_per_mword +

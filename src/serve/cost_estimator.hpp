@@ -29,7 +29,8 @@ namespace serve {
 struct CostEstimate {
   /// Predicted peak device bytes (vertical bitset store + slack).
   std::size_t device_bytes = 0;
-  /// Predicted execution wall time, ms (fixed device setup + counting).
+  /// Predicted execution wall time, ms (device-path floor + counting +
+  /// bitset build scan).
   double wall_ms = 0;
   /// Frequent-1 item bound the prediction assumed.
   std::size_t frequent1_bound = 0;
@@ -39,16 +40,17 @@ struct CostEstimate {
 
 class CostEstimator {
  public:
-  /// Model constants. Defaults are fitted against results/BENCH_fig6c.json
-  /// (chess at scale 1, host_threads 1, native tier, git 9b592b3):
-  ///   * GPApriori wall stays ~160-178 ms across minsup 0.95..0.75 while
-  ///     CPU_TEST grows 0.52 -> 9.71 ms — the device path is dominated by
-  ///     a fixed arena-setup cost, modeled by device_fixed_ms;
-  ///   * CPU_TEST's growth (~9.7 ms at 0.75 where the candidate stream is
-  ///     a few hundred kilowords) anchors ms_per_mword;
+  /// Model constants, fitted against results/BENCH_fig6c.json (chess at
+  /// scale 1, host_threads 1, native tier):
+  ///   * device_fixed_ms is GPApriori's wall at the sweep's smallest-work
+  ///     point, minsup 0.95 (1.27-1.47 ms over 5 runs, rounded up): the
+  ///     per-request floor of the device path — preprocess, device
+  ///     construction, bitset upload, two short levels;
+  ///   * CPU_TEST's growth (10-21 ms at 0.75, host-dependent, where the
+  ///     candidate stream is a few hundred kilowords) anchors ms_per_mword;
   ///   * parse/scan cost is linear in total items read.
   struct Calibration {
-    double device_fixed_ms = 160.0;   ///< arena setup + first uploads
+    double device_fixed_ms = 1.5;     ///< per-request device-path floor
     double ms_per_mword = 4.0;        ///< per million 64-bit AND words
     double us_per_item_scan = 0.01;   ///< per (transaction, item) pair
     double bytes_slack = 1.25;        ///< bitset-store headroom multiplier

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <vector>
 
+#include "gpusim/device_context.hpp"
 #include "gpusim/error.hpp"
 
 namespace {
@@ -193,6 +198,40 @@ TEST(GlobalMemory, RepeatedOomDoesNotLeakBookkeeping) {
 
 TEST(GlobalMemory, ZeroCapacityRejected) {
   EXPECT_THROW(GlobalMemory mem(0), SimError);
+}
+
+// Resident set size of this process in bytes, or -1 where /proc/self/statm
+// is not available.
+long long resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long long size_pages = 0, resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) return -1;
+  return resident_pages * sysconf(_SC_PAGESIZE);
+}
+
+// cudaMalloc neither clears DRAM nor costs more on a larger card, so
+// building a simulated device must not commit its arena up front: a
+// returning zero-fill would cost every mine and every served request.
+TEST(GlobalMemory, DefaultDeviceDoesNotCommitItsArena) {
+  const long long before = resident_bytes();
+  if (before < 0) GTEST_SKIP() << "/proc/self/statm not available";
+  const gpusim::Device dev;
+  const long long grown = resident_bytes() - before;
+  EXPECT_EQ(dev.memory().capacity(), std::size_t{256} << 20);
+  EXPECT_LT(grown, 16ll << 20) << "building a Device committed "
+                               << (grown >> 20) << " MiB";
+}
+
+TEST(GlobalMemory, FarEndOfUntouchedArenaReadsZero) {
+  GlobalMemory mem(std::size_t{256} << 20);
+  const std::size_t tail_bytes = 4096;
+  (void)mem.alloc<std::uint8_t>(mem.capacity() - 1 - tail_bytes, 1);
+  const auto tail = mem.alloc<std::uint8_t>(tail_bytes, 1);
+  ASSERT_EQ(tail.addr + tail_bytes, mem.capacity());
+  std::vector<std::uint8_t> back(tail_bytes, 0xFF);
+  mem.read_bytes(tail.addr, back.data(), back.size());
+  EXPECT_TRUE(std::all_of(back.begin(), back.end(),
+                          [](std::uint8_t b) { return b == 0; }));
 }
 
 TEST(DevicePtrTest, ArithmeticAndCast) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -168,6 +169,7 @@ class JsonValidator {
 struct Event {
   char ph = '?';
   int tid = -1;
+  std::string name;
   std::string line;
 };
 
@@ -179,6 +181,7 @@ std::vector<Event> parse_events(const std::string& json) {
     if (line.rfind("{\"name\"", 0) != 0) continue;
     Event e;
     e.line = line;
+    e.name = line.substr(10, line.find('"', 10) - 10);  // {"name": "
     if (auto p = line.find("\"ph\": \""); p != std::string::npos)
       e.ph = line[p + 7];
     if (auto p = line.find("\"tid\": "); p != std::string::npos)
@@ -521,6 +524,50 @@ TEST(Metrics, TracedMineIsBitIdenticalAndRecordsLevels) {
   }
   EXPECT_TRUE(saw_mine);
   EXPECT_TRUE(saw_candgen);
+}
+
+// The library spans every setup stage of a mine, so a root span around
+// Miner::mine leaves no untraced gap: preprocessing, device construction,
+// the bitset store build + upload, and the final sort each open exactly
+// once on the calling thread, in that order, nested inside the root.
+TEST(Trace, MineSetupStagesAreSpannedInsideTheRoot) {
+  ObsReset guard;
+  const auto db = datagen::profile(datagen::DatasetId::kChess).generate(0.04);
+  miners::MiningParams p;
+  p.min_support_ratio = 0.8;
+  TraceRecorder::global().enable();
+  {
+    ScopedSpan root(SpanKind::kOther, "mine");
+    gpapriori::GpApriori miner{gpapriori::Config{}};
+    EXPECT_GT(miner.mine(db, p).itemsets.size(), 0u);
+  }
+  TraceRecorder::global().disable();
+
+  const auto events = parse_events(TraceRecorder::global().export_chrome_json());
+  expect_balanced(events);
+  int root_tid = -1;
+  for (const auto& e : events)
+    if (e.ph == 'B' && e.name == "mine") root_tid = e.tid;
+  ASSERT_NE(root_tid, -1);
+
+  const std::vector<std::string> stages{"preprocess", "device-init",
+                                        "store-build", "finalize"};
+  std::vector<std::string> stack, opened;
+  for (const auto& e : events) {
+    if (e.tid != root_tid) continue;
+    if (e.ph == 'B') {
+      if (std::find(stages.begin(), stages.end(), e.name) != stages.end()) {
+        EXPECT_TRUE(!stack.empty() && stack.front() == "mine")
+            << e.name << " is not nested in the root span";
+        opened.push_back(e.name);
+      }
+      stack.push_back(e.name);
+    } else if (e.ph == 'E' && !stack.empty()) {
+      stack.pop_back();
+    }
+  }
+  EXPECT_EQ(opened, stages);
+  EXPECT_TRUE(stack.empty());
 }
 
 // Many threads recording while another thread exports: exercises the span
