@@ -31,6 +31,7 @@
 #include "core/gpapriori_all.hpp"
 #include "core/run_control.hpp"
 #include "datagen/datagen.hpp"
+#include "fim/bit_kernels.hpp"
 #include "fim/fim.hpp"
 #include "gpusim/executor.hpp"
 #include "obs/obs.hpp"
@@ -232,11 +233,13 @@ inline std::string git_sha() {
 
 /// Provenance fields every BENCH json carries after "git_sha": whether
 /// tracked files differed from that commit at build time (null outside a
-/// git checkout) and the host's core count.
+/// git checkout), the host's core count, and the AND + popcount path CPUID
+/// chose (fim/bit_kernels.hpp).
 inline std::string provenance_json_fields() {
   return std::string("  \"dirty\": ") + GPAPRIORI_GIT_DIRTY + ",\n" +
          "  \"cores\": " +
-         std::to_string(std::thread::hardware_concurrency()) + ",\n";
+         std::to_string(std::thread::hardware_concurrency()) + ",\n" +
+         "  \"popcount_path\": \"" + fim::bits::active().name + "\",\n";
 }
 
 /// Machine-readable result file: results/BENCH_<stem>.json (directory from

@@ -257,9 +257,15 @@ int main(int argc, char** argv) {
       {"mid", &mid, {0.20, 0.25, 0.30}},
       {"sparse", &sparse, {0.04, 0.05, 0.06}},
   };
+  // Deadline-carrying requests mine this shape: about 10^5 frequent
+  // itemsets, ~150 ms even on CPU_TEST in a release build, so an 8 or
+  // 40 ms deadline fires mid-run and the service must salvage levels.
+  const auto deep = testutil::random_db(3000, 30, 0.55, 4);
+  const Shape deep_shape{"deep", &deep, {0.05}};
 
   ReferenceOracle oracle;
   for (const auto& s : shapes) oracle.add_dataset(s.name, s.db);
+  oracle.add_dataset(deep_shape.name, deep_shape.db);
 
   // -- Deterministic mixed workload ----------------------------------------
   std::mt19937_64 rng(seed);
@@ -295,7 +301,12 @@ int main(int argc, char** argv) {
       if (pct() < 10) s.req.max_itemset_size = 2;
       if (pct() < 40) s.req.algo = pinnable[rng() % 3];
       if (pct() < 10) s.req.rules_confidence = 0.6;
-      if (pct() < 8) s.req.deadline_ms = (rng() % 2) ? 8 : 40;
+      if (pct() < 8) {
+        s.req.dataset = deep_shape.name;
+        s.req.min_support_ratio = deep_shape.supports[0];
+        s.req.rules_confidence = 0;
+        s.req.deadline_ms = (rng() % 2) ? 8 : 40;
+      }
     }
     specs.push_back(std::move(s));
   }
@@ -328,6 +339,7 @@ int main(int argc, char** argv) {
 
   serve::MiningService svc(so);
   for (const auto& sh : shapes) svc.register_dataset(sh.name, *sh.db);
+  svc.register_dataset(deep_shape.name, deep);
 
   const std::size_t wave1_begin = total * 2 / 5;
   const std::size_t wave2_begin = total * 7 / 10;
@@ -346,16 +358,22 @@ int main(int argc, char** argv) {
 
   auto drain_wave = [&](int wave, bool do_cancel) {
     std::vector<Pending> pending;
-    std::vector<std::string> ids;
     for (std::size_t i = 0; i < specs.size(); ++i)
-      if (wave_of(i) == wave) {
-        ids.push_back(specs[i].req.id);
-        pending.push_back({i, svc.submit(specs[i].req)});
+      if (wave_of(i) == wave) pending.push_back({i, svc.submit(specs[i].req)});
+    if (do_cancel) {
+      // Cancel at once, among requests still queued or running: a request
+      // takes a few ms, so after any pause they would all be done. Shed
+      // requests are already resolved and are never picked.
+      std::vector<std::size_t> open;
+      for (std::size_t k = 0; k < pending.size(); ++k)
+        if (pending[k].fut.wait_for(std::chrono::seconds(0)) !=
+            std::future_status::ready)
+          open.push_back(k);
+      for (int c = 0; c < 4 && !open.empty(); ++c) {
+        const std::size_t pick = rng() % open.size();
+        cancel_hits += svc.cancel(specs[pending[open[pick]].spec].req.id);
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick));
       }
-    if (do_cancel && !ids.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      for (int c = 0; c < 4; ++c)
-        cancel_hits += svc.cancel(ids[rng() % ids.size()]);
     }
     while (!pending.empty()) {
       std::vector<Pending> next;

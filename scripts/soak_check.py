@@ -8,7 +8,10 @@ the hard invariants against the BENCH json it emitted:
   * the binary exited 0 (it already self-checks; a nonzero exit is final);
   * zero hangs and zero kOk-vs-serial mismatches;
   * every request reached a terminal status (the status counts sum to the
-    request count) and at least one completed kOk.
+    request count) and at least one completed kOk;
+  * the salvage drills fired: at least one request was truncated (its
+    deadline or a cancellation stopped it mid-run or in the queue) and at
+    least one cancellation hit a queued or running request.
 
 The breaker A/B p95 numbers are printed — and an inversion (breakers not
 lowering p95) only warns, because wall-clock under sanitizers or a loaded
@@ -61,6 +64,11 @@ def check(report):
         failures.append("no request completed ok")
     if report.get("compared", 0) == 0:
         failures.append("no kOk result was compared against a reference")
+    if counts.get("truncated", 0) == 0:
+        failures.append("no request was truncated: the deadline and cancel "
+                        "drills salvaged nothing")
+    if report.get("cancel_hits", 0) == 0:
+        failures.append("no cancellation hit a queued or running request")
 
     print(f"soak_check: {requests} requests -> "
           + ", ".join(f"{k} {v}" for k, v in sorted(counts.items()))

@@ -2,29 +2,13 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
+#include "fim/bit_kernels.hpp"
 #include "gpusim/error.hpp"
 
 namespace gpapriori {
 
 namespace {
-
-/// Unaligned 64-bit load over two consecutive 32-bit bitset words;
-/// memcpy (not reinterpret_cast) so the read is strict-aliasing clean
-/// under UBSan and still compiles to a single mov.
-inline std::uint64_t load_u64(const std::uint32_t* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-/// Tile of 64-bit lanes the native sweep processes per pass: sized so the
-/// accumulator plus all k candidate row streams stay L1-resident
-/// (~16 KiB / (k+1) streams), clamped to [64, 1024] lanes (0.5–8 KiB of
-/// accumulator on the stack).
-constexpr std::uint64_t kMaxTile64 = 1024;
-constexpr std::uint64_t kL1TileBytes = 16 * 1024;
 
 /// Largest candidate length handled natively (stack row-id buffer); longer
 /// candidates fall back to the interpreter, which has no such limit.
@@ -191,41 +175,16 @@ bool SupportKernel::run_block_native(gpusim::BlockCtx& b) const {
   }
 
   std::uint32_t support = 0;
-  if (W != 0) {
-    if (k == 0) {
-      support = 32u * W;  // empty AND = all ones, as the interpreter yields
-    } else {
-      std::uint32_t max_row = 0;
-      for (std::uint32_t r = 0; r < k; ++r)
-        max_row = std::max(max_row, rows[r]);
-      const std::uint64_t stride = args_.stride_words;
-      const std::uint32_t* base =
-          b.view(args_.bitsets, 0, max_row * stride + W).data();
-
-      std::uint64_t count = 0;
-      const std::uint64_t n64 = W / 2;
-      const std::uint64_t tile = std::clamp<std::uint64_t>(
-          kL1TileBytes / 8 / (std::uint64_t{k} + 1), 64, kMaxTile64);
-      std::uint64_t acc[kMaxTile64];
-      for (std::uint64_t t0 = 0; t0 < n64; t0 += tile) {
-        const std::uint64_t m = std::min(tile, n64 - t0);
-        const std::uint32_t* r0 = base + rows[0] * stride + 2 * t0;
-        for (std::uint64_t j = 0; j < m; ++j) acc[j] = load_u64(r0 + 2 * j);
-        for (std::uint32_t r = 1; r < k; ++r) {
-          const std::uint32_t* rp = base + rows[r] * stride + 2 * t0;
-          for (std::uint64_t j = 0; j < m; ++j) acc[j] &= load_u64(rp + 2 * j);
-        }
-        for (std::uint64_t j = 0; j < m; ++j)
-          count += static_cast<std::uint64_t>(std::popcount(acc[j]));
-      }
-      if (W % 2 != 0) {
-        std::uint32_t a = base[rows[0] * stride + W - 1];
-        for (std::uint32_t r = 1; r < k; ++r)
-          a &= base[rows[r] * stride + W - 1];
-        count += static_cast<std::uint64_t>(std::popcount(a));
-      }
-      support = static_cast<std::uint32_t>(count);
-    }
+  if (W != 0 && k == 0) {
+    support = 32u * W;  // empty AND = all ones, as the interpreter yields
+  } else if (W != 0) {
+    std::uint32_t max_row = 0;
+    for (std::uint32_t r = 0; r < k; ++r) max_row = std::max(max_row, rows[r]);
+    const std::uint64_t stride = args_.stride_words;
+    const std::uint32_t* base =
+        b.view(args_.bitsets, 0, max_row * stride + W).data();
+    support = static_cast<std::uint32_t>(
+        fim::bits::and_popcount({base, stride, {rows, k}}, W));
   }
   b.store(args_.supports, cand, support);
 
@@ -243,9 +202,7 @@ bool SupportKernel::run_block_native(gpusim::BlockCtx& b) const {
 
   // Phase 1 — accumulate: each of the W words is visited by exactly one
   // thread, costing k candidate loads (shared or global) + k bitset loads;
-  // every thread stores its partial. Per-lane ops follow the interpreter's
-  // closed form: (k ANDs + popc + add per word) * n_iters + 2 loop-control
-  // ops per unroll group + the k loads per word + the store.
+  // every thread stores its partial.
   const std::uint64_t cand_loads = std::uint64_t{k} * W;
   if (preload_)
     b.charge_shared_loads(cand_loads);
@@ -253,13 +210,18 @@ bool SupportKernel::run_block_native(gpusim::BlockCtx& b) const {
     b.charge_global_loads(cand_loads, 4 * cand_loads);
   b.charge_global_loads(cand_loads, 4 * cand_loads);  // bitset words
   b.charge_shared_stores(tpb);
-  b.charge_phase([&](std::uint32_t tid) -> std::uint64_t {
-    if (tid >= W) return 1;  // just the st_shared
-    const std::uint64_t n_iters = (W - 1 - tid) / block + 1;
+  // Thread tid visits n = ceil((W - tid) / blockDim) words: with
+  // W = q·blockDim + r that is q + 1 below tid r and q from there on, so
+  // the phase splits at r. Per lane: (k ANDs + popc + add) and k candidate
+  // + k bitset loads per word, 2 loop-control ops per unroll group, and the
+  // partial's store.
+  const auto ops_of_iters = [&](std::uint64_t n) -> std::uint64_t {
     const std::uint64_t groups =
-        unroll_ <= 1 ? n_iters : (n_iters + unroll_ - 1) / unroll_;
-    return (3ull * k + 2) * n_iters + 2 * groups + 1;
-  });
+        unroll_ <= 1 ? n : (n + unroll_ - 1) / unroll_;
+    return (3ull * k + 2) * n + 2 * groups + 1;
+  };
+  const std::uint64_t q = W / block;
+  b.charge_split_phase(W % block, ops_of_iters(q + 1), ops_of_iters(q));
 
   // Reduction phases: threads tid < stride do 2 shared loads + add + store.
   for (std::uint32_t p = 2; p < 2 + log2b; ++p) {

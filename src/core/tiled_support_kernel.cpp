@@ -2,26 +2,24 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
+#include "fim/bit_kernels.hpp"
 #include "gpusim/error.hpp"
 
 namespace gpapriori {
 
 namespace {
 
-/// Unaligned 64-bit load over two consecutive 32-bit bitset words (memcpy:
-/// strict-aliasing clean under UBSan, compiles to a single mov).
-inline std::uint64_t load_u64(const std::uint32_t* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
+/// Words of the native prefix-AND buffer (8 KiB on the stack): it stays
+/// L1-resident while every sibling row streams past it once.
+constexpr std::uint64_t kNativeTileWords = 2048;
 
-/// Native sweep tile of 64-bit lanes: the prefix accumulator plus the
-/// prefix row streams and one sibling stream should stay L1-resident.
-constexpr std::uint64_t kMaxTile64 = 1024;
-constexpr std::uint64_t kL1TileBytes = 16 * 1024;
+/// Trip count of `for (i = tid; i < n; i += step)` for tid < step: with
+/// n = q·step + r, q + 1 below tid r and q from there on.
+constexpr std::uint64_t strided_trips(std::uint32_t n, std::uint32_t step,
+                                      std::uint32_t tid) {
+  return n / step + (tid < n % step ? 1 : 0);
+}
 
 /// Largest prefix length handled natively (stack row-id buffer); longer
 /// prefixes fall back to the interpreter, which has no such limit.
@@ -269,8 +267,7 @@ bool TiledSupportKernel::run_block_native(gpusim::BlockCtx& b) const {
   const std::uint64_t stride = args_.stride_words;
 
   // ---- functional effect: supports[off0+s] = popcount(prefix AND & sib_s)
-  // for every sibling of the group, word-tiled so the 64-bit prefix
-  // accumulator stays L1-resident across the sibling sweep. ----
+  // for every sibling of the group, in tiles of kNativeTileWords words. ----
   std::uint32_t prefix[kMaxNativePrefix];
   if (p != 0) {
     const auto v = b.view(args_.prefix_rows, g * p, p);
@@ -291,55 +288,39 @@ bool TiledSupportKernel::run_block_native(gpusim::BlockCtx& b) const {
     const std::uint32_t* base =
         b.view(args_.bitsets, 0, max_row * stride + W).data();
 
-    const std::uint64_t n64 = W / 2;
-    const std::uint64_t tile = std::clamp<std::uint64_t>(
-        kL1TileBytes / 8 / (std::uint64_t{p} + 2), 64, kMaxTile64);
-    std::uint64_t acc[kMaxTile64];
-    for (std::uint64_t t0 = 0; t0 < n64; t0 += tile) {
-      const std::uint64_t m = std::min(tile, n64 - t0);
-      if (p == 0) {
-        for (std::uint64_t j = 0; j < m; ++j) acc[j] = ~std::uint64_t{0};
-      } else {
-        const std::uint32_t* r0 = base + prefix[0] * stride + 2 * t0;
-        for (std::uint64_t j = 0; j < m; ++j) acc[j] = load_u64(r0 + 2 * j);
-        for (std::uint32_t r = 1; r < p; ++r) {
-          const std::uint32_t* rp = base + prefix[r] * stride + 2 * t0;
-          for (std::uint64_t j = 0; j < m; ++j)
-            acc[j] &= load_u64(rp + 2 * j);
-        }
-      }
-      for (std::uint32_t s = 0; s < G; ++s) {
-        const std::uint32_t* rp = base + sib[s] * stride + 2 * t0;
-        std::uint64_t c = 0;
-        for (std::uint64_t j = 0; j < m; ++j)
-          c += static_cast<std::uint64_t>(
-              std::popcount(acc[j] & load_u64(rp + 2 * j)));
-        counts[s] += static_cast<std::uint32_t>(c);
-      }
-    }
-    if (W % 2 != 0) {
-      std::uint32_t a = ~0u;
-      for (std::uint32_t r = 0; r < p; ++r)
-        a &= base[prefix[r] * stride + W - 1];
+    // Per tile: the prefix AND once (none when k == 1), then each sibling
+    // row's AND + popcount against it.
+    std::uint32_t acc[kNativeTileWords];
+    for (std::uint64_t t0 = 0; t0 < W; t0 += kNativeTileWords) {
+      const std::uint64_t m = std::min(kNativeTileWords, W - t0);
+      const std::uint32_t* tile_base = base + t0;
+      if (p != 0) fim::bits::and_rows({tile_base, stride, {prefix, p}}, m, acc);
       for (std::uint32_t s = 0; s < G; ++s)
-        counts[s] += static_cast<std::uint32_t>(
-            std::popcount(a & base[sib[s] * stride + W - 1]));
+        counts[s] += static_cast<std::uint32_t>(fim::bits::and_popcount(
+            {tile_base, stride, {&sib[s], 1}}, m, p != 0 ? acc : nullptr));
     }
   }
   for (std::uint32_t s = 0; s < G; ++s)
     b.store(args_.supports, std::uint64_t{off0} + s, counts[s]);
 
   // ---- accounting: field-exact against the interpreted phases ----
+  // Every per-lane count below is a strided trip count (strided_trips), so
+  // each phase is constant between a few cuts and is charged in O(warps).
+  //
   // Phase 0 — preload: every thread reads both group offsets and computes
-  // the size; thread 0 parks them in shared; the row-id copies are strided.
+  // the size; thread 0 parks them in shared; the row-id copies are strided
+  // over the block, 4 ops per id.
   b.charge_global_loads(2ull * tpb + p + G, 4 * (2ull * tpb + p + G));
   b.charge_shared_stores(2 + std::uint64_t{p} + G);
-  b.charge_phase([&](std::uint32_t tid) -> std::uint64_t {
-    const std::uint64_t np = tid < p ? (p - 1 - tid) / block + 1 : 0;
-    const std::uint64_t ns = tid < G ? (G - 1 - tid) / block + 1 : 0;
-    return 3 + (tid == 0 ? 2 : 0) + 4 * np + 4 * ns;
-  });
+  b.charge_piecewise_phase(
+      0, {1, p % block, G % block}, [&](std::uint32_t tid) -> std::uint64_t {
+        return 3 + (tid == 0 ? 2 : 0) + 4 * strided_trips(p, block, tid) +
+               4 * strided_trips(G, block, tid);
+      });
 
+  const auto ctrl_groups = [&](std::uint64_t n) -> std::uint64_t {
+    return unroll_ <= 1 ? n : (n + unroll_ - 1) / unroll_;
+  };
   const std::uint32_t ntiles = (W + kTileWords - 1) / kTileWords;
   for (std::uint32_t j = 0; j < ntiles; ++j) {
     const std::uint32_t lo = j * kTileWords;
@@ -347,42 +328,38 @@ bool TiledSupportKernel::run_block_native(gpusim::BlockCtx& b) const {
 
     // Prefix-AND phase: each tile word is visited by exactly one thread,
     // costing p prefix-id loads (shared) + p bitset loads + the tile store;
-    // per-lane ops follow the interpreter's (3p+2)·iters + loop control.
+    // per lane (3p+2) ops per word plus loop control.
     b.charge_shared_loads(std::uint64_t{p} * len);
     b.charge_global_loads(std::uint64_t{p} * len, 4ull * p * len);
     b.charge_shared_stores(len);
-    b.charge_phase([&](std::uint32_t tid) -> std::uint64_t {
-      const std::uint64_t n = tid < len ? (len - 1 - tid) / block + 1 : 0;
-      if (n == 0) return 0;
-      const std::uint64_t ctrl =
-          unroll_ <= 1 ? n : (n + unroll_ - 1) / unroll_;
-      return (3ull * p + 2) * n + 2 * ctrl;
-    });
+    const auto prefix_ops = [&](std::uint64_t n) -> std::uint64_t {
+      return (3ull * p + 2) * n + 2 * ctrl_groups(n);
+    };
+    b.charge_split_phase(len % block, prefix_ops(len / block + 1),
+                         prefix_ops(len / block));
 
     // Sibling-sweep phase: every thread reads the group size; each
     // sibling costs its 32 lanes one broadcast id load, len tile loads
-    // between them, len bitset loads, and a partial RMW per lane.
+    // between them, len bitset loads, and a partial RMW per lane. Warp w
+    // sweeps strided_trips(G, nw, w) siblings, lane l strided_trips(len,
+    // 32, l) words of each.
     b.charge_shared_loads(tpb + std::uint64_t{G} * (64 + len));
     b.charge_shared_stores(32ull * G);
     b.charge_global_loads(std::uint64_t{G} * len, 4ull * G * len);
-    b.charge_phase([&](std::uint32_t tid) -> std::uint64_t {
-      const std::uint32_t wp = tid / 32, l = tid % 32;
-      const std::uint64_t nsib = wp < G ? (G - 1 - wp) / nw + 1 : 0;
-      const std::uint64_t n = l < len ? (len - 1 - l) / 32 + 1 : 0;
-      const std::uint64_t wg =
-          unroll_ <= 1 ? n : (n + unroll_ - 1) / unroll_;
-      return 1 + nsib * (7 + 5 * n + 2 * wg);
-    });
+    b.charge_piecewise_phase(
+        len % 32, {}, [&](std::uint32_t tid) -> std::uint64_t {
+          const std::uint64_t nsib = strided_trips(G, nw, tid / 32);
+          const std::uint64_t n = strided_trips(len, 32, tid % 32);
+          return 1 + nsib * (7 + 5 * n + 2 * ctrl_groups(n));
+        });
   }
 
   // Reduce + writeback: every thread reads the meta pair; each sibling's
-  // owner sums 32 partials and stores the support.
+  // owner sums 32 partials (68 ops per sibling) and stores the support.
   b.charge_shared_loads(2ull * tpb + 32ull * G);
   b.charge_global_stores(G, 4ull * G);
-  b.charge_phase([&](std::uint32_t tid) -> std::uint64_t {
-    const std::uint64_t ns = tid < G ? (G - 1 - tid) / block + 1 : 0;
-    return 2 + 68 * ns;
-  });
+  b.charge_split_phase(G % block, 2 + 68 * (G / block + 1),
+                       2 + 68 * (G / block));
   return true;
 }
 

@@ -79,9 +79,10 @@ class TiledSupportKernel final : public gpusim::Kernel {
       const gpusim::LaunchConfig& cfg) const override;
   void run_phase(std::uint32_t phase, gpusim::ThreadCtx& t) const override;
 
-  /// NATIVE tier: the whole group's tiled intersection as a 64-bit
-  /// prefix-AND tile + per-sibling AND/popcount sweep, with closed-form
-  /// counter accounting equal to the interpreted phases (DESIGN.md §9).
+  /// NATIVE tier: the whole group's tiled intersection as one
+  /// fim::bits::and_rows prefix AND per tile + one fim::bits::and_popcount
+  /// per sibling, with O(warps) closed-form counter accounting equal to the
+  /// interpreted phases (DESIGN.md §9).
   bool run_block_native(gpusim::BlockCtx& b) const override;
 
   /// Phases for a row width: preload + 2 per tile + reduce/writeback.

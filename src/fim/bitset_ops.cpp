@@ -4,6 +4,7 @@
 #include <bit>
 #include <stdexcept>
 
+#include "fim/bit_kernels.hpp"
 #include "gpusim/host_pool.hpp"
 
 namespace fim {
@@ -84,45 +85,33 @@ bool BitsetStore::test(std::size_t row, Tid t) const {
 }
 
 Support BitsetStore::popcount_row(std::size_t r) const {
-  Support n = 0;
-  for (std::size_t w = 0; w < words_per_row_; ++w)
-    n += static_cast<Support>(std::popcount(words_[r * stride_ + w]));
-  return n;
+  const auto id = static_cast<std::uint32_t>(r);
+  return static_cast<Support>(
+      bits::and_popcount({words_.data(), stride_, {&id, 1}}, words_per_row_));
 }
 
 Support BitsetStore::and_popcount(
     std::span<const std::uint32_t> row_ids) const {
   if (row_ids.empty()) return static_cast<Support>(num_bits_);
-  Support n = 0;
-  for (std::size_t w = 0; w < words_per_row_; ++w) {
-    Word acc = words_[row_ids[0] * stride_ + w];
-    for (std::size_t k = 1; k < row_ids.size() && acc; ++k)
-      acc &= words_[row_ids[k] * stride_ + w];
-    n += static_cast<Support>(std::popcount(acc));
-  }
-  return n;
+  return static_cast<Support>(
+      bits::and_popcount({words_.data(), stride_, row_ids}, words_per_row_));
 }
 
 void BitsetStore::and_rows(std::span<const std::uint32_t> row_ids,
                            std::span<Word> out) const {
   if (out.size() < words_per_row_)
     throw std::out_of_range("BitsetStore::and_rows: output too small");
-  for (std::size_t w = 0; w < words_per_row_; ++w) {
-    Word acc = row_ids.empty() ? ~Word{0} : words_[row_ids[0] * stride_ + w];
-    for (std::size_t k = 1; k < row_ids.size(); ++k)
-      acc &= words_[row_ids[k] * stride_ + w];
-    out[w] = acc;
-  }
+  bits::and_rows({words_.data(), stride_, row_ids}, words_per_row_,
+                 out.data());
 }
 
 Support BitsetStore::masked_popcount(std::span<const Word> mask,
                                      std::size_t r) const {
   if (mask.size() < words_per_row_)
     throw std::out_of_range("BitsetStore::masked_popcount: mask too small");
-  Support n = 0;
-  for (std::size_t w = 0; w < words_per_row_; ++w)
-    n += static_cast<Support>(std::popcount(mask[w] & words_[r * stride_ + w]));
-  return n;
+  const auto id = static_cast<std::uint32_t>(r);
+  return static_cast<Support>(bits::and_popcount(
+      {words_.data(), stride_, {&id, 1}}, words_per_row_, mask.data()));
 }
 
 std::vector<std::uint32_t> BitsetStore::column_populations(

@@ -10,6 +10,8 @@ namespace fim {
 namespace {
 
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+/// Serialized CheckpointLevel: level u32 + four 8-byte fields.
+constexpr std::size_t kLevelRecordBytes = 4 + 8 + 8 + 8 + 8;
 
 // Append helpers for the flat binary encoding. Everything is written as
 // fixed-width host-endian integers; the snapshot is a local artifact (the
@@ -35,6 +37,18 @@ class Reader {
   double f64() { return get<double>(); }
 
   [[nodiscard]] bool exhausted() const { return pos_ == buf_.size(); }
+  [[nodiscard]] std::size_t remaining() const { return buf_.size() - pos_; }
+
+  /// A record count read from the file, checked against the bytes left
+  /// (`record_bytes` each) before anything is sized from it.
+  std::uint64_t count(std::uint64_t n, std::size_t record_bytes,
+                      const char* what) const {
+    if (n > remaining() / record_bytes)
+      throw IoError("checkpoint " + std::string(what) + " " +
+                    std::to_string(n) + " exceeds the " +
+                    std::to_string(remaining()) + " bytes left: " + path_);
+    return n;
+  }
 
  private:
   template <typename T>
@@ -106,7 +120,7 @@ std::uint64_t dataset_digest(const TransactionDb& db) {
 
 std::size_t MiningCheckpoint::byte_size() const {
   std::size_t n = 4 + 4 + 8 + 8 + 8 + 4 + 4;  // header
-  n += 8 + levels.size() * (4 + 8 + 8 + 8 + 8);
+  n += 8 + levels.size() * kLevelRecordBytes;
   n += 8;
   for (const FrequentItemset& fs : itemsets)
     n += 4 + fs.items.size() * 4 + 4;
@@ -155,7 +169,8 @@ MiningCheckpoint MiningCheckpoint::read(const std::string& path) {
   cp.min_count = r.u64();
   cp.max_itemset_size = r.u32();
   cp.completed_level = r.u32();
-  const std::uint64_t nlevels = r.u64();
+  const std::uint64_t nlevels =
+      r.count(r.u64(), kLevelRecordBytes, "level count");
   cp.levels.reserve(nlevels);
   for (std::uint64_t i = 0; i < nlevels; ++i) {
     CheckpointLevel lv;
@@ -168,7 +183,8 @@ MiningCheckpoint MiningCheckpoint::read(const std::string& path) {
   }
   const std::uint64_t nsets = r.u64();
   for (std::uint64_t i = 0; i < nsets; ++i) {
-    const std::uint32_t k = r.u32();
+    const auto k = static_cast<std::uint32_t>(
+        r.count(r.u32(), sizeof(Item), "itemset length"));
     std::vector<Item> items;
     items.reserve(k);
     for (std::uint32_t j = 0; j < k; ++j) items.push_back(r.u32());

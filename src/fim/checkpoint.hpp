@@ -71,7 +71,9 @@ struct MiningCheckpoint {
   void write(const std::string& path) const;
 
   /// Reads and validates a snapshot. Throws IoError on missing file, bad
-  /// magic, unsupported version, truncation, or trailing garbage.
+  /// magic, unsupported version, truncation, trailing garbage, or a record
+  /// count larger than the bytes left to hold it (checked before anything
+  /// is sized from it).
   [[nodiscard]] static MiningCheckpoint read(const std::string& path);
 };
 

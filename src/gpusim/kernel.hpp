@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -331,9 +332,10 @@ struct KernelInfo {
 /// host is good at) and then settles the books with the charge_* API under
 /// the same EQUALITY contract the zero-trace fast path established: every
 /// counter and every per-lane op count must equal what the interpreter
-/// would have produced, phase by phase. charge_phase/charge_split_phase
-/// must be called exactly once per declared phase (the executor verifies
-/// the count), which also yields the interpreter's barrier accounting.
+/// would have produced, phase by phase. One of charge_phase,
+/// charge_split_phase or charge_piecewise_phase must be called exactly
+/// once per declared phase (the executor verifies the count), which also
+/// yields the interpreter's barrier accounting.
 ///
 /// Data accessors (view/load/store/atomic_fetch_add) deliberately charge
 /// NOTHING — native code reads k rows once but the interpreter charged one
@@ -455,10 +457,56 @@ class BlockCtx {
     ++phases_charged_;
   }
 
+  /// O(warps) form of charge_phase for per-lane op counts that are
+  /// constant between a few known cuts: lane `lane_cut` of every warp (0 =
+  /// none) and each tid in `tid_cuts` (at most kMaxTidCuts) — e.g. a
+  /// per-warp trip count times a two-valued per-lane one. `ops_of_tid` is
+  /// called once per constant piece, at its first tid, and the aggregation
+  /// equals charge_phase's.
+  template <typename F>
+  void charge_piecewise_phase(std::uint32_t lane_cut,
+                              std::initializer_list<std::uint32_t> tid_cuts,
+                              F&& ops_of_tid) {
+    if (tid_cuts.size() > kMaxTidCuts)
+      throw SimError("BlockCtx::charge_piecewise_phase: too many cuts");
+    for (std::uint32_t w = 0; w < num_warps_; ++w) {
+      const std::uint32_t wlo = w * 32, whi = std::min(wlo + 32, tpb_);
+      // Piece starts inside the warp, kept sorted by insertion; bounds[n]
+      // closes the last piece.
+      std::array<std::uint32_t, kMaxTidCuts + 3> bounds{};
+      std::size_t n = 0;
+      const auto add_start = [&](std::uint32_t c) {
+        std::size_t i = n++;
+        for (; i > 0 && bounds[i - 1] > c; --i) bounds[i] = bounds[i - 1];
+        bounds[i] = c;
+      };
+      add_start(wlo);
+      if (lane_cut != 0 && wlo + lane_cut < whi) add_start(wlo + lane_cut);
+      for (const std::uint32_t c : tid_cuts)
+        if (c > wlo && c < whi) add_start(c);
+      bounds[n] = whi;
+      std::uint64_t mx = 0, mn = ~std::uint64_t{0}, sum = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (bounds[i] == bounds[i + 1]) continue;
+        const std::uint64_t ops = ops_of_tid(bounds[i]);
+        mx = std::max(mx, ops);
+        mn = std::min(mn, ops);
+        sum += ops * (bounds[i + 1] - bounds[i]);
+      }
+      counters_->warp_instructions += mx;
+      counters_->thread_instructions += sum;
+      counters_->warp_phases += 1;
+      if (mx != mn) counters_->divergent_warp_phases += 1;
+    }
+    ++phases_charged_;
+  }
+
   /// Phases settled so far; the executor demands == KernelInfo::num_phases.
   [[nodiscard]] std::uint32_t phases_charged() const { return phases_charged_; }
 
  private:
+  static constexpr std::size_t kMaxTidCuts = 4;
+
   Dim3 grid_dim_, block_dim_, block_idx_;
   GlobalMemory* gmem_;
   KernelCounters* counters_;

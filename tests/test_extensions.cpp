@@ -29,7 +29,11 @@ struct ExtCase {
   double density;
   std::uint64_t seed;
   fim::Support min_count;
+  /// Explicit, zeroed tail padding: gtest prints this struct's raw bytes
+  /// into the test name, so none of them may be indeterminate.
+  std::uint32_t zero_fill = 0;
 };
+static_assert(sizeof(ExtCase) == 40, "ExtCase must have no implicit padding");
 
 class ExtensionSweep : public testing::TestWithParam<ExtCase> {};
 

@@ -44,7 +44,11 @@ struct GpCase {
   double density;
   std::uint64_t seed;
   fim::Support min_count;
+  /// Explicit, zeroed tail padding: gtest prints this struct's raw bytes
+  /// into the test name, so none of them may be indeterminate.
+  std::uint32_t zero_fill = 0;
 };
+static_assert(sizeof(GpCase) == 40, "GpCase must have no implicit padding");
 
 class GpAprioriSweep : public testing::TestWithParam<GpCase> {};
 

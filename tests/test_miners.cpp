@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -29,17 +30,22 @@ const char* const kMinerNames[] = {
     "Eclat (tidsets)", "Eclat (diffsets)", "FP-Growth",
 };
 
+// gtest prints this struct's raw bytes into the test name, so it holds an
+// index rather than a name pointer, and no implicit padding.
 struct SweepCase {
-  const char* miner;
+  std::size_t miner;  ///< index into kMinerNames
   std::size_t num_trans;
   std::size_t universe;
   double density;
   std::uint64_t seed;
   fim::Support min_count;
+  std::uint32_t zero_fill = 0;
 };
+static_assert(sizeof(SweepCase) == 48,
+              "SweepCase must have no implicit padding");
 
 std::string case_name(const testing::TestParamInfo<SweepCase>& info) {
-  std::string n = info.param.miner;
+  std::string n = kMinerNames[info.param.miner];
   for (char& c : n)
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   return n + "_t" + std::to_string(info.param.num_trans) + "_u" +
@@ -50,7 +56,7 @@ std::string case_name(const testing::TestParamInfo<SweepCase>& info) {
 
 std::vector<SweepCase> sweep_cases() {
   std::vector<SweepCase> cases;
-  for (const char* miner : kMinerNames) {
+  for (std::size_t miner = 0; miner < std::size(kMinerNames); ++miner) {
     // Sparse, moderate, and dense shapes; several supports and seeds.
     cases.push_back({miner, 100, 12, 0.2, 1, 5});
     cases.push_back({miner, 100, 12, 0.2, 2, 2});
@@ -71,7 +77,7 @@ TEST_P(MinerSweep, MatchesBruteForceOracle) {
                                       c.seed);
   const auto expected = testutil::brute_force(db, c.min_count);
 
-  auto miner = make_miner(c.miner);
+  auto miner = make_miner(kMinerNames[c.miner]);
   MiningParams params;
   params.min_support_abs = c.min_count;
   const auto got = miner->mine(db, params);

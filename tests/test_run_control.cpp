@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -481,6 +482,65 @@ TEST(Checkpoint, ReadRejectsBadMagicAndTruncation) {
   std::remove(bad.c_str());
   std::remove(ckpt.c_str());
   std::remove(cut.c_str());
+}
+
+/// Bytes of a small valid snapshot: two levels, then itemsets {1} and
+/// {1, 2}.
+std::vector<unsigned char> small_snapshot_bytes(const std::string& path) {
+  fim::MiningCheckpoint cp;
+  cp.min_count = 3;
+  cp.max_itemset_size = 4;
+  cp.completed_level = 2;
+  cp.levels = {{1, 5, 3, 0.5, 0.25}, {2, 3, 1, 0.5, 0.25}};
+  cp.itemsets.add(fim::Itemset{1}, 4);
+  cp.itemsets.add(fim::Itemset{1, 2}, 3);
+  cp.write(path);
+  std::vector<unsigned char> bytes(cp.byte_size());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return {};
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  return bytes;
+}
+
+/// Overwrites the integer at `offset` of the snapshot at `path` and
+/// expects read() to refuse it with an IoError naming `what`.
+template <typename T>
+void expect_count_rejected(const std::string& path, std::size_t offset,
+                           T value, const std::string& what) {
+  std::vector<unsigned char> bytes = small_snapshot_bytes(path);
+  ASSERT_GE(bytes.size(), offset + sizeof(T));
+  (void)fim::MiningCheckpoint::read(path);  // sanity: the original parses
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+  try {
+    (void)fim::MiningCheckpoint::read(path);
+    ADD_FAILURE() << "a " << what << " of " << value << " was accepted";
+  } catch (const fim::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+// Header: magic, version (u32 each), three u64 digests/threshold, two u32
+// level fields — then the u64 level count, 36-byte level records, the u64
+// itemset count and the first itemset's u32 length.
+constexpr std::size_t kLevelCountOffset = 4 + 4 + 8 + 8 + 8 + 4 + 4;
+
+TEST(Checkpoint, ReadRejectsHugeLevelCountBeforeAllocating) {
+  expect_count_rejected(scratch_path("huge_levels.ckpt"), kLevelCountOffset,
+                        std::uint64_t{1} << 40, "level count");
+}
+
+TEST(Checkpoint, ReadRejectsHugeItemsetLengthBeforeAllocating) {
+  expect_count_rejected(scratch_path("huge_itemset.ckpt"),
+                        kLevelCountOffset + 8 + 2 * 36 + 8,
+                        std::uint32_t{0xFFFFFFFFu}, "itemset length");
 }
 
 TEST(Checkpoint, WriteRoundTripsAllFields) {
