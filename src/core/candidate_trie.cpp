@@ -166,7 +166,12 @@ std::size_t CandidateTrie::extend() {
   // shard), so child ranges stay contiguous.
   std::size_t created = 0;
   for (const ShardOut& sh : shards) created += sh.parents.size();
-  nodes_.reserve(nodes_.size() + created);
+  // Grow the arena geometrically from what this level needs. An exact-size
+  // reserve would reallocate and copy every node at every level; doubling
+  // from the old capacity instead walks up through a chain of buffers that
+  // stay in the heap and raise peak RSS.
+  const std::size_t need = nodes_.size() + created;
+  if (need > nodes_.capacity()) nodes_.reserve(need + need / 2);
   Level lvl;
   lvl.node_ids.reserve(created);
   lvl.paths.reserve(created * (k + 1));

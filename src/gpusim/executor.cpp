@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <functional>
@@ -18,61 +20,19 @@ namespace gpusim {
 
 namespace detail {
 
-namespace {
-
-// Zips the i-th recorded access of every lane in a warp into warp requests
-// and feeds them through the coalescing model.
-void analyze_global(const std::array<LaneTrace, 32>& warp, bool loads,
-                    MemoryAccessStats& out) {
-  std::size_t max_len = 0;
-  for (const auto& lane : warp) {
-    const auto& addrs = loads ? lane.load_addr : lane.store_addr;
-    max_len = std::max(max_len, addrs.size());
-  }
-  for (std::size_t i = 0; i < max_len; ++i) {
-    WarpRequest req;
-    for (std::uint32_t l = 0; l < 32; ++l) {
-      const auto& addrs = loads ? warp[l].load_addr : warp[l].store_addr;
-      const auto& sizes = loads ? warp[l].load_size : warp[l].store_size;
-      if (i < addrs.size()) {
-        req.addr[l] = addrs[i];
-        req.access_bytes = sizes[i];
-        req.active_mask |= (1u << l);
-      }
-    }
-    if (req.active_mask) out.add(coalesce_cc13(req));
-  }
-}
-
-void analyze_shared(const std::array<LaneTrace, 32>& warp,
-                    std::uint64_t& requests, std::uint64_t& serialization) {
-  std::size_t max_len = 0;
-  for (const auto& lane : warp) max_len = std::max(max_len, lane.shared_addr.size());
-  for (std::size_t i = 0; i < max_len; ++i) {
-    WarpRequest req;
-    for (std::uint32_t l = 0; l < 32; ++l) {
-      if (i < warp[l].shared_addr.size()) {
-        req.addr[l] = warp[l].shared_addr[i];
-        req.active_mask |= (1u << l);
-      }
-    }
-    if (req.active_mask) {
-      requests += 1;
-      serialization += shared_bank_serialization(req);
-    }
-  }
-}
-
-}  // namespace
-
 void BlockRecorder::analyze_phase(MemoryAccessStats& loads,
                                   MemoryAccessStats& stores,
                                   std::uint64_t& shared_requests,
                                   std::uint64_t& shared_serialization) const {
-  for (const auto& warp : traces_) {
-    analyze_global(warp, /*loads=*/true, loads);
-    analyze_global(warp, /*loads=*/false, stores);
-    analyze_shared(warp, shared_requests, shared_serialization);
+  for (std::uint32_t w = 0; w < num_warps_; ++w) {
+    const WarpRows& warp = warps_[w];
+    for (std::size_t n = 0; n < warp.loads.used; ++n)
+      loads.add(coalesce_cc13(warp.loads.rows[n]));
+    for (std::size_t n = 0; n < warp.stores.used; ++n)
+      stores.add(coalesce_cc13(warp.stores.rows[n]));
+    shared_requests += warp.shared.used;
+    for (std::size_t n = 0; n < warp.shared.used; ++n)
+      shared_serialization += shared_bank_serialization(warp.shared.rows[n].req);
   }
 }
 
@@ -83,44 +43,62 @@ std::uint64_t BlockRecorder::count_shared_races() {
     std::fill(first_writer_.begin(), first_writer_.end(), WriterStamp{});
     epoch_ = 1;
   }
-  std::uint64_t races = 0;
+  // Visited in tid order, a byte's first writer is its lowest-tid writer,
+  // and every later access by another thread is a hazard. Stamping the
+  // lowest writer first makes that count independent of visiting order,
+  // so both passes walk the rows as stored. When every access is an
+  // aligned word, each of its bytes has the same writers and readers:
+  // stamp words and count each hazard four times.
+  const bool words =
+      std::all_of(warps_.begin(), warps_.begin() + num_warps_,
+                  [](const WarpRows& w) { return w.all_words; });
+  // Calls fn(tid, lo, hi) for every lane of `mask_of(row)` in every shared
+  // row, with the access's [lo, hi) in stamp units (words or bytes).
+  const auto for_each_access = [&](auto mask_of, auto&& fn) {
+    for (std::uint32_t w = 0; w < num_warps_; ++w) {
+      const RowTable<SharedRow>& table = warps_[w].shared;
+      for (std::size_t n = 0; n < table.used; ++n) {
+        const SharedRow& row = table.rows[n];
+        for (std::uint32_t m = mask_of(row); m != 0; m &= m - 1) {
+          const auto lane = static_cast<std::uint32_t>(std::countr_zero(m));
+          const std::uint64_t addr = row.req.addr[lane];
+          const std::uint64_t lo = words ? addr / 4 : addr;
+          fn(w * 32 + lane, lo, words ? lo + 1 : addr + row.bytes[lane]);
+        }
+      }
+    }
+  };
+
   bool any_write = false;
-  for (std::uint32_t w = 0; w < traces_.size(); ++w) {
-    for (std::uint32_t l = 0; l < 32; ++l) {
-      const auto& t = traces_[w][l];
-      const std::uint32_t tid = w * 32 + l;
-      for (std::size_t i = 0; i < t.shared_w_addr.size(); ++i) {
-        const std::uint64_t end = t.shared_w_addr[i] + t.shared_w_size[i];
-        if (end > first_writer_.size())
-          first_writer_.resize(std::max<std::uint64_t>(
-              end, 2 * first_writer_.size()));
-        for (std::uint64_t a = t.shared_w_addr[i]; a < end; ++a) {
+  for_each_access(
+      [](const SharedRow& row) { return row.write_mask; },
+      [&](std::uint32_t tid, std::uint64_t lo, std::uint64_t hi) {
+        if (hi > first_writer_.size())
+          first_writer_.resize(
+              std::max<std::uint64_t>(hi, 2 * first_writer_.size()));
+        for (std::uint64_t a = lo; a < hi; ++a) {
           WriterStamp& s = first_writer_[a];
           if (s.epoch != epoch_)
             s = {epoch_, tid};
-          else if (s.tid != tid)
-            ++races;  // write-write
+          else if (tid < s.tid)
+            s.tid = tid;
         }
         any_write = true;
-      }
-    }
-  }
-  if (!any_write) return races;
-  for (std::uint32_t w = 0; w < traces_.size(); ++w) {
-    for (std::uint32_t l = 0; l < 32; ++l) {
-      const auto& t = traces_[w][l];
-      const std::uint32_t tid = w * 32 + l;
-      for (std::size_t i = 0; i < t.shared_r_addr.size(); ++i) {
-        const std::uint64_t end = std::min<std::uint64_t>(
-            t.shared_r_addr[i] + t.shared_r_size[i], first_writer_.size());
-        for (std::uint64_t a = t.shared_r_addr[i]; a < end; ++a) {
+      });
+  if (!any_write) return 0;
+
+  std::uint64_t hazards = 0;
+  for_each_access(
+      [](const SharedRow& row) { return row.req.active_mask; },
+      [&](std::uint32_t tid, std::uint64_t lo, std::uint64_t hi) {
+        const std::uint64_t end =
+            std::min<std::uint64_t>(hi, first_writer_.size());
+        for (std::uint64_t a = lo; a < end; ++a) {
           const WriterStamp& s = first_writer_[a];
-          if (s.epoch == epoch_ && s.tid != tid) ++races;  // read-write
+          if (s.epoch == epoch_ && s.tid != tid) ++hazards;
         }
-      }
-    }
-  }
-  return races;
+      });
+  return words ? 4 * hazards : hazards;
 }
 
 }  // namespace detail
@@ -147,6 +125,9 @@ struct ChunkStats {
   std::uint64_t shared_requests = 0;
   std::uint64_t shared_serialization = 0;
   std::uint64_t shared_race_hazards = 0;
+  /// Wall time spent interpreting and analyzing sampled blocks; measured
+  /// only when the chunk's trace span is recorded.
+  std::uint64_t sampled_ns = 0;
 };
 
 /// Per-worker scratch reused across the chunks a worker claims.
@@ -175,9 +156,11 @@ struct LaunchJob {
 /// Executes blocks [lo, hi) into `out`. This is the single block-execution
 /// path for both the sequential and the pooled executor — determinism
 /// across host_threads values follows from every chunk running this exact
-/// code and the merge happening in chunk (= block) order.
+/// code and the merge happening in chunk (= block) order. `time_sampled`
+/// adds each sampled block's wall time to out.sampled_ns.
 void run_block_range(const LaunchJob& job, std::uint64_t lo, std::uint64_t hi,
-                     ChunkStats& out, WorkerScratch& scratch) {
+                     ChunkStats& out, WorkerScratch& scratch,
+                     bool time_sampled) {
   const LaunchConfig& cfg = *job.cfg;
   const ExecutorOptions& opts = *job.opts;
   const std::uint32_t tpb = job.tpb;
@@ -220,6 +203,9 @@ void run_block_range(const LaunchJob& job, std::uint64_t lo, std::uint64_t hi,
       }
     }
 
+    using Clock = std::chrono::steady_clock;
+    const bool timed = sampled && time_sampled;
+    const Clock::time_point start = timed ? Clock::now() : Clock::time_point{};
     scratch.smem.reset(job.shared_bytes);
 
     for (std::uint32_t phase = 0; phase < job.info->num_phases; ++phase) {
@@ -230,10 +216,9 @@ void run_block_range(const LaunchJob& job, std::uint64_t lo, std::uint64_t hi,
             block_1d ? Dim3{tid, 0, 0}
                      : Dim3{tid % cfg.block.x, (tid / cfg.block.x) % cfg.block.y,
                             tid / (cfg.block.x * cfg.block.y)};
-        detail::LaneTrace* trace =
-            sampled ? &scratch.recorder.lane(tid / 32, tid % 32) : nullptr;
         ThreadCtx ctx(cfg.grid, cfg.block, block_idx, thread_idx, *job.gmem,
-                      scratch.smem, out.counters, trace);
+                      scratch.smem, out.counters,
+                      sampled ? &scratch.recorder : nullptr);
         job.kernel->run_phase(phase, ctx);
         scratch.lane_ops[tid] = ctx.lane_ops();
       }
@@ -263,6 +248,11 @@ void run_block_range(const LaunchJob& job, std::uint64_t lo, std::uint64_t hi,
           out.shared_race_hazards += scratch.recorder.count_shared_races();
       }
     }
+    if (timed)
+      out.sampled_ns += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                               start)
+              .count());
   }
 }
 
@@ -361,13 +351,17 @@ KernelStats run_kernel(const Kernel& kernel, const LaunchConfig& cfg,
       try {
         const auto [lo, hi] = chunk_range(c);
         obs::ScopedSpan span(obs::SpanKind::kDispatch, "block-chunk");
-        run_block_range(job, lo, hi, chunks[c], scratch);
+        run_block_range(job, lo, hi, chunks[c], scratch, span.active());
         if (cancel != nullptr) cancel->heartbeat();
         if (span.active()) {
           span.add_arg("first_block", static_cast<double>(lo));
           span.add_arg("num_blocks", static_cast<double>(hi - lo));
           span.add_arg("native_blocks",
                        static_cast<double>(chunks[c].native_blocks));
+          span.add_arg("sampled_blocks",
+                       static_cast<double>(chunks[c].sampled_blocks));
+          span.add_arg("sampled_ms",
+                       static_cast<double>(chunks[c].sampled_ns) / 1e6);
         }
       } catch (...) {
         errors[c] = std::current_exception();

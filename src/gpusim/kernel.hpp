@@ -30,49 +30,118 @@ namespace gpusim {
 
 namespace detail {
 
-/// Per-lane access trace for one phase of one sampled block.
-struct LaneTrace {
-  std::vector<std::uint64_t> load_addr;
-  std::vector<std::uint32_t> load_size;
-  std::vector<std::uint64_t> store_addr;
-  std::vector<std::uint32_t> store_size;
-  std::vector<std::uint64_t> shared_addr;   // loads+stores, bank analysis
-  std::vector<std::uint64_t> shared_w_addr;  // stores only, race analysis
-  std::vector<std::uint32_t> shared_w_size;
-  std::vector<std::uint64_t> shared_r_addr;  // loads only, race analysis
-  std::vector<std::uint32_t> shared_r_size;
+// Sampled blocks are recorded warp-major, as the warp requests the
+// analyzers consume (DESIGN.md §8). Lanes of a warp are assumed to execute
+// the same access sequence (lockstep): a lane's n-th access of a class
+// (global load, global store, shared) fills its column of that class's row
+// n and sets its bit in the row's active mask. Divergent lanes simply leave
+// later rows partly inactive, which yields the extra transactions
+// divergence costs.
 
-  void clear() {
-    load_addr.clear();
-    load_size.clear();
-    store_addr.clear();
-    store_size.clear();
-    shared_addr.clear();
-    shared_w_addr.clear();
-    shared_w_size.clear();
-    shared_r_addr.clear();
-    shared_r_size.clear();
+/// One warp-wide shared-memory request: the bank model reads `req`; the
+/// race check also needs each lane's access width and which lanes wrote.
+struct SharedRow {
+  WarpRequest req;  ///< addresses and active lanes (access_bytes unused)
+  std::array<std::uint8_t, 32> bytes{};
+  std::uint32_t write_mask = 0;
+};
+
+inline void clear_masks(WarpRequest& r) { r.active_mask = 0; }
+inline void clear_masks(SharedRow& r) {
+  r.req.active_mask = 0;
+  r.write_mask = 0;
+}
+
+/// The rows of one access class of one warp; rows[0, used) belong to the
+/// current phase. Rows live across phases and blocks: a row claimed again
+/// clears only its masks, since every analyzer reads active lanes only.
+template <typename Row>
+struct RowTable {
+  std::vector<Row> rows;
+  std::size_t used = 0;
+
+  /// Row `n` for some lane's n-th access. n <= used always holds (the
+  /// lane's earlier accesses claimed rows 0..n-1); n == used claims one.
+  Row& row(std::size_t n) {
+    if (n == used) {
+      if (used == rows.size()) rows.emplace_back();
+      clear_masks(rows[used]);
+      ++used;
+    }
+    return rows[n];
   }
 };
 
-/// Collects the full access trace of one block so the CC 1.3 coalescing
-/// protocol can be replayed per warp request. Lanes of a warp are assumed
-/// to execute the same access sequence (lockstep); the i-th access of each
-/// lane forms warp request i. Divergent lanes simply have shorter
-/// sequences, which yields the extra transactions divergence costs.
+/// One warp's three row tables for the current phase.
+struct WarpRows {
+  RowTable<WarpRequest> loads, stores;
+  RowTable<SharedRow> shared;
+  /// Every shared access so far is an aligned 4-byte word, so the race
+  /// check may stamp words instead of bytes.
+  bool all_words = true;
+
+  void clear() {
+    loads.used = stores.used = shared.used = 0;
+    all_words = true;
+  }
+};
+
+/// Recording handle of one lane for one phase: where each of its accesses
+/// goes. Default-constructed, it records nothing (untraced threads).
+class LaneRecorder {
+ public:
+  LaneRecorder() = default;
+  LaneRecorder(WarpRows& warp, std::uint32_t lane) : warp_(&warp), lane_(lane) {}
+
+  [[nodiscard]] bool recording() const { return warp_ != nullptr; }
+
+  void load(std::uint64_t addr, std::uint32_t bytes) {
+    global(warp_->loads.row(loads_++), addr, bytes);
+  }
+  void store(std::uint64_t addr, std::uint32_t bytes) {
+    global(warp_->stores.row(stores_++), addr, bytes);
+  }
+  void shared(std::uint64_t addr, std::uint32_t bytes, bool write) {
+    SharedRow& row = warp_->shared.row(shared_++);
+    const std::uint32_t bit = 1u << lane_;
+    row.req.addr[lane_] = addr;
+    row.req.active_mask |= bit;
+    row.bytes[lane_] = static_cast<std::uint8_t>(bytes);
+    if (write) row.write_mask |= bit;
+    warp_->all_words = warp_->all_words && bytes == 4 && addr % 4 == 0;
+  }
+
+ private:
+  void global(WarpRequest& row, std::uint64_t addr, std::uint32_t bytes) {
+    row.addr[lane_] = addr;
+    row.access_bytes = bytes;  // lanes record in ascending order: the
+                               // highest active lane's width wins
+    row.active_mask |= 1u << lane_;
+  }
+
+  WarpRows* warp_ = nullptr;
+  std::uint32_t lane_ = 0;
+  std::uint32_t loads_ = 0, stores_ = 0, shared_ = 0;  ///< accesses so far
+};
+
+/// Records one phase of a sampled block and runs the recorded rows through
+/// the coalescing, bank and race models. One per worker, reused across
+/// phases and blocks.
 class BlockRecorder {
  public:
   void begin_phase(std::uint32_t num_warps) {
-    traces_.resize(num_warps);
-    for (auto& warp : traces_)
-      for (auto& lane : warp) lane.clear();
+    if (warps_.size() < num_warps) warps_.resize(num_warps);
+    num_warps_ = num_warps;
+    for (std::uint32_t w = 0; w < num_warps; ++w) warps_[w].clear();
   }
 
-  LaneTrace& lane(std::uint32_t warp, std::uint32_t lane_id) {
-    return traces_[warp][lane_id];
+  /// Recording handle of lane `lane` of warp `warp`. Lanes are recorded in
+  /// ascending order, each through one handle for the whole phase.
+  [[nodiscard]] LaneRecorder lane(std::uint32_t warp, std::uint32_t lane) {
+    return {warps_[warp], lane};
   }
 
-  /// Replays the recorded phase through the coalescing/bank models.
+  /// Runs the recorded phase through the coalescing/bank models.
   void analyze_phase(MemoryAccessStats& loads, MemoryAccessStats& stores,
                      std::uint64_t& shared_requests,
                      std::uint64_t& shared_serialization) const;
@@ -80,23 +149,25 @@ class BlockRecorder {
   /// Intra-phase shared-memory race check: a phase has the semantics of
   /// code between two __syncthreads(), so a byte WRITTEN by one thread and
   /// READ or WRITTEN by a different thread within the same phase is a data
-  /// race on real hardware. Returns the number of hazardous byte overlaps
-  /// found in the recorded phase (0 = race-free). Call at most once per
+  /// race on real hardware. Returns the number of hazardous byte accesses
+  /// in the recorded phase (0 = race-free): every access to a written byte
+  /// by a thread other than its lowest-tid writer. Call at most once per
   /// recorded phase: the check reuses per-byte scratch across phases.
   [[nodiscard]] std::uint64_t count_shared_races();
 
  private:
-  /// First writer of one shared byte; valid only while `epoch` is the
-  /// current race check's.
+  /// Lowest-tid writer of one shared byte or word; valid only while
+  /// `epoch` is the current race check's.
   struct WriterStamp {
     std::uint32_t epoch = 0;
     std::uint32_t tid = 0;
   };
 
-  std::vector<std::array<LaneTrace, 32>> traces_;
-  /// Race-check scratch, one stamp per shared byte written so far. Bumping
-  /// epoch_ empties it in O(1), so a check allocates nothing once the
-  /// array covers the block's shared memory.
+  std::vector<WarpRows> warps_;
+  std::uint32_t num_warps_ = 0;
+  /// Race-check scratch, one stamp per shared byte (or word) written so
+  /// far. Bumping epoch_ empties it in O(1), so a check allocates nothing
+  /// once the array covers the block's shared memory.
   std::vector<WriterStamp> first_writer_;
   std::uint32_t epoch_ = 0;
 };
@@ -110,16 +181,16 @@ class ThreadCtx {
  public:
   ThreadCtx(Dim3 grid_dim, Dim3 block_dim, Dim3 block_idx, Dim3 thread_idx,
             GlobalMemory& gmem, SharedMemory& smem, KernelCounters& counters,
-            detail::LaneTrace* trace)
+            detail::BlockRecorder* recorder)
       : grid_dim_(grid_dim),
         block_dim_(block_dim),
         block_idx_(block_idx),
         thread_idx_(thread_idx),
         gmem_(&gmem),
         smem_(&smem),
-        counters_(&counters),
-        trace_(trace) {
+        counters_(&counters) {
     flat_tid_ = thread_idx.x + block_dim.x * (thread_idx.y + static_cast<std::uint64_t>(block_dim.y) * thread_idx.z);
+    if (recorder != nullptr) trace_ = recorder->lane(warp_id(), lane_id());
   }
 
   // --- geometry (CUDA vocabulary) ---
@@ -147,10 +218,7 @@ class ThreadCtx {
     counters_->global_loads += 1;
     counters_->global_load_bytes += sizeof(T);
     lane_ops_ += 1;
-    if (trace_) {
-      trace_->load_addr.push_back(a);
-      trace_->load_size.push_back(sizeof(T));
-    }
+    if (trace_.recording()) trace_.load(a, sizeof(T));
     return gmem_->load<T>(a);
   }
 
@@ -160,10 +228,7 @@ class ThreadCtx {
     counters_->global_stores += 1;
     counters_->global_store_bytes += sizeof(T);
     lane_ops_ += 1;
-    if (trace_) {
-      trace_->store_addr.push_back(a);
-      trace_->store_size.push_back(sizeof(T));
-    }
+    if (trace_.recording()) trace_.store(a, sizeof(T));
     gmem_->store<T>(a, v);
   }
 
@@ -172,11 +237,7 @@ class ThreadCtx {
   [[nodiscard]] T ld_shared(std::size_t byte_offset) {
     counters_->shared_loads += 1;
     lane_ops_ += 1;
-    if (trace_) {
-      trace_->shared_addr.push_back(byte_offset);
-      trace_->shared_r_addr.push_back(byte_offset);
-      trace_->shared_r_size.push_back(sizeof(T));
-    }
+    if (trace_.recording()) trace_.shared(byte_offset, sizeof(T), false);
     return smem_->load<T>(byte_offset);
   }
 
@@ -184,11 +245,7 @@ class ThreadCtx {
   void st_shared(std::size_t byte_offset, T v) {
     counters_->shared_stores += 1;
     lane_ops_ += 1;
-    if (trace_) {
-      trace_->shared_addr.push_back(byte_offset);
-      trace_->shared_w_addr.push_back(byte_offset);
-      trace_->shared_w_size.push_back(sizeof(T));
-    }
+    if (trace_.recording()) trace_.shared(byte_offset, sizeof(T), true);
     smem_->store<T>(byte_offset, v);
   }
 
@@ -206,11 +263,9 @@ class ThreadCtx {
     counters_->global_load_bytes += 4;
     counters_->global_store_bytes += 4;
     lane_ops_ += 2;
-    if (trace_) {
-      trace_->load_addr.push_back(a);
-      trace_->load_size.push_back(4);
-      trace_->store_addr.push_back(a);
-      trace_->store_size.push_back(4);
+    if (trace_.recording()) {
+      trace_.load(a, 4);
+      trace_.store(a, 4);
     }
     return gmem_->atomic_fetch_add_u32(a, v);
   }
@@ -230,7 +285,7 @@ class ThreadCtx {
   /// True when this thread's accesses are being recorded for coalescing /
   /// bank-conflict / race analysis; kernels branch on this to pick the
   /// per-access (traced) or bulk (fast) implementation of a phase.
-  [[nodiscard]] bool traced() const { return trace_ != nullptr; }
+  [[nodiscard]] bool traced() const { return trace_.recording(); }
 
   /// Charges `n` ALU/control instructions in one call (fast-path analogue
   /// of calling alu() inside a loop).
@@ -301,7 +356,7 @@ class ThreadCtx {
 
  private:
   void require_untraced() const {
-    if (trace_ != nullptr)
+    if (trace_.recording())
       throw SimError(
           "ThreadCtx: bulk fast-path accounting used in a traced context "
           "(kernels must branch on traced())");
@@ -311,7 +366,7 @@ class ThreadCtx {
   GlobalMemory* gmem_;
   SharedMemory* smem_;
   KernelCounters* counters_;
-  detail::LaneTrace* trace_;
+  detail::LaneRecorder trace_;  ///< records nothing unless sampled
   std::uint64_t flat_tid_ = 0;
   std::uint64_t lane_ops_ = 0;
 };

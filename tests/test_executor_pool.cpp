@@ -312,9 +312,11 @@ TEST(FastPath, BulkAccountingThrowsInTracedContext) {
   GlobalMemory mem(1 << 12);
   SharedMemory smem(64);
   KernelCounters counters;
-  detail::LaneTrace trace;
+  detail::BlockRecorder recorder;
+  recorder.begin_phase(1);
   ThreadCtx traced(Dim3{1}, Dim3{1}, Dim3{0}, Dim3{0}, mem, smem, counters,
-                   &trace);
+                   &recorder);
+  EXPECT_TRUE(traced.traced());
   EXPECT_THROW(traced.alu_bulk(3), SimError);
   EXPECT_THROW(traced.ld_global_bulk(1, 4), SimError);
   EXPECT_THROW(traced.ld_shared_bulk(1), SimError);

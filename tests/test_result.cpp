@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <set>
+#include <sstream>
+#include <vector>
+
 namespace {
 
 using fim::Itemset;
@@ -76,6 +84,71 @@ TEST(ItemsetCollection, EmptyCollection) {
   EXPECT_TRUE(c.empty());
   EXPECT_EQ(c.max_size(), 0u);
   EXPECT_TRUE(c.counts_by_size().empty());
+}
+
+// ---------------------------------------------------------------------------
+// to_string against the implementation it replaced (a deep copy, a re-sort
+// and two ostringstreams per line), kept here as the oracle.
+
+std::string reference_to_string(const ItemsetCollection& c) {
+  auto sorted = c.sets();
+  std::sort(sorted.begin(), sorted.end(),
+            [](const fim::FrequentItemset& a, const fim::FrequentItemset& b) {
+              return a.items < b.items;
+            });
+  std::ostringstream os;
+  for (const auto& s : sorted)
+    os << s.items.to_string() << " (" << s.support << ")\n";
+  return os.str();
+}
+
+/// Distinct random itemsets (the empty one included now and then) with
+/// random supports; items and supports reach UINT32_MAX.
+ItemsetCollection random_collection(std::mt19937& rng, bool sorted) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const auto value = [&]() -> std::uint32_t {
+    const auto r = static_cast<std::uint32_t>(rng());
+    switch (rng() % 4) {
+      case 0: return kMax - r % 3;
+      case 1: return r;
+      default: return r % 50;
+    }
+  };
+  std::set<Itemset> distinct;
+  const std::size_t n = rng() % 300;
+  while (distinct.size() < n) {
+    std::vector<fim::Item> items(rng() % 6);
+    for (auto& x : items) x = value();
+    distinct.insert(Itemset(std::move(items)));
+  }
+  std::vector<Itemset> order(distinct.begin(), distinct.end());
+  if (!sorted) std::shuffle(order.begin(), order.end(), rng);
+  ItemsetCollection c;
+  for (auto& s : order) c.add(std::move(s), value());
+  return c;
+}
+
+TEST(ItemsetCollection, ToStringMatchesReferenceRendering) {
+  std::mt19937 rng(0x70571);
+  for (int i = 0; i < 400; ++i) {
+    const ItemsetCollection c = random_collection(rng, /*sorted=*/i % 2 == 0);
+    ASSERT_EQ(c.to_string(), reference_to_string(c)) << "collection " << i;
+  }
+}
+
+TEST(ItemsetCollection, ToStringEdgeCases) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const ItemsetCollection empty;
+  EXPECT_EQ(empty.to_string(), "");
+  EXPECT_EQ(empty.to_string(), reference_to_string(empty));
+
+  ItemsetCollection c;
+  c.add(Itemset{kMax}, kMax);
+  c.add(Itemset{}, 0);
+  c.add(Itemset{0, kMax}, 1);
+  EXPECT_EQ(c.to_string(), reference_to_string(c));
+  EXPECT_EQ(c.to_string(),
+            " (0)\n0 4294967295 (1)\n4294967295 (4294967295)\n");
 }
 
 }  // namespace

@@ -358,8 +358,11 @@ TEST(Trace, KernelSpanSimNsReconcilesWithLedger) {
   args.k = 2;
   args.supports = d_sup;
   gpapriori::SupportKernel kernel(args, true, 4);
+  std::uint64_t sampled_blocks = 0;
   for (int rep = 0; rep < 3; ++rep)
-    dev.launch(kernel, {gpusim::Dim3{pairs}, gpusim::Dim3{64}});
+    sampled_blocks +=
+        dev.launch(kernel, {gpusim::Dim3{pairs}, gpusim::Dim3{64}})
+            .sampled_blocks;
   rec.disable();
 
   const auto events = parse_events(rec.export_chrome_json());
@@ -373,6 +376,12 @@ TEST(Trace, KernelSpanSimNsReconcilesWithLedger) {
   // Transfer spans reconcile with the ledger's transfer time the same way.
   const double h2d_ns = sum_arg(events, "h2d", "sim_ns");
   EXPECT_NEAR(h2d_ns / dev.ledger().h2d_ns, 1.0, 1e-3);
+
+  // The executor's dispatch spans split out the sampled (traced) blocks.
+  ASSERT_GT(sampled_blocks, 0u);
+  EXPECT_EQ(sum_arg(events, "dispatch", "sampled_blocks"),
+            static_cast<double>(sampled_blocks));
+  EXPECT_GT(sum_arg(events, "dispatch", "sampled_ms"), 0.0);
 }
 
 // Counter-equality: the metrics layer must agree exactly with the
