@@ -47,6 +47,8 @@ class Itemset {
 
   /// "1 5 9" — FIMI-style rendering.
   [[nodiscard]] std::string to_string() const;
+  /// Appends the to_string() rendering to `out`.
+  void append_to(std::string& out) const;
 
   friend bool operator==(const Itemset&, const Itemset&) = default;
   /// Lexicographic order; used for canonical result sorting.
