@@ -165,27 +165,9 @@ int usage() {
   return kExitUsage;
 }
 
-std::unique_ptr<miners::Miner> make_by_name(const std::string& name,
-                                            const gpapriori::Config& cfg) {
-  for (auto& m : gpapriori::make_all_miners(cfg))
-    if (name == m->name()) return std::move(m);
-  if (name == "GPApriori (eq-class)")
-    return std::make_unique<gpapriori::EqClassApriori>(cfg);
-  if (name == "GPApriori (pipelined)")
-    return std::make_unique<gpapriori::PipelinedGpApriori>(cfg);
-  if (name == "GPApriori (partitioned)")
-    return std::make_unique<gpapriori::PartitionedGpApriori>(cfg);
-  if (name == "GPU Eclat") return std::make_unique<gpapriori::GpuEclat>(cfg);
-  if (name == "Hybrid CPU+GPU Apriori")
-    return std::make_unique<gpapriori::HybridApriori>(cfg);
-  return nullptr;
-}
-
 void list_algos() {
-  for (auto& m : gpapriori::make_all_miners())
-    std::printf("%s\n", std::string(m->name()).c_str());
-  std::printf("GPApriori (eq-class)\nGPApriori (pipelined)\n"
-              "GPApriori (partitioned)\nGPU Eclat\nHybrid CPU+GPU Apriori\n");
+  for (const std::string& name : gpapriori::miner_names())
+    std::printf("%s\n", name.c_str());
 }
 
 struct Options {
@@ -409,7 +391,7 @@ int cmd_mine(int argc, char** argv) {
       return kExitUsage;
     }
   }
-  auto miner = make_by_name(o.algo, cfg);
+  auto miner = gpapriori::make_miner(o.algo, cfg);
   if (!miner) {
     std::fprintf(stderr, "unknown algorithm '%s' (see list-algos)\n",
                  o.algo.c_str());

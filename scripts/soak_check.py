@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Invariant check for the serve chaos soak (bench/soak_serve.cpp).
 
-Runs the soak binary (in --smoke mode for the ctest `soak` label) with
-GPAPRIORI_BENCH_JSON_DIR pointed at a temporary directory, then re-asserts
-the hard invariants against the BENCH json it emitted:
+Runs the soak binary (the ctest `soak` label runs it twice: soak_smoke in
+--smoke mode, soak_full without) with GPAPRIORI_BENCH_JSON_DIR pointed at a
+temporary directory, then re-asserts the hard invariants against the BENCH
+json it emitted:
 
   * the binary exited 0 (it already self-checks; a nonzero exit is final);
   * zero hangs and zero kOk-vs-serial mismatches;

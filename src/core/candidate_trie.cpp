@@ -199,6 +199,50 @@ std::size_t CandidateTrie::extend() {
   return created;
 }
 
+bool CandidateTrie::append_level(std::vector<std::uint32_t> paths) {
+  const std::size_t k = depth() + 1;
+  const std::size_t n = paths.size() / k;
+  const Level& prev = levels_.back();
+  const std::size_t m = prev.node_ids.size();
+
+  // Both levels are in lexicographic order, so each path's (k-1)-prefix
+  // lies at or after the previous path's: one forward walk finds them all.
+  std::vector<std::uint32_t> parents(n);
+  std::size_t p = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t* row = paths.data() + i * k;
+    const auto prefix = [&](std::size_t j) {
+      return prev.paths.data() + j * (k - 1);
+    };
+    while (p < m && std::lexicographical_compare(prefix(p), prefix(p) + k - 1,
+                                                 row, row + k - 1))
+      ++p;
+    if (p == m || !std::equal(row, row + k - 1, prefix(p))) return false;
+    parents[i] = prev.node_ids[p];
+  }
+
+  const std::size_t need = nodes_.size() + n;
+  if (need > nodes_.capacity()) nodes_.reserve(need + need / 2);
+  Level lvl;
+  lvl.node_ids.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto id = static_cast<std::uint32_t>(nodes_.size());
+    Node child;
+    child.item = paths[i * k + k - 1];
+    child.parent = parents[i];
+    child.pos = static_cast<std::uint32_t>(i);
+    child.frequent = true;
+    nodes_.push_back(child);
+    Node& pn = nodes_[parents[i]];
+    if (pn.child_begin == pn.child_end) pn.child_begin = id;
+    pn.child_end = id + 1;
+    lvl.node_ids.push_back(id);
+  }
+  lvl.paths = std::move(paths);
+  levels_.push_back(std::move(lvl));
+  return true;
+}
+
 std::vector<std::uint32_t> CandidateTrie::flatten_level(
     std::size_t level) const {
   return levels_[level - 1].paths;  // one block copy of the cached arena

@@ -182,14 +182,16 @@ struct Config {
 
 /// The preprocessed layout a driver mines from: the shared one when it
 /// matches this run's threshold and database (digest-verified), else a
-/// fresh build into `local`. The digest scan is only paid when a shared
-/// layout is actually offered.
+/// fresh build into `local`. `digest` is fim::dataset_digest(db) when the
+/// caller already has it; otherwise the digest scan is only paid when a
+/// shared layout is actually offered.
 [[nodiscard]] inline const miners::Preprocessed& resolve_preprocess(
     const SharedLayout* shared, const fim::TransactionDb& db,
-    fim::Support min_count, std::optional<miners::Preprocessed>& local) {
+    fim::Support min_count, std::optional<miners::Preprocessed>& local,
+    std::optional<std::uint64_t> digest = std::nullopt) {
   if (shared != nullptr && shared->min_count == min_count &&
       shared->num_transactions == db.num_transactions() &&
-      shared->dataset_digest == fim::dataset_digest(db))
+      shared->dataset_digest == (digest ? *digest : fim::dataset_digest(db)))
     return shared->pre;
   local.emplace(
       miners::preprocess(db, min_count, miners::ItemOrder::kAscendingFreq));

@@ -152,9 +152,9 @@ class EqClassCounter final : public SupportCounter {
     note_peak();
   }
 
-  /// Resume replay recounted nothing, so the cache of level k's rows is
-  /// rebuilt on the host (AND of each survivor's generation-1 rows) and
-  /// uploaded once.
+  /// A resume rebuilds the trie and counts nothing, so the cache of level
+  /// k's rows is rebuilt on the host (AND of each survivor's generation-1
+  /// rows) and uploaded once.
   void resumed(const CandidateTrie& trie, std::size_t k,
                std::span<const fim::BitsetStore> slices) override {
     if (k < 2) return;

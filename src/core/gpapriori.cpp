@@ -1,8 +1,14 @@
 #include "core/gpapriori.hpp"
 
 #include <string>
+#include <utility>
 
+#include "core/eqclass.hpp"
+#include "core/gpu_eclat.hpp"
+#include "core/hybrid.hpp"
 #include "core/level_loop.hpp"
+#include "core/partitioned.hpp"
+#include "core/pipelined.hpp"
 #include "obs/obs.hpp"
 
 namespace gpapriori {
@@ -44,6 +50,22 @@ class HostCounter final : public SupportCounter {
 
  private:
   bool tiled_;
+};
+
+template <typename M>
+std::unique_ptr<miners::Miner> make_variant(const Config& cfg) {
+  return std::make_unique<M>(cfg);
+}
+
+/// The Config-driven variants beyond make_all_miners, by registry name.
+constexpr std::pair<std::string_view,
+                    std::unique_ptr<miners::Miner> (*)(const Config&)>
+    kVariants[] = {
+        {"GPApriori (eq-class)", &make_variant<EqClassApriori>},
+        {"GPApriori (pipelined)", &make_variant<PipelinedGpApriori>},
+        {"GPApriori (partitioned)", &make_variant<PartitionedGpApriori>},
+        {"GPU Eclat", &make_variant<GpuEclat>},
+        {"Hybrid CPU+GPU Apriori", &make_variant<HybridApriori>},
 };
 
 }  // namespace
@@ -168,6 +190,25 @@ std::vector<std::unique_ptr<miners::Miner>> make_all_miners(
       gpapriori_config.host_threads));
   for (auto& m : miners::make_cpu_miners()) v.push_back(std::move(m));
   return v;
+}
+
+const std::vector<std::string>& miner_names() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> v;
+    for (const auto& m : make_all_miners()) v.emplace_back(m->name());
+    for (const auto& [name, make] : kVariants) v.emplace_back(name);
+    return v;
+  }();
+  return names;
+}
+
+std::unique_ptr<miners::Miner> make_miner(std::string_view name,
+                                          const Config& cfg) {
+  for (auto& m : make_all_miners(cfg))
+    if (name == m->name()) return std::move(m);
+  for (const auto& [variant, make] : kVariants)
+    if (name == variant) return make(cfg);
+  return nullptr;
 }
 
 }  // namespace gpapriori

@@ -16,6 +16,8 @@
 // support-counting offload.
 
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/miner.hpp"
@@ -100,5 +102,14 @@ class CpuBitsetApriori final : public miners::Miner {
 /// in Table 1 order (GPApriori first).
 [[nodiscard]] std::vector<std::unique_ptr<miners::Miner>> make_all_miners(
     const Config& gpapriori_config = {});
+
+/// Every name make_miner() accepts: make_all_miners' names, then the
+/// Config-driven GPApriori variants (`gpapriori_cli list-algos`).
+[[nodiscard]] const std::vector<std::string>& miner_names();
+
+/// The miner registered under `name`, built from `cfg`; null when no miner
+/// has that name.
+[[nodiscard]] std::unique_ptr<miners::Miner> make_miner(
+    std::string_view name, const Config& cfg = {});
 
 }  // namespace gpapriori

@@ -337,17 +337,25 @@ LevelLoop::LevelLoop(const Config& cfg, const fim::TransactionDb& db,
   RunControl* rc = scope_.control();
   const bool snapshotting =
       rc != nullptr && (rc->want_resume() || rc->want_checkpoint());
-  if (snapshotting) dataset_dig_ = fim::dataset_digest(db);
-  if (rc != nullptr && rc->want_resume())
+  if (snapshotting) {
+    obs::ScopedSpan span(obs::SpanKind::kOther, "dataset-digest");
+    dataset_dig_ = fim::dataset_digest(db);
+  }
+  if (rc != nullptr && rc->want_resume()) {
+    obs::ScopedSpan span(obs::SpanKind::kOther, "snapshot-read");
     resume_ = load_resume(rc->options().resume_path, dataset_dig_, min_count_,
                           max_itemset_size_);
+  }
 
   // A matching Config::shared_layout (serve DatasetCache) replaces the
-  // build with a borrow — pre_ms_ then measures only the digest check.
+  // build with a borrow — pre_ms_ then measures only the digest check,
+  // which reuses the digest computed above when there is one.
   {
     obs::ScopedSpan span(obs::SpanKind::kOther, "preprocess");
     const miners::StopWatch watch;
-    pre_ = &resolve_preprocess(cfg.shared_layout, db, min_count_, pre_local_);
+    pre_ = &resolve_preprocess(
+        cfg.shared_layout, db, min_count_, pre_local_,
+        snapshotting ? std::optional(dataset_dig_) : std::nullopt);
     pre_ms_ = watch.elapsed_ms();
   }
 
@@ -391,19 +399,26 @@ void LevelLoop::checkpoint(const miners::MiningOutput& out,
                            std::size_t level) {
   RunControl* rc = scope_.control();
   if (rc == nullptr || !rc->want_checkpoint()) return;
-  fim::MiningCheckpoint cp;
-  cp.dataset_digest = dataset_dig_;
-  cp.layout_digest = layout_dig_;
-  cp.min_count = min_count_;
-  cp.max_itemset_size = static_cast<std::uint32_t>(max_itemset_size_);
-  cp.completed_level = static_cast<std::uint32_t>(level);
-  cp.levels.reserve(out.levels.size());
+  obs::ScopedSpan span(obs::SpanKind::kOther, "snapshot-write");
+  fim::CheckpointHeader head;
+  head.dataset_digest = dataset_dig_;
+  head.layout_digest = layout_dig_;
+  head.min_count = min_count_;
+  head.max_itemset_size = static_cast<std::uint32_t>(max_itemset_size_);
+  head.completed_level = static_cast<std::uint32_t>(level);
+  head.levels.reserve(out.levels.size());
   for (const miners::LevelStats& lv : out.levels)
-    cp.levels.push_back({static_cast<std::uint32_t>(lv.level), lv.candidates,
-                         lv.frequent, lv.host_ms, lv.device_ms});
-  cp.itemsets = out.itemsets;
-  cp.write(rc->options().checkpoint_path);
-  rc->note_checkpoint(level, cp.byte_size());
+    head.levels.push_back({static_cast<std::uint32_t>(lv.level),
+                           lv.candidates, lv.frequent, lv.host_ms,
+                           lv.device_ms});
+  // Serialized straight from the run's collection: no copy per level.
+  const std::size_t bytes = fim::write_checkpoint(
+      rc->options().checkpoint_path, head, out.itemsets);
+  rc->note_checkpoint(level, bytes);
+  if (span.active()) {
+    span.add_arg("level", static_cast<double>(level));
+    span.add_arg("bytes", static_cast<double>(bytes));
+  }
 }
 
 miners::MiningOutput LevelLoop::run(SupportCounter& counter,
@@ -426,7 +441,7 @@ miners::MiningOutput LevelLoop::run(SupportCounter& counter,
       counter.attach(slices);
       store_span.reset();
       if (resume_) {
-        k = replay(trie, out) + 1;
+        k = rebuild(trie, out) + 1;
         counter.resumed(trie, k - 1, slices);
       } else {
         checkpoint(out, 1);
@@ -484,53 +499,125 @@ std::vector<fim::BitsetStore> LevelLoop::build_slices(
   return slices;
 }
 
-std::size_t LevelLoop::replay(CandidateTrie& trie,
-                              miners::MiningOutput& out) const {
-  // Candidate generation is deterministic, so replaying levels
-  // 2..completed_level with the snapshot's recorded supports injected
-  // leaves the trie and emitted itemsets bit-identical to the interrupted
-  // run's state — no counting needed for replayed levels.
+std::size_t LevelLoop::rebuild(CandidateTrie& trie,
+                               miners::MiningOutput& out) {
+  // The snapshot's level-k itemsets are exactly the frequent depth-k nodes
+  // of the interrupted run's trie, so the trie is rebuilt from them and
+  // nothing is regenerated or counted. Every check below runs before
+  // anything is sized from the file, and each names itself in the IoError.
+  obs::ScopedSpan span(obs::SpanKind::kOther, "replay");
   const fim::MiningCheckpoint& cp = *resume_;
-  fim::ItemsetCollection saved = cp.itemsets;
-  saved.build_index();
-  // Replayed levels report the interrupted run's recorded stats, so a
-  // resumed run's LevelStats table matches the run it continues.
-  auto recorded = [&](std::size_t k) -> std::optional<miners::LevelStats> {
-    for (const fim::CheckpointLevel& lv : cp.levels)
-      if (lv.level == k)
-        return miners::LevelStats{k, static_cast<std::size_t>(lv.candidates),
-                                  static_cast<std::size_t>(lv.frequent),
-                                  lv.host_ms, lv.device_ms};
-    return std::nullopt;
+  const std::string& path = scope_.control()->options().resume_path;
+  const auto reject = [&](const std::string& why) {
+    throw fim::IoError("resume rejected: " + why + ": " + path);
   };
-  if (auto l1 = recorded(1)) out.levels[0] = *l1;
-  std::size_t replayed = 1;
-  for (std::size_t k = 2; k <= cp.completed_level; ++k) {
-    const std::size_t ncand = trie.extend();
-    if (ncand == 0) break;
-    std::vector<fim::Support> supports(ncand, 0);
-    for (std::size_t i = 0; i < ncand; ++i) {
-      const auto rows = trie.candidate_row_span(k, i);
-      std::vector<fim::Item> items;
-      items.reserve(rows.size());
-      for (fim::Item r : rows) items.push_back(pre_->original_item[r]);
-      // Pruned candidates are absent from the snapshot: 0 keeps them
-      // below min_count, exactly as the original counting did.
-      supports[i] =
-          saved.support_of(fim::Itemset(std::move(items))).value_or(0);
-    }
-    trie.mark_frequent(k, supports, min_count_);
-    std::vector<fim::Support> kept;
-    kept.reserve(trie.level_size(k));
-    for (fim::Support s : supports)
-      if (s >= min_count_) kept.push_back(s);
-    emit_frequent_level(trie, k, kept, pre_->original_item, out.itemsets,
-                        workers_);
-    if (auto lk = recorded(k)) out.levels.push_back(*lk);
-    replayed = k;
-    if (trie.level_size(k) == 0) break;
+  const std::size_t n = num_items();
+  const std::size_t top = cp.completed_level;
+  if (top == 0 || top > n)
+    reject("completed level " + std::to_string(top) + " is not in [1, " +
+           std::to_string(n) + "] (the frequent item count)");
+  if (cp.levels.size() != top)
+    reject("level records: " + std::to_string(cp.levels.size()) +
+           " records for " + std::to_string(top) + " completed levels");
+  std::vector<const fim::CheckpointLevel*> record(top + 1, nullptr);
+  for (const fim::CheckpointLevel& lv : cp.levels) {
+    if (lv.level == 0 || lv.level > top || record[lv.level] != nullptr)
+      reject("level records: level " + std::to_string(lv.level) +
+             " is out of range or recorded twice");
+    record[lv.level] = &lv;
   }
-  return replayed;
+  std::vector<std::size_t> count(top + 1, 0);
+  for (const fim::FrequentItemset& fs : cp.itemsets) {
+    const std::size_t k = fs.items.size();
+    if (k == 0 || k > top)
+      reject("itemset count: an itemset of size " + std::to_string(k) +
+             " is outside levels 1.." + std::to_string(top));
+    ++count[k];
+  }
+  for (std::size_t k = 1; k <= top; ++k)
+    if (count[k] != record[k]->frequent)
+      reject("level " + std::to_string(k) + " itemset count " +
+             std::to_string(count[k]) + " differs from its record's " +
+             std::to_string(record[k]->frequent));
+  if (count[1] != n)
+    reject("level 1 holds " + std::to_string(count[1]) +
+           " itemsets, preprocessing found " + std::to_string(n) +
+           " frequent items");
+
+  // Each itemset as sorted dense rows, bucketed by size in file order.
+  const std::vector<fim::Item>& original = pre_->original_item;
+  constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
+  std::vector<std::uint32_t> row_of(
+      std::size_t{*std::max_element(original.begin(), original.end())} + 1,
+      kNoRow);
+  for (std::uint32_t r = 0; r < n; ++r) row_of[original[r]] = r;
+  std::vector<std::vector<std::uint32_t>> paths(top + 1);
+  for (std::size_t k = 1; k <= top; ++k) paths[k].reserve(count[k] * k);
+  for (const fim::FrequentItemset& fs : cp.itemsets) {
+    if (fs.support < min_count_)
+      reject("support " + std::to_string(fs.support) + " of {" +
+             fs.items.to_string() + "} is below min-count " +
+             std::to_string(min_count_));
+    std::vector<std::uint32_t>& rows = paths[fs.items.size()];
+    const std::size_t at = rows.size();
+    for (const fim::Item x : fs.items) {
+      if (x >= row_of.size() || row_of[x] == kNoRow)
+        reject("item " + std::to_string(x) + " is not a frequent item");
+      rows.push_back(row_of[x]);
+    }
+    std::sort(rows.begin() + static_cast<std::ptrdiff_t>(at), rows.end());
+    if (fs.items.size() == 1 && fs.support != pre_->support[rows[at]])
+      reject("level 1 support of item " + std::to_string(fs.items[0]) +
+             " differs from preprocessing");
+  }
+  std::sort(paths[1].begin(), paths[1].end());
+  for (std::uint32_t r = 0; r < n; ++r)
+    if (paths[1][r] != r)
+      reject("level 1 differs from preprocessing: item " +
+             std::to_string(original[r]) + " is missing or repeated");
+
+  // A level's paths in lexicographic order are its survivors in trie
+  // order; the loop writes them that way, so the sort is usually a scan.
+  for (std::size_t k = 2; k <= top; ++k) {
+    std::vector<std::uint32_t>& rows = paths[k];
+    const auto at = [&](std::size_t i) { return rows.data() + i * k; };
+    const auto less = [&](std::size_t a, std::size_t b) {
+      return std::lexicographical_compare(at(a), at(a) + k, at(b), at(b) + k);
+    };
+    const auto increasing = [&] {
+      for (std::size_t i = 1; i < count[k]; ++i)
+        if (!less(i - 1, i)) return false;
+      return true;
+    };
+    if (!increasing()) {
+      std::vector<std::uint32_t> order(count[k]);
+      std::iota(order.begin(), order.end(), 0u);
+      std::sort(order.begin(), order.end(), less);
+      std::vector<std::uint32_t> by_order;
+      by_order.reserve(rows.size());
+      for (const std::uint32_t i : order)
+        by_order.insert(by_order.end(), at(i), at(i) + k);
+      rows = std::move(by_order);
+      if (!increasing())
+        reject("a level " + std::to_string(k) + " itemset appears twice");
+    }
+    if (!trie.append_level(std::move(rows)))
+      reject("a level " + std::to_string(k) + " itemset's prefix is not a "
+             "level " + std::to_string(k - 1) + " itemset");
+  }
+
+  // Rebuilt levels report the interrupted run's recorded stats, so a
+  // resumed run's LevelStats table matches the run it continues. The
+  // snapshot stays intact: the next ladder rung rebuilds from it again.
+  out.itemsets = cp.itemsets;
+  out.levels.clear();
+  for (std::size_t k = 1; k <= top; ++k) {
+    const fim::CheckpointLevel& lv = *record[k];
+    out.levels.push_back({k, static_cast<std::size_t>(lv.candidates),
+                          static_cast<std::size_t>(lv.frequent), lv.host_ms,
+                          lv.device_ms});
+  }
+  return top;
 }
 
 void LevelLoop::mine_levels(SupportCounter& counter,

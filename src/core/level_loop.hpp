@@ -9,7 +9,8 @@
 // lives here once:
 //
 //   * run lifecycle: RunScope poll points, truncation salvage, per-level
-//     checkpoints, and resume replay (every driver can resume);
+//     checkpoints, and resume by rebuilding the trie from the snapshot
+//     (every driver can resume);
 //   * host-phase accounting (candgen / flatten / build / emit) and the
 //     per-level LevelStats;
 //   * observability: the level and candidate-gen spans and the per-level
@@ -86,7 +87,8 @@ class SupportCounter {
                           fim::Support min_count) {
     (void)trie, (void)k, (void)supports, (void)min_count;
   }
-  /// Called after resume replay left the trie at `k` frequent levels.
+  /// Called after a resume rebuilt the trie's `k` frequent levels from the
+  /// snapshot.
   virtual void resumed(const CandidateTrie& trie, std::size_t k,
                        std::span<const fim::BitsetStore> slices) {
     (void)trie, (void)k, (void)slices;
@@ -220,8 +222,8 @@ class LevelLoop {
   [[nodiscard]] std::vector<fim::BitsetStore> build_slices(
       miners::MiningOutput& out, std::size_t chunk_trans,
       std::uint32_t compact_level) const;
-  [[nodiscard]] std::size_t replay(CandidateTrie& trie,
-                                   miners::MiningOutput& out) const;
+  [[nodiscard]] std::size_t rebuild(CandidateTrie& trie,
+                                    miners::MiningOutput& out);
   void mine_levels(SupportCounter& counter,
                    std::vector<fim::BitsetStore>& slices, std::size_t& k,
                    CandidateTrie& trie, miners::MiningOutput& out,

@@ -43,22 +43,34 @@ bool on_partitioned_tier(const std::string& algo) {
   return algo == "GPApriori (partitioned)";
 }
 
-/// Mirrors gpapriori_cli's registry: the make_all_miners set plus the
-/// named Config-driven variants.
-std::unique_ptr<miners::Miner> make_by_name(const std::string& name,
-                                            const gpapriori::Config& cfg) {
-  for (auto& m : gpapriori::make_all_miners(cfg))
-    if (name == m->name()) return std::move(m);
-  if (name == "GPApriori (eq-class)")
-    return std::make_unique<gpapriori::EqClassApriori>(cfg);
-  if (name == "GPApriori (pipelined)")
-    return std::make_unique<gpapriori::PipelinedGpApriori>(cfg);
-  if (name == "GPApriori (partitioned)")
-    return std::make_unique<gpapriori::PartitionedGpApriori>(cfg);
-  if (name == "GPU Eclat") return std::make_unique<gpapriori::GpuEclat>(cfg);
-  if (name == "Hybrid CPU+GPU Apriori")
-    return std::make_unique<gpapriori::HybridApriori>(cfg);
-  return nullptr;
+/// Why `r` can never run, or empty when it can: everything execute() would
+/// otherwise find out only after loading the dataset.
+std::string invalid_reason(const MiningRequest& r) {
+  if (r.dataset.empty()) return "request has no dataset";
+  if (r.top_k == 0) {
+    miners::MiningParams params;
+    params.min_support_ratio = r.min_support_ratio;
+    params.min_support_abs = r.min_support_abs;
+    try {
+      params.validate();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+  }
+  if (r.rules_confidence > 1.0) return "rules confidence must be in [0, 1]";
+  const auto& names = gpapriori::miner_names();
+  if (r.top_k == 0 && !r.algo.empty() &&
+      std::find(names.begin(), names.end(), r.algo) == names.end())
+    return "unknown algorithm '" + r.algo + "'";
+  return {};
+}
+
+/// A future that already holds `r`: the answer of a request that never
+/// reaches the queue.
+std::future<MiningResult> ready(MiningResult r) {
+  std::promise<MiningResult> p;
+  p.set_value(std::move(r));
+  return p.get_future();
 }
 
 /// Everything that determines a request's result (id and the submit order
@@ -146,20 +158,33 @@ void MiningService::register_dataset(const std::string& name,
 std::future<MiningResult> MiningService::submit(MiningRequest req) {
   auto& metrics = obs::MetricsRegistry::global();
   metrics.add(obs::Counter::kServeRequests, 1);
+  std::string invalid = invalid_reason(req);
   const std::string key = dedup_key(req);
   std::lock_guard lk(m_);
   ++stats_.submitted;
 
+  // A malformed request is answered at once: it takes no queue slot, no
+  // admission budget and no dedup entry, so nothing (a cancel, a storm, a
+  // full queue) can turn its answer into anything but kInvalid.
+  if (!invalid.empty()) {
+    MiningResult r;
+    r.id = std::move(req.id);
+    r.status = RequestStatus::kInvalid;
+    r.error = std::move(invalid);
+    ++stats_.completed;
+    ++stats_.errors;
+    metrics.add(obs::Counter::kServeErrors, 1);
+    return ready(std::move(r));
+  }
+
   if (stopping_) {
-    std::promise<MiningResult> p;
     MiningResult r;
     r.id = std::move(req.id);
     r.status = RequestStatus::kRejected;
     r.error = "service is shutting down";
     ++stats_.rejected;
     metrics.add(obs::Counter::kServeRejected, 1);
-    p.set_value(std::move(r));
-    return p.get_future();
+    return ready(std::move(r));
   }
 
   // Dedup first: a follower consumes no queue slot and no admission
@@ -175,15 +200,13 @@ std::future<MiningResult> MiningService::submit(MiningRequest req) {
   }
 
   if (queue_.size() >= opts_.max_queue) {
-    std::promise<MiningResult> p;
     MiningResult r;
     r.id = std::move(req.id);
     r.status = RequestStatus::kRejected;
     r.error = "queue full (depth " + std::to_string(opts_.max_queue) + ")";
     ++stats_.rejected;
     metrics.add(obs::Counter::kServeRejected, 1);
-    p.set_value(std::move(r));
-    return p.get_future();
+    return ready(std::move(r));
   }
 
   // Cost-based admission: predict the request's footprint and shed it —
@@ -199,27 +222,20 @@ std::future<MiningResult> MiningService::submit(MiningRequest req) {
       miners::MiningParams params;
       params.min_support_ratio = req.min_support_ratio;
       params.min_support_abs = req.min_support_abs;
-      try {
-        const fim::Support min_count =
-            params.resolve_min_count(shape->num_transactions);
-        est = estimator_.estimate(*shape, min_count);
-        const AdmissionDecision d = admission_.try_admit(est);
-        if (!d.admitted) {
-          std::promise<MiningResult> p;
-          MiningResult r;
-          r.id = std::move(req.id);
-          r.status = RequestStatus::kRejectedOverload;
-          r.error = d.reason;
-          r.retry_after_ms = d.retry_after_ms;
-          ++stats_.shed;
-          metrics.add(obs::Counter::kServeShedOverload, 1);
-          p.set_value(std::move(r));
-          return p.get_future();
-        }
-        reserved = true;
-      } catch (const std::invalid_argument&) {
-        // Bad thresholds are diagnosed by the worker as kInvalid.
+      est = estimator_.estimate(
+          *shape, params.resolve_min_count(shape->num_transactions));
+      const AdmissionDecision d = admission_.try_admit(est);
+      if (!d.admitted) {
+        MiningResult r;
+        r.id = std::move(req.id);
+        r.status = RequestStatus::kRejectedOverload;
+        r.error = d.reason;
+        r.retry_after_ms = d.retry_after_ms;
+        ++stats_.shed;
+        metrics.add(obs::Counter::kServeShedOverload, 1);
+        return ready(std::move(r));
       }
+      reserved = true;
     }
   }
 
@@ -470,30 +486,11 @@ MiningResult MiningService::execute(Job& job) {
   r.id = req.id;
   r.hedges = job.attempts;
   try {
-    // -- Validation --------------------------------------------------------
-    if (req.dataset.empty()) {
-      r.status = RequestStatus::kInvalid;
-      r.error = "request has no dataset";
-      return r;
-    }
+    // submit() already answered every malformed request (invalid_reason).
     miners::MiningParams params;
     params.min_support_ratio = req.min_support_ratio;
     params.min_support_abs = req.min_support_abs;
     params.max_itemset_size = req.max_itemset_size;
-    if (req.top_k == 0) {
-      try {
-        params.validate();
-      } catch (const std::invalid_argument& e) {
-        r.status = RequestStatus::kInvalid;
-        r.error = e.what();
-        return r;
-      }
-    }
-    if (req.rules_confidence > 1.0) {
-      r.status = RequestStatus::kInvalid;
-      r.error = "rules confidence must be in [0, 1]";
-      return r;
-    }
 
     // -- Dataset (cached parse) -------------------------------------------
     DatasetCache::DatasetResult ds;
@@ -632,7 +629,7 @@ MiningResult MiningService::execute(Job& job) {
         active_runs_.erase(run_it);
       }};
 
-      auto miner = make_by_name(algo, cfg);
+      auto miner = gpapriori::make_miner(algo, cfg);
       if (!miner) {
         r.status = RequestStatus::kInvalid;
         r.error = "unknown algorithm '" + algo + "'";

@@ -202,7 +202,9 @@ class MiningService {
 
   /// Admits one request. The future is always eventually satisfied with a
   /// MiningResult (rejection and validation failures are results, not
-  /// exceptions). Thread-safe.
+  /// exceptions). A malformed request (no dataset, a bad threshold or rules
+  /// confidence, an unknown algorithm) is answered kInvalid at once and
+  /// reserves nothing. Thread-safe.
   std::future<MiningResult> submit(MiningRequest req);
 
   /// Submits every request, waits for all, returns results in input order.

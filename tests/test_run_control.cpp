@@ -1,14 +1,16 @@
 // Run lifecycle control acceptance drills (DESIGN.md §11): cooperative
 // cancellation salvages exactly the completed levels, checkpoint + resume
 // is bit-identical to an uninterrupted run — across thread counts, both
-// executor tiers, and under an active fault plan — the watchdog frees a
-// run stuck in a hostile retry loop, and a deadline expiring mid-ladder
-// aborts cleanly instead of hopping tiers.
+// executor tiers, and under an active fault plan — a snapshot that fails
+// a rebuild check, its checksum or its version is a typed I/O error, the
+// watchdog frees a run stuck in a hostile retry loop, and a deadline
+// expiring mid-ladder aborts cleanly instead of hopping tiers.
 
 #include "core/run_control.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -327,7 +329,7 @@ TEST(Checkpoint, EveryLevelWiseDriverResumesBitIdentical) {
   // One level loop gives every level-wise driver checkpoint + resume: a run
   // cancelled after level 2 resumes from its own snapshot to the
   // uninterrupted output. The eq-class driver rebuilds its cached parent
-  // rows from the replayed trie, so its later levels exercise that too.
+  // rows from the rebuilt trie, so its later levels exercise that too.
   const auto db = drill_db();
   const auto params = drill_params();
   const std::string ckpt = scratch_path("driver_resume.ckpt");
@@ -369,7 +371,7 @@ TEST(Checkpoint, EveryLevelWiseDriverResumesBitIdentical) {
     const auto resumed = make(cfg)->mine(db, params);
     EXPECT_FALSE(resumed.truncated());
     expect_bit_identical(full, resumed);
-    // Level 2 was replayed, not recounted: it reports the snapshot's
+    // Level 2 was rebuilt, not recounted: it reports the snapshot's
     // recorded wall time.
     EXPECT_EQ(resumed.levels[1].host_ms, part.levels[1].host_ms);
   }
@@ -507,7 +509,7 @@ std::vector<unsigned char> small_snapshot_bytes(const std::string& path) {
 /// Overwrites the integer at `offset` of the snapshot at `path` and
 /// expects read() to refuse it with an IoError naming `what`.
 template <typename T>
-void expect_count_rejected(const std::string& path, std::size_t offset,
+void expect_field_rejected(const std::string& path, std::size_t offset,
                            T value, const std::string& what) {
   std::vector<unsigned char> bytes = small_snapshot_bytes(path);
   ASSERT_GE(bytes.size(), offset + sizeof(T));
@@ -533,12 +535,12 @@ void expect_count_rejected(const std::string& path, std::size_t offset,
 constexpr std::size_t kLevelCountOffset = 4 + 4 + 8 + 8 + 8 + 4 + 4;
 
 TEST(Checkpoint, ReadRejectsHugeLevelCountBeforeAllocating) {
-  expect_count_rejected(scratch_path("huge_levels.ckpt"), kLevelCountOffset,
+  expect_field_rejected(scratch_path("huge_levels.ckpt"), kLevelCountOffset,
                         std::uint64_t{1} << 40, "level count");
 }
 
 TEST(Checkpoint, ReadRejectsHugeItemsetLengthBeforeAllocating) {
-  expect_count_rejected(scratch_path("huge_itemset.ckpt"),
+  expect_field_rejected(scratch_path("huge_itemset.ckpt"),
                         kLevelCountOffset + 8 + 2 * 36 + 8,
                         std::uint32_t{0xFFFFFFFFu}, "itemset length");
 }
@@ -564,6 +566,274 @@ TEST(Checkpoint, WriteRoundTripsAllFields) {
     EXPECT_EQ(cp.itemsets.size(), part.itemsets.size());
   }
   std::remove(ckpt.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Resume rebuilds the trie from the snapshot and checks it while doing so.
+
+/// The snapshot CPU_TEST leaves when the drill is cut after level 3.
+fim::MiningCheckpoint drill_snapshot(const std::string& path) {
+  RunControlOptions rco;
+  rco.cancel_after_level = 3;
+  rco.checkpoint_path = path;
+  RunControl run(rco);
+  (void)CpuBitsetApriori(&run).mine(drill_db(), drill_params());
+  return fim::MiningCheckpoint::read(path);
+}
+
+/// `cp` with each itemset passed through `edit`, which may change it or
+/// drop it (by returning false).
+fim::MiningCheckpoint with_itemsets(
+    fim::MiningCheckpoint cp,
+    const std::function<bool(fim::FrequentItemset&)>& edit) {
+  fim::ItemsetCollection kept;
+  for (fim::FrequentItemset fs : cp.itemsets)
+    if (edit(fs)) kept.add(std::move(fs.items), fs.support);
+  cp.itemsets = std::move(kept);
+  return cp;
+}
+
+/// Writes `cp` (sealed, so only the rebuild can object) and expects a
+/// CPU_TEST resume of the drill from it to throw an IoError naming `what`.
+void expect_resume_rejected(const fim::MiningCheckpoint& cp,
+                            const std::string& path, const std::string& what) {
+  cp.write(path);
+  RunControlOptions rco;
+  rco.resume_path = path;
+  RunControl run(rco);
+  try {
+    (void)CpuBitsetApriori(&run).mine(drill_db(), drill_params());
+    ADD_FAILURE() << "a snapshot failing '" << what << "' was resumed";
+  } catch (const fim::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Rebuild, EachCheckRejectsItsBadSnapshot) {
+  const std::string path = scratch_path("rebuild_checks.ckpt");
+  const fim::MiningCheckpoint good = drill_snapshot(path);
+  ASSERT_EQ(good.completed_level, 3u);
+  ASSERT_EQ(good.levels.size(), 3u);
+  const auto size_is = [](std::size_t k) {
+    return [k](const fim::FrequentItemset& fs) { return fs.items.size() == k; };
+  };
+  const fim::FrequentItemset first_pair =
+      *std::find_if(good.itemsets.begin(), good.itemsets.end(), size_is(2));
+  const fim::FrequentItemset first_triple =
+      *std::find_if(good.itemsets.begin(), good.itemsets.end(), size_is(3));
+
+  using Edit = std::function<fim::MiningCheckpoint(fim::MiningCheckpoint)>;
+  const std::vector<std::pair<std::string, Edit>> cases = {
+      // Must fail before anything is sized from it.
+      {"completed level",
+       [](fim::MiningCheckpoint cp) {
+         cp.completed_level = 0xFFFFFFFFu;
+         return cp;
+       }},
+      {"completed level",
+       [](fim::MiningCheckpoint cp) {
+         cp.completed_level = 0;
+         return cp;
+       }},
+      {"level records",
+       [](fim::MiningCheckpoint cp) {
+         cp.levels.pop_back();
+         return cp;
+       }},
+      {"level records",
+       [](fim::MiningCheckpoint cp) {
+         cp.levels[2].level = 2;
+         return cp;
+       }},
+      {"itemset count",
+       [](fim::MiningCheckpoint cp) {
+         ++cp.levels[1].frequent;
+         return cp;
+       }},
+      {"itemset count",
+       [](fim::MiningCheckpoint cp) {
+         cp.itemsets.add(fim::Itemset{0, 1, 2, 3}, 50);
+         return cp;
+       }},
+      {"level 1 support",
+       [](fim::MiningCheckpoint cp) {
+         return with_itemsets(cp, [](fim::FrequentItemset& fs) {
+           if (fs.items.size() == 1 && fs.items[0] == 0) ++fs.support;
+           return true;
+         });
+       }},
+      {"level 1 holds",
+       [](fim::MiningCheckpoint cp) {
+         --cp.levels[0].frequent;
+         return with_itemsets(cp, [](fim::FrequentItemset& fs) {
+           return !(fs.items.size() == 1 && fs.items[0] == 0);
+         });
+       }},
+      {"not a frequent item",
+       [&](fim::MiningCheckpoint cp) {
+         return with_itemsets(cp, [&](fim::FrequentItemset& fs) {
+           if (fs == first_pair) fs.items = fim::Itemset{fs.items[0], 1000};
+           return true;
+         });
+       }},
+      {"below min-count",
+       [&](fim::MiningCheckpoint cp) {
+         return with_itemsets(cp, [&](fim::FrequentItemset& fs) {
+           if (fs == first_pair) fs.support = 19;
+           return true;
+         });
+       }},
+      {"appears twice",
+       [&](fim::MiningCheckpoint cp) {
+         ++cp.levels[1].frequent;
+         cp.itemsets.add(first_pair.items, first_pair.support);
+         return cp;
+       }},
+      // Every 2-subset of one triple gone: whichever is its prefix in the
+      // dense row order, the triple has no parent.
+      {"prefix",
+       [&](fim::MiningCheckpoint cp) {
+         cp = with_itemsets(cp, [&](fim::FrequentItemset& fs) {
+           return !(fs.items.size() == 2 &&
+                    first_triple.items.contains_all(fs.items));
+         });
+         cp.levels[1].frequent -= 3;
+         return cp;
+       }},
+  };
+  for (const auto& [what, edit] : cases) {
+    SCOPED_TRACE(what);
+    expect_resume_rejected(edit(good), path, what);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Rebuild, SnapshotInAnyItemsetOrderResumesBitIdentical) {
+  // The loop writes each level in trie order, so its rebuild only scans;
+  // a snapshot in any other order is sorted into it.
+  const auto db = drill_db();
+  const auto params = drill_params();
+  const std::string path = scratch_path("rebuild_order.ckpt");
+  const auto full = CpuBitsetApriori().mine(db, params);
+  fim::MiningCheckpoint cp = drill_snapshot(path);
+  std::vector<fim::FrequentItemset> sets = cp.itemsets.sets();
+  std::reverse(sets.begin(), sets.end());
+  cp.itemsets = fim::ItemsetCollection();
+  cp.itemsets.add_batch(std::move(sets));
+  cp.write(path);
+  RunControlOptions rco;
+  rco.resume_path = path;
+  RunControl run(rco);
+  expect_bit_identical(full, CpuBitsetApriori(&run).mine(db, params));
+  std::remove(path.c_str());
+}
+
+TEST(Rebuild, FlippedSupportByteIsRejectedByTheChecksum) {
+  // The last itemset, {1, 2} with support 3, ends just before the u64
+  // checksum: its support becomes 2.
+  expect_field_rejected(scratch_path("flipped.ckpt"),
+                        kLevelCountOffset + 8 + 2 * 36 + 8 + 12 + 12,
+                        std::uint32_t{2}, "checksum");
+}
+
+TEST(Rebuild, VersionOneSnapshotIsRejectedByVersion) {
+  expect_field_rejected(scratch_path("v1.ckpt"), 4, std::uint32_t{1},
+                        "version 1");
+}
+
+TEST(Rebuild, ResumeThenLadderHopMatchesTheUninterruptedRun) {
+  // The static rung rebuilds from the snapshot, then dies on a sticky
+  // launch fault; the CPU_TEST rung runs the same loop again and must
+  // rebuild from the same, intact snapshot.
+  const auto db = drill_db();
+  const auto params = drill_params();
+  const std::string path = scratch_path("ladder_hop.ckpt");
+  const auto full = GpApriori().mine(db, params);
+  {
+    RunControlOptions rco;
+    rco.cancel_after_level = 2;
+    rco.checkpoint_path = path;
+    RunControl run(rco);
+    Config cfg;
+    cfg.run_control = &run;
+    ASSERT_TRUE(GpApriori(cfg).mine(db, params).truncated());
+  }
+  RunControlOptions rco;
+  rco.resume_path = path;
+  RunControl run(rco);
+  Config cfg;
+  cfg.run_control = &run;
+  cfg.fault_plan = gpusim::FaultPlan::parse("launch#1+=timeout");
+  GpApriori miner(cfg);
+  const auto resumed = miner.mine(db, params);
+  EXPECT_EQ(miner.resilience_report().degraded_to, DegradationStep::kCpu);
+  EXPECT_FALSE(resumed.truncated());
+  expect_bit_identical(full, resumed);
+  std::remove(path.c_str());
+}
+
+TEST(Rebuild, ResumeFromEveryCutLevelMatchesTheUninterruptedRun) {
+  // A dense run, cut after each of its levels (level 1 by an expired
+  // deadline, the others by cancel_after_level) and resumed, for CPU_TEST
+  // tiled and untiled and GPApriori at 1, 2 and all host threads.
+  const auto db = testutil::random_db(240, 12, 0.6, 17);
+  miners::MiningParams params;
+  params.min_support_abs = 30;
+  const std::string path = scratch_path("every_cut.ckpt");
+  using Mine = std::function<miners::MiningOutput(RunControl*, std::uint32_t)>;
+  const std::vector<std::pair<std::string, Mine>> miners_under_test = {
+      {"cpu-tiled",
+       [&](RunControl* rc, std::uint32_t t) {
+         return CpuBitsetApriori(rc, true, 1, 0, t).mine(db, params);
+       }},
+      {"cpu-untiled",
+       [&](RunControl* rc, std::uint32_t t) {
+         return CpuBitsetApriori(rc, false, 1, 0, t).mine(db, params);
+       }},
+      {"gpapriori",
+       [&](RunControl* rc, std::uint32_t t) {
+         Config cfg;
+         cfg.run_control = rc;
+         cfg.host_threads = t;
+         return GpApriori(cfg).mine(db, params);
+       }},
+  };
+  for (const auto& [name, mine] : miners_under_test) {
+    for (const std::uint32_t threads : {1u, 2u, 0u}) {
+      SCOPED_TRACE(name + " host_threads " + std::to_string(threads));
+      const auto full = mine(nullptr, threads);
+      ASSERT_GE(full.levels.size(), 5u) << "not dense enough";
+      for (std::size_t cut = 1; cut <= full.levels.size(); ++cut) {
+        SCOPED_TRACE("cut after level " + std::to_string(cut));
+        std::remove(path.c_str());
+        miners::MiningOutput part;
+        {
+          RunControlOptions rco;
+          if (cut == 1)
+            rco.deadline_ms = 1e-4;
+          else
+            rco.cancel_after_level = cut;
+          rco.checkpoint_path = path;
+          RunControl run(rco);
+          part = mine(&run, threads);
+        }
+        ASSERT_EQ(fim::MiningCheckpoint::read(path).completed_level, cut);
+        RunControlOptions rco;
+        rco.resume_path = path;
+        RunControl run(rco);
+        const auto resumed = mine(&run, threads);
+        EXPECT_FALSE(resumed.truncated());
+        expect_bit_identical(full, resumed);
+        // The rebuilt levels report what the cut run recorded.
+        for (std::size_t i = 0; i < cut; ++i) {
+          EXPECT_EQ(resumed.levels[i].host_ms, part.levels[i].host_ms);
+          EXPECT_EQ(resumed.levels[i].device_ms, part.levels[i].device_ms);
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -320,6 +320,55 @@ TEST(MiningServiceTest, MalformedRequestsGetTypedInvalidStatus) {
   EXPECT_EQ(results[6].status, RequestStatus::kInvalid);
 }
 
+TEST(MiningServiceTest, CancellingAMalformedRequestStillAnswersInvalid) {
+  ServiceOptions so;
+  so.workers = 1;
+  MiningService service(so);
+  service.register_dataset("slow", slow_db());
+  service.register_dataset("small", small_db());
+
+  // With the only worker busy, a queued request would be cancellable; a
+  // malformed one is answered at submit and never queues.
+  auto f_busy = service.submit(req("busy", "slow", 0.03, "GPApriori"));
+  auto f_bad = service.submit(req("bad", "small", 0.3, "NO_SUCH_ALGO"));
+  EXPECT_EQ(f_bad.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(service.cancel("bad"), 0u);
+  const auto bad = f_bad.get();
+  EXPECT_EQ(bad.status, RequestStatus::kInvalid);
+  EXPECT_NE(bad.error.find("NO_SUCH_ALGO"), std::string::npos) << bad.error;
+  EXPECT_EQ(f_busy.get().status, RequestStatus::kOk);
+}
+
+TEST(MiningServiceTest, MalformedRequestReservesNoAdmissionBudget) {
+  ServiceOptions so;
+  so.workers = 1;
+  so.admission.max_inflight = 1;
+  MiningService service(so);
+  service.register_dataset("small", small_db());
+
+  // The dataset's shape is known at submit, so a well-formed request would
+  // be admitted there; a malformed one must not be.
+  for (const MiningRequest& bad :
+       {req("algo", "small", 0.3, "NO_SUCH_ALGO"), req("ratio", "small", 1.5),
+        req("conf", "small", 0.3)}) {
+    MiningRequest r = bad;
+    if (r.id == "conf") r.rules_confidence = 2.0;
+    EXPECT_EQ(service.submit(r).get().status, RequestStatus::kInvalid)
+        << r.id;
+  }
+  auto st = service.stats();
+  EXPECT_EQ(st.admission.admitted, 0u);
+  EXPECT_EQ(st.admission.inflight, 0u);
+  EXPECT_EQ(st.errors, 3u);
+
+  EXPECT_EQ(service.submit(req("good", "small", 0.3, "CPU_TEST")).get().status,
+            RequestStatus::kOk);
+  st = service.stats();
+  EXPECT_EQ(st.admission.admitted, 1u);
+  EXPECT_EQ(st.shed, 0u);
+}
+
 // -- Request-file parsing ---------------------------------------------------
 
 TEST(RequestIoTest, ParsesWellFormedFile) {
