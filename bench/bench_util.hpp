@@ -285,9 +285,8 @@ inline int run_figure(const char* figure_id, const char* stem,
 
   gpusim::ExecutorOptions eo;
   eo.host_threads = opts.gpu_config.host_threads;
-  eo.native = opts.gpu_config.native;
   const std::uint32_t host_threads = gpusim::resolve_host_threads(eo);
-  const bool native = gpusim::resolve_native(eo);
+  const bool native = opts.gpu_config.native;
   const int repeat = opts.smoke ? 1 : opts.repeat;
 
   if (json) {

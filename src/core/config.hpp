@@ -71,11 +71,12 @@ struct Config {
   /// 1 = sequential. Results are byte-identical for every value.
   std::uint32_t host_threads = 0;
 
-  /// NATIVE execution tier (gpusim::ExecutorOptions::native): untraced
-  /// blocks of kernels with a whole-block vectorized implementation skip
-  /// the per-thread interpreter. Results and KernelStats are bit-identical
-  /// either way (counter-equality contract, DESIGN.md §9); disable via
-  /// --no-native or GPAPRIORI_NO_NATIVE to force the interpreter path.
+  /// Native path (gpusim::ExecutorOptions::native): untraced blocks of
+  /// the two support kernels run their whole-block vectorized
+  /// implementation instead of the per-thread interpreter. Results and
+  /// KernelStats are bit-identical either way (counter-equality contract,
+  /// DESIGN.md §9); false (--no-native) interprets every block, which is
+  /// the reference.
   bool native = true;
 
   /// Equivalence-class tiled support counting (DESIGN.md §12): one block
@@ -199,8 +200,7 @@ struct Config {
 }
 
 /// Effective tiled-kernel setting: the configured value unless the
-/// GPAPRIORI_NO_TILED environment variable is set non-empty and not "0"
-/// (mirrors the GPAPRIORI_NO_NATIVE escape hatch).
+/// GPAPRIORI_NO_TILED environment variable is set non-empty and not "0".
 [[nodiscard]] inline bool resolve_tiled(bool configured) {
   if (const char* env = std::getenv("GPAPRIORI_NO_TILED");
       env != nullptr && env[0] != '\0' &&

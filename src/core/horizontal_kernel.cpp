@@ -1,8 +1,20 @@
 #include "core/horizontal_kernel.hpp"
 
-#include <span>
+#include "gpusim/error.hpp"
 
 namespace gpapriori {
+
+gpusim::KernelInfo HorizontalCountKernel::info(
+    const gpusim::LaunchConfig& cfg) const {
+  // A thread's first transaction and the grid stride count x only: a 2-D
+  // block or grid would walk the same transactions twice. Reject at launch
+  // instead of miscounting.
+  if (cfg.block.y != 1 || cfg.block.z != 1)
+    throw gpusim::LaunchError("horizontal_count: block must be 1-D");
+  if (cfg.grid.y != 1 || cfg.grid.z != 1)
+    throw gpusim::LaunchError("horizontal_count: grid must be 1-D");
+  return {.num_phases = 1, .static_shared_bytes = 0, .regs_per_thread = 18};
+}
 
 void HorizontalCountKernel::run_phase(std::uint32_t /*phase*/,
                                       gpusim::ThreadCtx& t) const {
@@ -10,63 +22,6 @@ void HorizontalCountKernel::run_phase(std::uint32_t /*phase*/,
       static_cast<std::uint64_t>(t.grid_dim().x) * t.block_dim().x;
   const std::uint64_t first =
       t.flat_block_idx() * t.block_dim().x + t.flat_tid();
-
-  if (!t.traced()) {
-    // Untraced fast path: identical merge walk over raw views with local
-    // load/ALU tallies, charged in bulk at the end (counter-equal to the
-    // traced loop below). atomicAdd stays a real per-call operation.
-    const std::span<const std::uint32_t> offs =
-        t.ld_global_span(args_.offsets, 0, args_.num_transactions + 1, 0);
-    const std::uint64_t total_items =
-        args_.num_transactions ? offs[args_.num_transactions] : 0;
-    const std::span<const std::uint32_t> items =
-        t.ld_global_span(args_.items, 0, total_items, 0);
-    const std::span<const std::uint32_t> cands = t.ld_global_span(
-        args_.candidates, 0,
-        static_cast<std::uint64_t>(args_.num_candidates) * args_.k, 0);
-
-    std::uint64_t loads = 0, alus = 0;
-    for (std::uint64_t tx = first; tx < args_.num_transactions; tx += stride) {
-      const std::uint32_t lo = offs[tx];
-      const std::uint32_t hi = offs[tx + 1];
-      const std::uint32_t len = hi - lo;
-      loads += 2;
-      alus += 2;
-
-      for (std::uint32_t c = 0; c < args_.num_candidates; ++c) {
-        if (len < args_.k) {
-          alus += 1;
-          continue;
-        }
-        std::uint32_t matched = 0, j = 0;
-        for (std::uint32_t ci = 0; ci < args_.k; ++ci) {
-          const std::uint32_t want =
-              cands[static_cast<std::uint64_t>(c) * args_.k + ci];
-          loads += 1;
-          while (j < len) {
-            const std::uint32_t have = items[lo + j];
-            loads += 1;
-            alus += 1;
-            ++j;
-            if (have == want) {
-              ++matched;
-              break;
-            }
-            if (have > want) {
-              j = len;
-              break;
-            }
-          }
-          if (matched != ci + 1) break;
-        }
-        if (matched == args_.k) t.atomic_add_global(args_.supports, c, 1);
-        alus += 2;  // candidate-loop control
-      }
-    }
-    t.ld_global_bulk(loads, 4);
-    t.alu_bulk(alus);
-    return;
-  }
 
   for (std::uint64_t tx = first; tx < args_.num_transactions; tx += stride) {
     const std::uint32_t lo = t.ld_global(args_.offsets, tx);
@@ -105,79 +60,6 @@ void HorizontalCountKernel::run_phase(std::uint32_t /*phase*/,
       t.alu(2);  // candidate-loop control
     }
   }
-}
-
-bool HorizontalCountKernel::run_block_native(gpusim::BlockCtx& b) const {
-  if (b.block_dim().y != 1 || b.block_dim().z != 1) return false;
-  const std::uint32_t tpb = b.num_threads();
-  const std::uint64_t stride =
-      static_cast<std::uint64_t>(b.grid_dim().x) * b.block_dim().x;
-  const std::uint64_t block_first = b.flat_block_idx() * b.block_dim().x;
-
-  const auto offs = b.view(args_.offsets, 0, args_.num_transactions + 1);
-  const std::uint64_t total_items =
-      args_.num_transactions ? offs[args_.num_transactions] : 0;
-  const auto items = b.view(args_.items, 0, total_items);
-  const auto cands = b.view(
-      args_.candidates, 0,
-      static_cast<std::uint64_t>(args_.num_candidates) * args_.k);
-
-  // Same merge walk as the interpreter, whole block at once. Loads/ALU are
-  // tallied per lane (data-dependent transaction lengths diverge lanes);
-  // each match is a real atomic charged as one RMW (2 lane ops).
-  const auto ops = b.lane_ops_scratch();
-  std::uint64_t total_loads = 0, total_atomics = 0;
-  for (std::uint32_t tid = 0; tid < tpb; ++tid) {
-    std::uint64_t loads = 0, alus = 0, atomics = 0;
-    for (std::uint64_t tx = block_first + tid; tx < args_.num_transactions;
-         tx += stride) {
-      const std::uint32_t lo = offs[tx];
-      const std::uint32_t hi = offs[tx + 1];
-      const std::uint32_t len = hi - lo;
-      loads += 2;
-      alus += 2;
-
-      for (std::uint32_t c = 0; c < args_.num_candidates; ++c) {
-        if (len < args_.k) {
-          alus += 1;
-          continue;
-        }
-        std::uint32_t matched = 0, j = 0;
-        for (std::uint32_t ci = 0; ci < args_.k; ++ci) {
-          const std::uint32_t want =
-              cands[static_cast<std::uint64_t>(c) * args_.k + ci];
-          loads += 1;
-          while (j < len) {
-            const std::uint32_t have = items[lo + j];
-            loads += 1;
-            alus += 1;
-            ++j;
-            if (have == want) {
-              ++matched;
-              break;
-            }
-            if (have > want) {
-              j = len;
-              break;
-            }
-          }
-          if (matched != ci + 1) break;
-        }
-        if (matched == args_.k) {
-          b.atomic_fetch_add(args_.supports, c, 1);
-          atomics += 1;
-        }
-        alus += 2;  // candidate-loop control
-      }
-    }
-    total_loads += loads;
-    total_atomics += atomics;
-    ops[tid] = loads + alus + 2 * atomics;
-  }
-  b.charge_global_loads(total_loads, 4 * total_loads);
-  b.charge_global_atomics(total_atomics);
-  b.charge_phase([&](std::uint32_t tid) { return ops[tid]; });
-  return true;
 }
 
 }  // namespace gpapriori

@@ -10,7 +10,8 @@
 // atomicAdd's the candidate's counter. Data-dependent loop lengths diverge
 // warps, transaction reads are ragged, and the atomics contend — the
 // quantitative case for the bitset redesign, alongside Fig. 3's tidset
-// contrast.
+// contrast. Only the ablation bench launches it, so it has one
+// implementation: the per-thread interpreter, on every block.
 
 #include "gpusim/kernel.hpp"
 #include "gpusim/memory.hpp"
@@ -34,17 +35,11 @@ class HorizontalCountKernel final : public gpusim::Kernel {
   [[nodiscard]] std::string_view name() const override {
     return "horizontal_count";
   }
+  /// Rejects a block or grid that is not 1-D: the grid stride counts x
+  /// only.
   [[nodiscard]] gpusim::KernelInfo info(
-      const gpusim::LaunchConfig&) const override {
-    return {.num_phases = 1, .static_shared_bytes = 0, .regs_per_thread = 18};
-  }
+      const gpusim::LaunchConfig& cfg) const override;
   void run_phase(std::uint32_t phase, gpusim::ThreadCtx& t) const override;
-
-  /// NATIVE tier: the whole block's grid-stride merge walk in one call.
-  /// atomicAdd stays a real per-match host atomic so cross-block sums
-  /// survive; per-lane op tallies are data-dependent and go through
-  /// BlockCtx::lane_ops_scratch (DESIGN.md §9).
-  bool run_block_native(gpusim::BlockCtx& b) const override;
 
  private:
   Args args_;

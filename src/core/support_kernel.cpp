@@ -23,9 +23,13 @@ std::uint32_t SupportKernel::phase_count(std::uint32_t block_size) {
 }
 
 gpusim::KernelInfo SupportKernel::info(const gpusim::LaunchConfig& cfg) const {
-  // The tree reduction halves blockDim.x every phase, so a non-power-of-two
-  // block would silently drop partial sums (threads in [2^floor(log2 B), B)
-  // are never reduced in). Reject at launch instead of miscounting.
+  // The kernel indexes threads and partials by x alone, so a 2-D or 3-D
+  // block would write the same partial slots twice. The tree reduction
+  // halves blockDim.x every phase, so a non-power-of-two block would
+  // silently drop partial sums (threads in [2^floor(log2 B), B) are never
+  // reduced in). Reject both at launch instead of miscounting.
+  if (cfg.block.y != 1 || cfg.block.z != 1)
+    throw gpusim::LaunchError("gpapriori_support: block must be 1-D");
   if (!std::has_single_bit(cfg.block.x))
     throw gpusim::LaunchError(
         "gpapriori_support: block.x must be a power of two (got " +
@@ -59,52 +63,7 @@ void SupportKernel::run_phase(std::uint32_t phase,
   }
 
   if (phase == 1) {
-    // Complete intersection: stride-blockDim loop over 32-bit words. This
-    // thread visits n_iters = ceil((words_per_row - tid) / blockDim) words.
-    const std::uint64_t k = args_.k;
-    const std::uint64_t n_iters =
-        tid < args_.words_per_row
-            ? (args_.words_per_row - 1 - tid) / block + 1
-            : 0;
-    // Loop-control charge groups: one per completed unroll group plus one
-    // for the trailing partial group (= ceil(n_iters / unroll)).
-    const std::uint64_t groups =
-        unroll_ <= 1 ? n_iters : (n_iters + unroll_ - 1) / unroll_;
-
-    if (!t.traced()) {
-      // Untraced fast path: raw views + analytic bulk accounting, charged
-      // counter-equal to the traced branch below (see the fast-vs-traced
-      // equivalence tests).
-      std::uint32_t count = 0;
-      if (n_iters != 0) {
-        const std::span<const std::uint32_t> rows =
-            preload_ ? t.ld_shared_span<std::uint32_t>(
-                           shared_cand_off(block, 0), k, k * n_iters)
-                     : t.ld_global_span(args_.candidates, cand * k, k,
-                                        k * n_iters);
-        std::uint32_t max_row = 0;
-        for (std::uint32_t r = 0; r < k; ++r)
-          max_row = std::max(max_row, rows[r]);
-        const std::span<const std::uint32_t> bits = t.ld_global_span(
-            args_.bitsets, 0,
-            static_cast<std::uint64_t>(max_row) * args_.stride_words +
-                args_.words_per_row,
-            k * n_iters);
-        for (std::uint64_t w = tid; w < args_.words_per_row; w += block) {
-          std::uint32_t acc = ~0u;
-          for (std::uint32_t r = 0; r < k; ++r)
-            acc &= bits[static_cast<std::uint64_t>(rows[r]) *
-                            args_.stride_words + w];
-          count += static_cast<std::uint32_t>(std::popcount(acc));
-        }
-        // Per iteration: k ANDs + popc + accumulate add; plus 2 loop-control
-        // ops per charge group.
-        t.alu_bulk((k + 2) * n_iters + 2 * groups);
-      }
-      t.st_shared<std::uint32_t>(shared_partial_off(tid), count);
-      return;
-    }
-
+    // Complete intersection: stride-blockDim loop over 32-bit words.
     std::uint32_t count = 0;
     std::uint32_t iter = 0;
     for (std::uint64_t w = tid; w < args_.words_per_row; w += block, ++iter) {
@@ -152,7 +111,6 @@ void SupportKernel::run_phase(std::uint32_t phase,
 }
 
 bool SupportKernel::run_block_native(gpusim::BlockCtx& b) const {
-  if (b.block_dim().y != 1 || b.block_dim().z != 1) return false;
   const std::uint32_t block = b.block_dim().x;
   const std::uint32_t tpb = b.num_threads();
   const std::uint32_t k = args_.k;

@@ -46,7 +46,7 @@ class SupportKernel final : public gpusim::Kernel {
       const gpusim::LaunchConfig& cfg) const override;
   void run_phase(std::uint32_t phase, gpusim::ThreadCtx& t) const override;
 
-  /// NATIVE tier: the whole block's complete intersection as one
+  /// Native path: the whole block's complete intersection as one
   /// fim::bits::and_popcount over the candidate's k rows (ids loaded
   /// once), with O(warps) closed-form counter accounting equal to the
   /// interpreted phases. See DESIGN.md §9.

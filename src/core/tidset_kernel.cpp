@@ -1,12 +1,23 @@
 #include "core/tidset_kernel.hpp"
 
 #include <bit>
-#include <span>
+#include <string>
+
+#include "gpusim/error.hpp"
 
 namespace gpapriori {
 
 gpusim::KernelInfo TidsetJoinKernel::info(
     const gpusim::LaunchConfig& cfg) const {
+  // Threads and partials are indexed by x alone, and the tree reduction
+  // halves blockDim.x every phase: a 2-D block or a non-power-of-two x
+  // would drop partial sums. Reject at launch instead of miscounting.
+  if (cfg.block.y != 1 || cfg.block.z != 1)
+    throw gpusim::LaunchError("tidset_join: block must be 1-D");
+  if (!std::has_single_bit(cfg.block.x))
+    throw gpusim::LaunchError(
+        "tidset_join: block.x must be a power of two (got " +
+        std::to_string(cfg.block.x) + ")");
   gpusim::KernelInfo i;
   i.num_phases =
       1 + static_cast<std::uint32_t>(std::countr_zero(cfg.block.x)) + 1;
@@ -27,41 +38,6 @@ void TidsetJoinKernel::run_phase(std::uint32_t phase,
     const std::uint32_t a_len = t.ld_global(args_.pair_table, pair * 4 + 1);
     const std::uint32_t b_start = t.ld_global(args_.pair_table, pair * 4 + 2);
     const std::uint32_t b_len = t.ld_global(args_.pair_table, pair * 4 + 3);
-
-    if (!t.traced()) {
-      // Untraced fast path: identical binary-search walk over raw views,
-      // with loads/ALU tallied locally and charged in bulk (counter-equal
-      // to the traced branch below).
-      const std::span<const std::uint32_t> a_view =
-          t.ld_global_span(args_.tids, a_start, a_len, 0);
-      const std::span<const std::uint32_t> b_view =
-          t.ld_global_span(args_.tids, b_start, b_len, 0);
-      std::uint32_t count = 0;
-      std::uint64_t n_iters = 0, probes = 0, finals = 0;
-      for (std::uint64_t i = tid; i < a_len; i += block, ++n_iters) {
-        const std::uint32_t needle = a_view[i];
-        std::uint32_t lo = 0, hi = b_len;
-        while (lo < hi) {
-          const std::uint32_t mid = lo + (hi - lo) / 2;
-          probes += 1;
-          if (b_view[mid] < needle) {
-            lo = mid + 1;
-          } else {
-            hi = mid;
-          }
-        }
-        if (lo < b_len) {
-          finals += 1;
-          if (b_view[lo] == needle) count += 1;
-        }
-      }
-      // needle + probe + boundary-compare loads; 2 ALU per probe
-      // (compare + branch), 3 per iteration (loop control + final compare).
-      t.ld_global_bulk(n_iters + probes + finals, 4);
-      t.alu_bulk(2 * probes + 3 * n_iters);
-      t.st_shared<std::uint32_t>(static_cast<std::size_t>(tid) * 4, count);
-      return;
-    }
 
     std::uint32_t count = 0;
     for (std::uint64_t i = tid; i < a_len; i += block) {
@@ -104,72 +80,6 @@ void TidsetJoinKernel::run_phase(std::uint32_t phase,
 
   if (tid == 0)
     t.st_global(args_.out, pair, t.ld_shared<std::uint32_t>(0));
-}
-
-bool TidsetJoinKernel::run_block_native(gpusim::BlockCtx& b) const {
-  if (b.block_dim().y != 1 || b.block_dim().z != 1) return false;
-  const std::uint32_t block = b.block_dim().x;
-  const std::uint32_t tpb = b.num_threads();
-  const std::uint64_t pair = b.flat_block_idx();
-  const auto log2b = static_cast<std::uint32_t>(std::countr_zero(block));
-
-  const std::uint32_t a_start = b.load(args_.pair_table, pair * 4 + 0);
-  const std::uint32_t a_len = b.load(args_.pair_table, pair * 4 + 1);
-  const std::uint32_t b_start = b.load(args_.pair_table, pair * 4 + 2);
-  const std::uint32_t b_len = b.load(args_.pair_table, pair * 4 + 3);
-  const auto a_view = b.view(args_.tids, a_start, a_len);
-  const auto b_view = b.view(args_.tids, b_start, b_len);
-
-  // Phase 0 — the strided binary-search walk of every lane, with the exact
-  // data-dependent load/ALU tallies the interpreter would produce:
-  // ops(tid) = 4 pair-table loads + st_shared + (n_iters + probes + finals)
-  // loads + 2 ALU per probe + 3 per iteration.
-  const auto ops = b.lane_ops_scratch();
-  std::uint64_t total = 0;        // block-wide intersection count
-  std::uint64_t data_loads = 0;   // needle + probe + boundary-compare loads
-  for (std::uint32_t tid = 0; tid < tpb; ++tid) {
-    std::uint32_t count = 0;
-    std::uint64_t n_iters = 0, probes = 0, finals = 0;
-    for (std::uint64_t i = tid; i < a_len; i += block, ++n_iters) {
-      const std::uint32_t needle = a_view[i];
-      std::uint32_t lo = 0, hi = b_len;
-      while (lo < hi) {
-        const std::uint32_t mid = lo + (hi - lo) / 2;
-        probes += 1;
-        if (b_view[mid] < needle) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      if (lo < b_len) {
-        finals += 1;
-        if (b_view[lo] == needle) count += 1;
-      }
-    }
-    total += count;
-    data_loads += n_iters + probes + finals;
-    ops[tid] = 5 + 4 * n_iters + 3 * probes + finals;
-  }
-  b.charge_global_loads(4ull * tpb + data_loads, 4 * (4ull * tpb + data_loads));
-  b.charge_shared_stores(tpb);
-  b.charge_phase([&](std::uint32_t tid) { return ops[tid]; });
-
-  // Reduction phases (the native sum above replaces them functionally; the
-  // uint32 partial adds wrap identically to a direct sum).
-  for (std::uint32_t p = 1; p < 1 + log2b; ++p) {
-    const std::uint32_t s = block >> p;
-    b.charge_shared_loads(2ull * s);
-    b.charge_shared_stores(s);
-    b.charge_split_phase(s, 4, 0);
-  }
-
-  // Writeback: thread 0.
-  b.charge_shared_loads(1);
-  b.charge_global_stores(1, 4);
-  b.charge_split_phase(1, 2, 0);
-  b.store(args_.out, pair, static_cast<std::uint32_t>(total));
-  return true;
 }
 
 }  // namespace gpapriori

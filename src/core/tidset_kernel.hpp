@@ -8,7 +8,9 @@
 // "the resultant memory access pattern and instruction stream branching
 // behavior is unpredictable and leads to poor performance on the GPU"
 // (§IV.1). The Fig. 3 bench runs this against SupportKernel on identical
-// work and reports both kernels' coalescing/divergence metrics.
+// work and reports both kernels' coalescing/divergence metrics. Only the
+// benches launch it, so it has one implementation: the per-thread
+// interpreter, on every block.
 
 #include "gpusim/kernel.hpp"
 #include "gpusim/memory.hpp"
@@ -29,15 +31,11 @@ class TidsetJoinKernel final : public gpusim::Kernel {
   [[nodiscard]] std::string_view name() const override {
     return "tidset_join";
   }
+  /// Rejects a block that is not 1-D or whose x is not a power of two
+  /// (the tree reduction halves blockDim.x).
   [[nodiscard]] gpusim::KernelInfo info(
       const gpusim::LaunchConfig& cfg) const override;
   void run_phase(std::uint32_t phase, gpusim::ThreadCtx& t) const override;
-
-  /// NATIVE tier: the whole pair-join in one call — identical per-lane
-  /// binary-search walks (probe counts are data-dependent, so per-lane ops
-  /// go through BlockCtx::lane_ops_scratch), summed directly instead of
-  /// tree-reduced. Counter-equal to the interpreted phases (DESIGN.md §9).
-  bool run_block_native(gpusim::BlockCtx& b) const override;
 
  private:
   Args args_;

@@ -105,45 +105,10 @@ void TiledSupportKernel::run_phase(std::uint32_t phase,
     const std::uint32_t j = (phase - 1) / 2;
     const std::uint32_t lo = j * kTileWords;
     const std::uint32_t hi = std::min(W, lo + kTileWords);
-    const std::uint32_t len = hi - lo;
 
     if ((phase - 1) % 2 == 0) {
       // ---- Prefix AND: threads stride the tile's words (coalesced) and
       // AND the k-1 prefix rows into the shared tile. ----
-      const std::uint64_t n_iters =
-          tid < len ? (len - 1 - tid) / block + 1 : 0;
-      const std::uint64_t ctrl =
-          unroll_ <= 1 ? n_iters : (n_iters + unroll_ - 1) / unroll_;
-
-      if (!t.traced()) {
-        if (n_iters != 0) {
-          if (p == 0) {
-            // Empty prefix (k == 1): the AND identity.
-            for (std::uint32_t w = lo + tid; w < hi; w += block)
-              t.st_shared<std::uint32_t>(shared_tile_off(w - lo), ~0u);
-          } else {
-            const std::span<const std::uint32_t> rows =
-                t.ld_shared_span<std::uint32_t>(shared_prefix_off(0), p,
-                                                std::uint64_t{p} * n_iters);
-            std::uint32_t max_row = 0;
-            for (std::uint32_t r = 0; r < p; ++r)
-              max_row = std::max(max_row, rows[r]);
-            const std::span<const std::uint32_t> bits = t.ld_global_span(
-                args_.bitsets, 0,
-                static_cast<std::uint64_t>(max_row) * stride + W,
-                std::uint64_t{p} * n_iters);
-            for (std::uint32_t w = lo + tid; w < hi; w += block) {
-              std::uint32_t acc = ~0u;
-              for (std::uint32_t r = 0; r < p; ++r)
-                acc &= bits[static_cast<std::uint64_t>(rows[r]) * stride + w];
-              t.st_shared<std::uint32_t>(shared_tile_off(w - lo), acc);
-            }
-          }
-          t.alu_bulk((std::uint64_t{p} + 1) * n_iters + 2 * ctrl);
-        }
-        return;
-      }
-
       std::uint32_t iter = 0;
       for (std::uint32_t w = lo + tid; w < hi; w += block, ++iter) {
         std::uint32_t acc = ~0u;
@@ -170,42 +135,6 @@ void TiledSupportKernel::run_phase(std::uint32_t phase,
     const std::uint32_t warp = t.warp_id();
     const std::uint32_t lane = t.lane_id();
     const std::uint32_t nw = block / 32;
-    const std::uint64_t n_words =
-        lane < len ? (len - 1 - lane) / 32 + 1 : 0;
-    const std::uint64_t wg =
-        unroll_ <= 1 ? n_words : (n_words + unroll_ - 1) / unroll_;
-
-    if (!t.traced()) {
-      const std::uint64_t nsib = warp < G ? (G - 1 - warp) / nw + 1 : 0;
-      if (nsib != 0) {
-        const std::span<const std::uint32_t> sibs =
-            t.ld_shared_span<std::uint32_t>(shared_sib_off(0), G, nsib);
-        std::uint32_t max_row = 0;
-        for (std::uint32_t s = warp; s < G; s += nw)
-          max_row = std::max(max_row, sibs[s]);
-        const std::span<const std::uint32_t> tile =
-            t.ld_shared_span<std::uint32_t>(shared_tile_off(0), len,
-                                            nsib * n_words);
-        const std::span<const std::uint32_t> bits = t.ld_global_span(
-            args_.bitsets, 0,
-            static_cast<std::uint64_t>(max_row) * stride + W,
-            nsib * n_words);
-        for (std::uint32_t s = warp; s < G; s += nw) {
-          const std::uint64_t row = sibs[s];
-          std::uint32_t cnt = 0;
-          for (std::uint32_t w = lo + lane; w < hi; w += 32)
-            cnt += static_cast<std::uint32_t>(
-                std::popcount(tile[w - lo] & bits[row * stride + w]));
-          const std::uint32_t part =
-              t.ld_shared<std::uint32_t>(shared_partial_off(s, lane));
-          t.st_shared<std::uint32_t>(shared_partial_off(s, lane),
-                                     part + cnt);
-        }
-        t.alu_bulk(nsib * (3 * n_words + 2 * wg + 4));
-      }
-      return;
-    }
-
     for (std::uint32_t s = warp; s < G; s += nw) {
       const std::uint32_t row =
           t.ld_shared<std::uint32_t>(shared_sib_off(s));
@@ -251,9 +180,7 @@ void TiledSupportKernel::run_phase(std::uint32_t phase,
 }
 
 bool TiledSupportKernel::run_block_native(gpusim::BlockCtx& b) const {
-  if (b.block_dim().y != 1 || b.block_dim().z != 1) return false;
   const std::uint32_t block = b.block_dim().x;
-  if (block == 0 || block % 32 != 0) return false;
   const std::uint32_t tpb = b.num_threads();
   const std::uint32_t p = args_.k - 1;
   const std::uint32_t W = args_.words_per_row;

@@ -25,9 +25,9 @@
 // The per-(sibling, lane) partial array is padded to 33 words per sibling
 // so the reduction's column reads hit 32 distinct banks (the classic
 // [32][33] trick). The kernel is bit-identical in output to SupportKernel's
-// complete intersection and carries the same three execution paths:
-// interpreted traced, interpreted zero-trace, and whole-block native —
-// all counter-equal by the DESIGN.md §9 contract.
+// complete intersection and, like it, has two implementations: the
+// per-thread interpreter (run_phase) and the whole-block native path,
+// counter-equal by the DESIGN.md §9 contract.
 
 #include "core/config.hpp"
 #include "gpusim/kernel.hpp"
@@ -79,7 +79,7 @@ class TiledSupportKernel final : public gpusim::Kernel {
       const gpusim::LaunchConfig& cfg) const override;
   void run_phase(std::uint32_t phase, gpusim::ThreadCtx& t) const override;
 
-  /// NATIVE tier: the whole group's tiled intersection as one
+  /// Native path: the whole group's tiled intersection as one
   /// fim::bits::and_rows prefix AND per tile + one fim::bits::and_popcount
   /// per sibling, with O(warps) closed-form counter accounting equal to the
   /// interpreted phases (DESIGN.md §9).

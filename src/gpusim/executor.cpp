@@ -150,7 +150,6 @@ struct LaunchJob {
   std::size_t shared_bytes;
   std::uint32_t tpb;
   std::uint32_t num_warps;
-  bool native;  ///< resolve_native(opts), computed once per launch
 };
 
 /// Executes blocks [lo, hi) into `out`. This is the single block-execution
@@ -181,15 +180,16 @@ void run_block_range(const LaunchJob& job, std::uint64_t lo, std::uint64_t hi,
     out.counters.blocks += 1;
     out.counters.threads += tpb;
 
-    // NATIVE tier: untraced blocks may execute as one whole-block
+    // Native path: untraced blocks may execute as one whole-block
     // vectorized call (DESIGN.md §9). Sampled blocks never do — the
     // coalescing model must see every individual address. The phase-count
     // check enforces that native code settled SIMT accounting for exactly
     // the phases the interpreter would have run, and the barrier charge is
-    // identical by construction (one per phase boundary).
-    if (job.native && !sampled) {
-      BlockCtx bctx(cfg.grid, cfg.block, block_idx, *job.gmem, out.counters,
-                    scratch.lane_ops.data());
+    // identical by construction (one per phase boundary). A declined block,
+    // or any untraced block with native off, runs the interpreter below
+    // without recording.
+    if (opts.native && !sampled) {
+      BlockCtx bctx(cfg.grid, cfg.block, block_idx, *job.gmem, out.counters);
       if (job.kernel->run_block_native(bctx)) {
         if (bctx.phases_charged() != job.info->num_phases)
           throw SimError(
@@ -271,15 +271,6 @@ std::uint32_t resolve_host_threads(const ExecutorOptions& opts) {
   return hw == 0 ? 1u : std::min(hw, kMaxHostThreads);
 }
 
-bool resolve_native(const ExecutorOptions& opts) {
-  if (!opts.native) return false;
-  // Escape hatch mirroring GPAPRIORI_HOST_THREADS: read per launch so tests
-  // and operators can flip paths without rebuilding configs.
-  if (const char* env = std::getenv("GPAPRIORI_NO_NATIVE"))
-    if (*env != '\0' && std::string(env) != "0") return false;
-  return true;
-}
-
 KernelStats run_kernel(const Kernel& kernel, const LaunchConfig& cfg,
                        GlobalMemory& gmem, const DeviceProperties& props,
                        const ExecutorOptions& opts) {
@@ -312,9 +303,8 @@ KernelStats run_kernel(const Kernel& kernel, const LaunchConfig& cfg,
       (tpb + static_cast<std::uint32_t>(props.warp_size) - 1) /
       static_cast<std::uint32_t>(props.warp_size);
 
-  const LaunchJob job{&kernel,      &cfg, &info,     &gmem,
-                      &opts,        shared_bytes,    tpb,
-                      num_warps,    resolve_native(opts)};
+  const LaunchJob job{&kernel, &cfg,         &info, &gmem,
+                      &opts,   shared_bytes, tpb,   num_warps};
 
   // Shape-deterministic scheduling decision: tiny grids stay sequential.
   std::uint32_t workers = static_cast<std::uint32_t>(

@@ -41,12 +41,12 @@ struct ExecutorOptions {
   /// 1 = sequential on the calling thread. Mining output and KernelStats
   /// are byte-identical for every value; only wall-clock changes.
   std::uint32_t host_threads = 0;
-  /// NATIVE tier (DESIGN.md §9): untraced blocks of kernels implementing
+  /// Native path (DESIGN.md §9): untraced blocks of kernels implementing
   /// run_block_native execute whole-block vectorized host code instead of
   /// the per-thread interpreter. Counter-equal by contract, so results and
   /// KernelStats are bit-identical either way; only wall-clock changes.
-  /// Overridable at runtime: a non-empty GPAPRIORI_NO_NATIVE != "0"
-  /// disables the tier even when this is true.
+  /// false = every block runs the interpreter (the reference), sampled
+  /// blocks recording and the rest not.
   bool native = true;
   /// Cooperative cancellation (gpusim/cancel.hpp). When set, workers check
   /// the token at chunk-dispatch granularity — a cancelled launch stops
@@ -61,11 +61,6 @@ struct ExecutorOptions {
 /// (resolves the 0 = env-or-hardware_concurrency default, clamps to a sane
 /// maximum). Exposed so drivers and benches can report it.
 [[nodiscard]] std::uint32_t resolve_host_threads(const ExecutorOptions& opts);
-
-/// Whether run_kernel will offer untraced blocks to run_block_native for
-/// these options (applies the GPAPRIORI_NO_NATIVE override). Exposed so
-/// benches can record the execution path their numbers came from.
-[[nodiscard]] bool resolve_native(const ExecutorOptions& opts);
 
 /// Validates the launch configuration against the device, runs the grid,
 /// and returns counters + sampled analysis + occupancy. Timing is filled in

@@ -176,7 +176,10 @@ class BlockRecorder {
 
 /// Per-thread execution context: geometry, device memory, and counters.
 /// Every architectural operation a kernel performs goes through this class
-/// so the simulator can account for it.
+/// so the simulator can account for it: one call per access, on sampled
+/// blocks (recorded for the coalescing, bank and race models) and on
+/// interpreted untraced blocks alike. The per-thread interpreter it drives
+/// is the reference every native path is held to.
 class ThreadCtx {
  public:
   ThreadCtx(Dim3 grid_dim, Dim3 block_dim, Dim3 block_idx, Dim3 thread_idx,
@@ -270,77 +273,6 @@ class ThreadCtx {
     return gmem_->atomic_fetch_add_u32(a, v);
   }
 
-  // --- zero-trace fast path (untraced blocks only) ---
-  //
-  // On blocks the executor does NOT sample for coalescing analysis, kernels
-  // may replace per-access ld_*/alu() calls in uniform loops with one raw
-  // data view plus analytic bulk accounting. The contract is COUNTER
-  // EQUALITY: a kernel's fast branch must charge exactly the counters and
-  // lane ops its traced branch would, so KernelStats never depend on which
-  // branch ran (verified by the fast-vs-traced tests). These methods throw
-  // on traced contexts — a sampled block must replay every individual
-  // address through the coalescing model, so bulk accounting would corrupt
-  // its trace.
-
-  /// True when this thread's accesses are being recorded for coalescing /
-  /// bank-conflict / race analysis; kernels branch on this to pick the
-  /// per-access (traced) or bulk (fast) implementation of a phase.
-  [[nodiscard]] bool traced() const { return trace_.recording(); }
-
-  /// Charges `n` ALU/control instructions in one call (fast-path analogue
-  /// of calling alu() inside a loop).
-  void alu_bulk(std::uint64_t n) {
-    require_untraced();
-    lane_ops_ += n;
-  }
-
-  /// Accounts `accessed` global loads of T and returns a raw read-only
-  /// view of elements [first, first+count) for the loop body to index.
-  /// `accessed` defaults to `count` (contiguous sweep); strided loops pass
-  /// the per-lane iteration count instead, and data-dependent loops may
-  /// pass 0 here and settle the tally via ld_global_bulk() afterwards.
-  template <typename T>
-  [[nodiscard]] std::span<const T> ld_global_span(DevicePtr<T> p,
-                                                  std::uint64_t first,
-                                                  std::uint64_t count) {
-    return ld_global_span(p, first, count, count);
-  }
-  template <typename T>
-  [[nodiscard]] std::span<const T> ld_global_span(DevicePtr<T> p,
-                                                  std::uint64_t first,
-                                                  std::uint64_t count,
-                                                  std::uint64_t accessed) {
-    require_untraced();
-    ld_global_bulk(accessed, sizeof(T));
-    return gmem_->view<T>(p.byte_of(first), count);
-  }
-
-  /// Shared-memory counterpart of ld_global_span.
-  template <typename T>
-  [[nodiscard]] std::span<const T> ld_shared_span(std::size_t byte_offset,
-                                                  std::size_t count,
-                                                  std::uint64_t accessed) {
-    require_untraced();
-    ld_shared_bulk(accessed);
-    return smem_->view<T>(byte_offset, count);
-  }
-
-  /// Accounts `n` global loads of `bytes_each` without touching data —
-  /// used when the access count is only known after a data-dependent loop.
-  void ld_global_bulk(std::uint64_t n, std::uint32_t bytes_each) {
-    require_untraced();
-    counters_->global_loads += n;
-    counters_->global_load_bytes += n * bytes_each;
-    lane_ops_ += n;
-  }
-
-  /// Accounts `n` shared-memory loads without touching data.
-  void ld_shared_bulk(std::uint64_t n) {
-    require_untraced();
-    counters_->shared_loads += n;
-    lane_ops_ += n;
-  }
-
   // --- ALU accounting and intrinsics ---
   /// Charges `n` arithmetic/control instructions to this lane. Kernels call
   /// this for the work the simulator cannot see (index math, compares).
@@ -355,13 +287,6 @@ class ThreadCtx {
   [[nodiscard]] std::uint64_t lane_ops() const { return lane_ops_; }
 
  private:
-  void require_untraced() const {
-    if (trace_.recording())
-      throw SimError(
-          "ThreadCtx: bulk fast-path accounting used in a traced context "
-          "(kernels must branch on traced())");
-  }
-
   Dim3 grid_dim_, block_dim_, block_idx_, thread_idx_;
   GlobalMemory* gmem_;
   SharedMemory* smem_;
@@ -378,33 +303,31 @@ struct KernelInfo {
   int regs_per_thread = 16;             ///< occupancy estimate
 };
 
-/// Whole-block execution context for the NATIVE tier (DESIGN.md §9).
+/// Whole-block execution context for the native path (DESIGN.md §9).
 ///
 /// On untraced blocks the executor may hand the entire block to
 /// Kernel::run_block_native instead of interpreting tpb × num_phases
 /// ThreadCtx calls. A native implementation computes the block's functional
 /// effect directly on raw device data (vectorized, word-tiled, whatever the
 /// host is good at) and then settles the books with the charge_* API under
-/// the same EQUALITY contract the zero-trace fast path established: every
-/// counter and every per-lane op count must equal what the interpreter
-/// would have produced, phase by phase. One of charge_phase,
-/// charge_split_phase or charge_piecewise_phase must be called exactly
-/// once per declared phase (the executor verifies the count), which also
-/// yields the interpreter's barrier accounting.
+/// an EQUALITY contract: every counter and every per-lane op count must
+/// equal what the interpreter would have produced, phase by phase. One of
+/// charge_phase, charge_split_phase or charge_piecewise_phase must be
+/// called exactly once per declared phase (the executor verifies the
+/// count), which also yields the interpreter's barrier accounting.
 ///
-/// Data accessors (view/load/store/atomic_fetch_add) deliberately charge
-/// NOTHING — native code reads k rows once but the interpreter charged one
-/// load per thread per word, so accounting is decoupled from access.
+/// Data accessors (view/load/store) deliberately charge NOTHING — native
+/// code reads k rows once but the interpreter charged one load per thread
+/// per word, so accounting is decoupled from access.
 class BlockCtx {
  public:
   BlockCtx(Dim3 grid_dim, Dim3 block_dim, Dim3 block_idx, GlobalMemory& gmem,
-           KernelCounters& counters, std::uint64_t* lane_scratch)
+           KernelCounters& counters)
       : grid_dim_(grid_dim),
         block_dim_(block_dim),
         block_idx_(block_idx),
         gmem_(&gmem),
-        counters_(&counters),
-        lane_scratch_(lane_scratch) {
+        counters_(&counters) {
     tpb_ = block_dim.x * block_dim.y * block_dim.z;
     num_warps_ = (tpb_ + 31) / 32;
   }
@@ -432,18 +355,6 @@ class BlockCtx {
   void store(DevicePtr<T> p, std::uint64_t i, T v) {
     gmem_->store<T>(p.byte_of(i), v);
   }
-  /// Real host atomic, like ThreadCtx::atomic_add_global minus the charges.
-  std::uint32_t atomic_fetch_add(DevicePtr<std::uint32_t> p, std::uint64_t i,
-                                 std::uint32_t v) {
-    return gmem_->atomic_fetch_add_u32(p.byte_of(i), v);
-  }
-
-  /// Zero-initialized per-lane scratch (num_threads entries) for kernels
-  /// whose per-lane op counts are data-dependent; feed it to charge_phase.
-  [[nodiscard]] std::span<std::uint64_t> lane_ops_scratch() {
-    std::fill_n(lane_scratch_, tpb_, std::uint64_t{0});
-    return {lane_scratch_, tpb_};
-  }
 
   // --- bulk counter charges (block totals) ---
   void charge_global_loads(std::uint64_t n, std::uint64_t bytes) {
@@ -453,12 +364,6 @@ class BlockCtx {
   void charge_global_stores(std::uint64_t n, std::uint64_t bytes) {
     counters_->global_stores += n;
     counters_->global_store_bytes += bytes;
-  }
-  /// An atomic is a read-modify-write: 4 B each way, like the interpreter.
-  void charge_global_atomics(std::uint64_t n) {
-    counters_->global_atomics += n;
-    counters_->global_load_bytes += 4 * n;
-    counters_->global_store_bytes += 4 * n;
   }
   void charge_shared_loads(std::uint64_t n) { counters_->shared_loads += n; }
   void charge_shared_stores(std::uint64_t n) { counters_->shared_stores += n; }
@@ -565,7 +470,6 @@ class BlockCtx {
   Dim3 grid_dim_, block_dim_, block_idx_;
   GlobalMemory* gmem_;
   KernelCounters* counters_;
-  std::uint64_t* lane_scratch_;
   std::uint32_t tpb_ = 0;
   std::uint32_t num_warps_ = 0;
   std::uint32_t phases_charged_ = 0;
@@ -580,12 +484,14 @@ class Kernel {
   [[nodiscard]] virtual KernelInfo info(const LaunchConfig& cfg) const = 0;
   virtual void run_phase(std::uint32_t phase, ThreadCtx& t) const = 0;
 
-  /// NATIVE tier (DESIGN.md §9): execute one whole untraced block without
+  /// Native path (DESIGN.md §9): execute one whole untraced block without
   /// the per-thread interpreter. Return false (the default) to decline —
-  /// the executor falls back to run_phase — or compute the block's full
-  /// functional effect, settle every phase through the BlockCtx charge API,
-  /// and return true. Only ever called on blocks the coalescing sampler
-  /// skips; sampled blocks always interpret, so traces stay exact.
+  /// the executor then interprets the block through run_phase, exactly as
+  /// it interprets a sampled block but without recording — or compute the
+  /// block's full functional effect, settle every phase through the
+  /// BlockCtx charge API, and return true. Only ever called on blocks the
+  /// coalescing sampler skips; sampled blocks always interpret, so traces
+  /// stay exact. Only the kernels every GPApriori mine runs override it.
   virtual bool run_block_native(BlockCtx& b) const {
     (void)b;
     return false;

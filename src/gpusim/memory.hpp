@@ -105,7 +105,7 @@ class GlobalMemory {
   }
 
   /// Bounds-checked read-only view of `count` elements starting at `addr`
-  /// — the executor's untraced fast path reads device data through this
+  /// — native blocks (BlockCtx::view) read device data through this
   /// instead of per-element load() calls. One check covers the whole range
   /// (in strict mode the range must lie inside a single live allocation,
   /// like every individual access would have to).

@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <vector>
 
 #include "gpusim/error.hpp"
@@ -35,15 +34,6 @@ class SharedMemory {
   void store(std::size_t byte_offset, T v) {
     check(byte_offset, sizeof(T));
     std::memcpy(data_.data() + byte_offset, &v, sizeof(T));
-  }
-
-  /// Bounds-checked read-only view for the executor's untraced fast path
-  /// (one check for a whole range of loop-invariant values).
-  template <typename T>
-  [[nodiscard]] std::span<const T> view(std::size_t byte_offset,
-                                        std::size_t count) const {
-    if (count != 0) check(byte_offset, count * sizeof(T));
-    return {reinterpret_cast<const T*>(data_.data() + byte_offset), count};
   }
 
   [[nodiscard]] std::size_t size() const { return data_.size(); }

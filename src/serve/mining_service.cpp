@@ -65,6 +65,16 @@ std::string invalid_reason(const MiningRequest& r) {
   return {};
 }
 
+/// A request hit by MiningService::cancel completes kTruncated. A mine the
+/// cancel tripped already says where it stopped; anything else stops as
+/// "cancelled", keeping whatever it has.
+void mark_cancelled(MiningResult& r) {
+  if (r.status == RequestStatus::kTruncated) return;
+  r.status = RequestStatus::kTruncated;
+  r.stop_reason = "cancelled";
+  r.error.clear();
+}
+
 /// A future that already holds `r`: the answer of a request that never
 /// reaches the queue.
 std::future<MiningResult> ready(MiningResult r) {
@@ -193,6 +203,7 @@ std::future<MiningResult> MiningService::submit(MiningRequest req) {
   if (auto it = inflight_.find(key); it != inflight_.end()) {
     std::promise<MiningResult> p;
     auto fut = p.get_future();
+    pending_.emplace(req.id, it->second);
     it->second->followers.emplace_back(std::move(req.id), std::move(p));
     ++stats_.deduped;
     metrics.add(obs::Counter::kServeDeduped, 1);
@@ -247,6 +258,7 @@ std::future<MiningResult> MiningService::submit(MiningRequest req) {
   job->cost_reserved = reserved;
   auto fut = job->promise.get_future();
   inflight_[key] = job;
+  pending_.emplace(job->request.id, job);
   queue_.push_back(std::move(job));
   cv_.notify_one();
   return fut;
@@ -264,22 +276,67 @@ std::vector<MiningResult> MiningService::run_batch(
 }
 
 std::size_t MiningService::cancel(const std::string& id) {
+  std::vector<std::promise<MiningResult>> detached;
+  std::size_t hits = 0;
+  {
+    std::lock_guard lk(m_);
+    auto [it, end] = pending_.equal_range(id);
+    while (it != end) {
+      Job& job = *it->second;
+      // A follower under this id is detached and answered below; its
+      // leader keeps running for the others. (Entries of the same id and
+      // job are interchangeable, so which one is erased does not matter.)
+      const auto f = std::find_if(
+          job.followers.begin(), job.followers.end(),
+          [&](const auto& follower) { return follower.first == id; });
+      if (f != job.followers.end()) {
+        detached.push_back(std::move(f->second));
+        job.followers.erase(f);
+        it = pending_.erase(it);
+        ++hits;
+        continue;
+      }
+      if (!job.cancelled) {
+        job.cancelled = true;
+        retire_dedup(job);  // a new twin must not inherit the cancel
+        if (job.run != nullptr) job.run->request_cancel();
+        ++hits;
+      }
+      ++it;
+    }
+    stats_.cancelled += hits;
+  }
+  obs::MetricsRegistry::global().add(obs::Counter::kServeCancelled, hits);
+  for (auto& promise : detached) {
+    MiningResult r;
+    r.id = id;
+    r.deduped = true;
+    mark_cancelled(r);
+    promise.set_value(std::move(r));
+  }
+  return hits;
+}
+
+bool MiningService::start_mine(Job& job, gpapriori::RunControl* run) {
   std::lock_guard lk(m_);
-  std::size_t n = 0;
-  for (auto& j : queue_) {
-    if (j->request.id == id && !j->cancelled) {
-      j->cancelled = true;
-      ++n;
+  if (job.cancelled) return false;
+  job.run = run;
+  return true;
+}
+
+void MiningService::retire_dedup(const Job& job) {
+  const auto it = inflight_.find(dedup_key(job.request));
+  if (it != inflight_.end() && it->second.get() == &job) inflight_.erase(it);
+}
+
+void MiningService::unindex(const std::string& id, const Job& job) {
+  auto [it, end] = pending_.equal_range(id);
+  for (; it != end; ++it) {
+    if (it->second.get() == &job) {
+      pending_.erase(it);
+      return;
     }
   }
-  auto [lo, hi] = active_runs_.equal_range(id);
-  for (auto it = lo; it != hi; ++it) {
-    it->second->request_cancel();
-    ++stats_.cancelled;
-    obs::MetricsRegistry::global().add(obs::Counter::kServeCancelled, 1);
-    ++n;
-  }
-  return n;
 }
 
 void MiningService::set_fault_plan(gpusim::FaultPlan plan) {
@@ -338,7 +395,6 @@ void MiningService::worker_loop() {
           ++stats_.expired_in_queue;
         }
       }
-      if (skip_cancelled) ++stats_.cancelled;
     }
 
     const double queue_ms = ms_since(job->enqueued_at);
@@ -346,9 +402,7 @@ void MiningService::worker_loop() {
                 static_cast<std::uint64_t>(queue_ms * 1000.0));
 
     if (skip_cancelled || skip_expired) {
-      metrics.add(skip_cancelled ? obs::Counter::kServeCancelled
-                                 : obs::Counter::kServeExpiredInQueue,
-                  1);
+      if (skip_expired) metrics.add(obs::Counter::kServeExpiredInQueue, 1);
       MiningResult r;
       r.id = job->request.id;
       r.status = RequestStatus::kTruncated;
@@ -423,14 +477,18 @@ void MiningService::publish(const std::shared_ptr<Job>& job,
     std::filesystem::remove(job->checkpoint_path, ec);
   }
 
-  // Retire from the dedup index before publishing: once the promises are
-  // fulfilled a new identical request must build (or cache-hit) afresh,
-  // never attach to a completed job.
+  // Retire from the dedup and id indexes before publishing: once the
+  // promises are fulfilled a new identical request must build (or
+  // cache-hit) afresh, never attach to a completed job, and cancel() must
+  // no longer find it. A cancel that found it first decides the status.
   std::vector<std::pair<std::string, std::promise<MiningResult>>> followers;
   {
     std::lock_guard lk(m_);
-    inflight_.erase(dedup_key(job->request));
+    retire_dedup(*job);
+    unindex(job->request.id, *job);
     followers = std::move(job->followers);
+    for (const auto& follower : followers) unindex(follower.first, *job);
+    if (job->cancelled) mark_cancelled(result);
     ++stats_.completed;
     stats_.queue_wait.record(queue_ms);
     if (result.status == RequestStatus::kTruncated) ++stats_.truncated;
@@ -505,7 +563,13 @@ MiningResult MiningService::execute(Job& job) {
     r.transactions = ds.dataset->db.num_transactions();
 
     // -- Top-K short path --------------------------------------------------
+    // A top-K mine cannot be interrupted: a cancel that lands during it is
+    // applied by publish().
     if (req.top_k > 0) {
+      if (!start_mine(job, nullptr)) {
+        mark_cancelled(r);
+        return r;
+      }
       r.algo = "top-k (native)";
       const auto tk = gpapriori::mine_top_k_native(ds.dataset->db, req.top_k,
                                                    req.max_itemset_size);
@@ -616,17 +680,15 @@ MiningResult MiningService::execute(Job& job) {
       gpapriori::RunControl run(rco);
       cfg.run_control = &run;
 
-      // Register for MiningService::cancel while mining; a cancel that
-      // landed between queue-pop and here is honored immediately.
-      decltype(active_runs_)::iterator run_it;
-      {
-        std::lock_guard lk(m_);
-        run_it = active_runs_.emplace(req.id, &run);
-        if (job.cancelled) run.request_cancel();
+      // Expose the run to MiningService::cancel while mining. A request
+      // cancelled since it left the queue starts no mine.
+      if (!start_mine(job, &run)) {
+        mark_cancelled(r);
+        return r;
       }
       ScopeExit unregister{[&] {
         std::lock_guard lk(m_);
-        active_runs_.erase(run_it);
+        job.run = nullptr;
       }};
 
       auto miner = gpapriori::make_miner(algo, cfg);

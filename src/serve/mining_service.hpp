@@ -210,10 +210,16 @@ class MiningService {
   /// Submits every request, waits for all, returns results in input order.
   std::vector<MiningResult> run_batch(std::vector<MiningRequest> requests);
 
-  /// Cancels every queued or running request with this correlation id.
-  /// Queued ones complete as kTruncated without executing; running ones
-  /// get their RunControl tripped (cooperative — completed levels are
-  /// salvaged). Returns how many requests were hit.
+  /// Cancels every request with this correlation id that is not answered
+  /// yet, wherever it is between submit and its answer: queued, loading or
+  /// planning, mining, waiting to be hedged, or attached as a follower.
+  /// Every hit completes kTruncated. A queued one completes without
+  /// executing ("cancelled while queued"); one that has not started its
+  /// mine starts none, and no hedge ("cancelled"); a running threshold
+  /// mine gets its RunControl tripped (cooperative — completed levels are
+  /// salvaged), and a running top-K finishes but is answered kTruncated.
+  /// A follower is detached and answered at once; its leader keeps
+  /// running for the others. Returns how many requests were hit.
   std::size_t cancel(const std::string& id);
 
   /// Replaces the fault plan injected into every subsequent request's
@@ -256,6 +262,9 @@ class MiningService {
     CostEstimate admitted_cost;
     bool cost_reserved = false;
     bool cancelled = false;  ///< guarded by m_
+    /// The running mine's controller, for cancel() to trip; null outside
+    /// a threshold mine. Guarded by m_.
+    gpapriori::RunControl* run = nullptr;
   };
 
   void worker_loop();
@@ -263,10 +272,20 @@ class MiningService {
   /// Records the outcome of a device-tier run into the breakers.
   void feed_breakers(const std::string& algo, const MiningResult& r,
                      const gpapriori::ResilienceReport* rep);
-  /// Terminal delivery: releases admission tokens, retires the dedup
-  /// entry, satisfies followers and the job's promise, updates stats.
+  /// Terminal delivery: releases admission tokens, retires the dedup and
+  /// id entries, satisfies followers and the job's promise, updates stats.
+  /// A job cancel() hit completes kTruncated whatever its attempt returned.
   void publish(const std::shared_ptr<Job>& job, MiningResult result,
                double queue_ms);
+  /// Marks `job` as running `run` (null: not interruptible) unless it was
+  /// cancelled already, in which case it must start no mine.
+  [[nodiscard]] bool start_mine(Job& job, gpapriori::RunControl* run);
+  /// Drops `job` from inflight_ if it is the entry for its key. Caller
+  /// holds m_.
+  void retire_dedup(const Job& job);
+  /// Removes one pending_ entry of `id` that points at `job`. Caller
+  /// holds m_.
+  void unindex(const std::string& id, const Job& job);
 
   const ServiceOptions opts_;
   DatasetCache cache_;
@@ -280,8 +299,10 @@ class MiningService {
   std::deque<std::shared_ptr<Job>> queue_;
   /// dedup key -> queued-or-running job accepting followers.
   std::unordered_map<std::string, std::shared_ptr<Job>> inflight_;
-  /// correlation id -> RunControl of a currently-executing request.
-  std::unordered_multimap<std::string, gpapriori::RunControl*> active_runs_;
+  /// correlation id -> the job of every request not answered yet, from
+  /// submit() to publish(): one entry per job under its own id, and one
+  /// per follower (under the follower's id) pointing at its leader.
+  std::unordered_multimap<std::string, std::shared_ptr<Job>> pending_;
   std::optional<gpusim::FaultPlan> fault_plan_override_;
   ServiceStats stats_;
   std::uint64_t next_seq_ = 0;

@@ -4,9 +4,9 @@
 // compared with straightforward reference implementations over seeded
 // random inputs. The reference for the rows and the race check is the
 // per-lane trace the recorder used to keep (one access list per lane, then
-// a zip of every lane's n-th access into warp request n). The three-tier
-// parity tests cannot catch a divergence here, because every execution
-// tier replays its sampled blocks through the same analyzers.
+// a zip of every lane's n-th access into warp request n). The
+// traced-vs-native parity tests cannot catch a divergence here, because
+// sampled blocks always run the interpreter through the same analyzers.
 
 #include <gtest/gtest.h>
 

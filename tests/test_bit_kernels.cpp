@@ -328,10 +328,9 @@ struct SweepMemory {
 
 /// Context for block 0 of a one-block, 1-D launch.
 gpusim::BlockCtx block_ctx(std::uint32_t block, gpusim::GlobalMemory& mem,
-                           gpusim::KernelCounters& counters,
-                           std::vector<std::uint64_t>& scratch) {
+                           gpusim::KernelCounters& counters) {
   return {gpusim::Dim3{1}, gpusim::Dim3{block}, gpusim::Dim3{0, 0, 0}, mem,
-          counters, scratch.data()};
+          counters};
 }
 
 TEST(BitKernelCharges, SupportKernelMatchesPerLaneOracle) {
@@ -356,10 +355,9 @@ TEST(BitKernelCharges, SupportKernelMatchesPerLaneOracle) {
             a.k = k;
             a.supports = m.supports;
             const gpapriori::SupportKernel kernel(a, preload, unroll);
-            std::vector<std::uint64_t> scratch(block);
             gpusim::KernelCounters got, want;
-            gpusim::BlockCtx bg = block_ctx(block, m.mem, got, scratch);
-            gpusim::BlockCtx bw = block_ctx(block, m.mem, want, scratch);
+            gpusim::BlockCtx bg = block_ctx(block, m.mem, got);
+            gpusim::BlockCtx bw = block_ctx(block, m.mem, want);
             if (!kernel.run_block_native(bg)) {
               EXPECT_GT(k, 256u) << what;  // only over-long candidates decline
               continue;
@@ -406,10 +404,9 @@ TEST(BitKernelCharges, TiledKernelMatchesPerLaneOracle) {
             a.k = k;
             a.supports = m.supports;
             const gpapriori::TiledSupportKernel kernel(a, unroll);
-            std::vector<std::uint64_t> scratch(block);
             gpusim::KernelCounters got, want;
-            gpusim::BlockCtx bg = block_ctx(block, m.mem, got, scratch);
-            gpusim::BlockCtx bw = block_ctx(block, m.mem, want, scratch);
+            gpusim::BlockCtx bg = block_ctx(block, m.mem, got);
+            gpusim::BlockCtx bw = block_ctx(block, m.mem, want);
             ASSERT_TRUE(kernel.run_block_native(bg)) << what;
             oracle::charge_tiled(bw, k, W, G, unroll);
             expect_counters_eq(got, want, what);

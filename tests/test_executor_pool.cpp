@@ -1,8 +1,9 @@
 // Block-parallel executor drills: for every host_threads value the
 // simulator must produce byte-identical device memory, KernelStats, mining
 // output, and fault accounting — parallelism may only change wall-clock
-// time. Also pins the zero-trace fast path's counter-equality contract and
-// the analytic unroll loop-control accounting.
+// time. Also pins the support kernel's counter equality between the traced
+// interpreter and the native path (untraced blocks run native by default),
+// and the unroll loop-control accounting.
 
 #include <gtest/gtest.h>
 
@@ -186,7 +187,8 @@ TEST(ExecutorPool, ResolveHostThreadsPrecedence) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-trace fast path: counter equality with the traced path.
+// Support kernel: the traced interpreter (sample_stride 1) against the
+// native path every untraced block takes by default (sample_stride 0).
 
 struct SupportSetup {
   fim::BitsetStore store;
@@ -250,33 +252,33 @@ KernelStats run_support(const SupportSetup& s, bool preload,
   return stats;
 }
 
-TEST(FastPath, SupportKernelCounterEqualToTracedPath) {
+TEST(TracedVsNative, SupportKernelCounterEqualToTracedPath) {
   for (const bool preload : {true, false}) {
     for (const std::uint32_t unroll : {1u, 4u}) {
       const auto s = make_support_setup(900, 3);
-      std::vector<std::uint32_t> sup_traced, sup_fast;
+      std::vector<std::uint32_t> sup_traced, sup_native;
       const auto traced =
           run_support(s, preload, unroll, 64, /*stride=*/1, &sup_traced);
-      const auto fast =
-          run_support(s, preload, unroll, 64, /*stride=*/0, &sup_fast);
+      const auto native =
+          run_support(s, preload, unroll, 64, /*stride=*/0, &sup_native);
       const std::string what = std::string("preload=") +
                                (preload ? "1" : "0") + " unroll=" +
                                std::to_string(unroll);
-      expect_counters_eq(traced.counters, fast.counters, what.c_str());
-      EXPECT_EQ(sup_traced, sup_fast) << what;
+      expect_counters_eq(traced.counters, native.counters, what.c_str());
+      EXPECT_EQ(sup_traced, sup_native) << what;
       EXPECT_GT(traced.sampled_blocks, 0u);
-      EXPECT_EQ(fast.sampled_blocks, 0u);
+      EXPECT_EQ(native.sampled_blocks, 0u);
       // Cross-check against the CPU popcount oracle.
-      for (std::size_t i = 0; i < sup_fast.size(); ++i) {
+      for (std::size_t i = 0; i < sup_native.size(); ++i) {
         const auto expect = s.store.and_popcount(
             std::span<const std::uint32_t>(s.flat).subspan(i * s.k, s.k));
-        ASSERT_EQ(sup_fast[i], expect) << i;
+        ASSERT_EQ(sup_native[i], expect) << i;
       }
     }
   }
 }
 
-TEST(FastPath, SupportKernelPinnedUnrollAccounting) {
+TEST(TracedVsNative, SupportKernelPinnedUnrollAccounting) {
   // Exact shape, hand-computed: block=32 (one warp), k=1, preload off,
   // unroll=3, 7 payload words, one candidate.
   //  phase 1, tids 0..6 (1 iteration each): row load + bitset load + AND +
@@ -302,36 +304,10 @@ TEST(FastPath, SupportKernelPinnedUnrollAccounting) {
   }
 }
 
-TEST(FastPath, SupportKernelRejectsNonPowerOfTwoBlock) {
+TEST(TracedVsNative, SupportKernelRejectsNonPowerOfTwoBlock) {
   const auto s = make_support_setup(100, 2);
   EXPECT_THROW(run_support(s, true, 4, 96, 1), LaunchError);
   EXPECT_THROW(run_support(s, true, 4, 48, 0), LaunchError);
-}
-
-TEST(FastPath, BulkAccountingThrowsInTracedContext) {
-  GlobalMemory mem(1 << 12);
-  SharedMemory smem(64);
-  KernelCounters counters;
-  detail::BlockRecorder recorder;
-  recorder.begin_phase(1);
-  ThreadCtx traced(Dim3{1}, Dim3{1}, Dim3{0}, Dim3{0}, mem, smem, counters,
-                   &recorder);
-  EXPECT_TRUE(traced.traced());
-  EXPECT_THROW(traced.alu_bulk(3), SimError);
-  EXPECT_THROW(traced.ld_global_bulk(1, 4), SimError);
-  EXPECT_THROW(traced.ld_shared_bulk(1), SimError);
-  auto p = mem.alloc<std::uint32_t>(8);
-  EXPECT_THROW((void)traced.ld_global_span(p, 0, 8), SimError);
-  EXPECT_THROW((void)traced.ld_shared_span<std::uint32_t>(0, 4, 4), SimError);
-
-  ThreadCtx fast(Dim3{1}, Dim3{1}, Dim3{0}, Dim3{0}, mem, smem, counters,
-                 nullptr);
-  EXPECT_FALSE(fast.traced());
-  fast.alu_bulk(3);
-  fast.ld_global_bulk(2, 4);
-  EXPECT_EQ(counters.global_loads, 2u);
-  EXPECT_EQ(counters.global_load_bytes, 8u);
-  EXPECT_EQ(fast.lane_ops(), 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,7 +331,7 @@ TEST_P(MiningDeterminism, ByteIdenticalAcrossHostThreads) {
   auto run = [&](std::uint32_t threads) {
     gpapriori::Config cfg;
     cfg.arena_bytes = 64 << 20;
-    cfg.sample_stride = 8;  // mix of traced and fast-path blocks
+    cfg.sample_stride = 8;  // mix of traced and native blocks
     cfg.host_threads = threads;
     gpapriori::GpApriori miner(cfg);
     auto out = miner.mine(db, p);

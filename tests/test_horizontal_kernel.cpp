@@ -5,6 +5,7 @@
 #include "core/support_kernel.hpp"
 #include "fim/bitset_ops.hpp"
 #include "gpusim/device_context.hpp"
+#include "gpusim/error.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -89,6 +90,31 @@ TEST(HorizontalKernel, TripleCandidates) {
   dev.copy_to_host(std::span<std::uint32_t>(sup), u.args.supports);
   for (std::size_t i = 0; i < cands.size(); ++i)
     EXPECT_EQ(sup[i], testutil::naive_support(db, cands[i]));
+}
+
+/// Launches the pair-count over random_db(100, 6) with `cfg`.
+void launch_pairs(const gpusim::LaunchConfig& cfg) {
+  const auto db = testutil::random_db(100, 6, 0.5, 603);
+  DeviceOptions opts;
+  opts.arena_bytes = 8 << 20;
+  opts.strict_memory = true;
+  Device dev(DeviceProperties::tesla_t10(), opts);
+  const auto u = upload(dev, db, {{0, 1}, {2, 3}});
+  HorizontalCountKernel kernel(u.args);
+  dev.launch(kernel, cfg);
+}
+
+// A thread's first transaction and the grid stride count x only: a 2-D
+// block or grid would walk the same transactions twice, so both are
+// rejected before any block runs.
+TEST(HorizontalKernel, RejectsABlockThatIsNot1D) {
+  EXPECT_THROW(launch_pairs({gpusim::Dim3{4}, gpusim::Dim3{32, 2}}),
+               gpusim::LaunchError);
+}
+
+TEST(HorizontalKernel, RejectsAGridThatIsNot1D) {
+  EXPECT_THROW(launch_pairs({gpusim::Dim3{1, 2}, gpusim::Dim3{64}}),
+               gpusim::LaunchError);
 }
 
 TEST(HorizontalKernel, ExhibitsTheIrregularityThePaperDescribes) {

@@ -78,9 +78,10 @@ TEST(MinerOutputContract, LevelwiseStatsSumToCollection) {
     // Per-level counts by size agree with the collection's histogram.
     const auto by_size = out.itemsets.counts_by_size();
     for (const auto& lvl : out.levels) {
-      if (lvl.level < by_size.size())
+      if (lvl.level < by_size.size()) {
         EXPECT_EQ(by_size[lvl.level], lvl.frequent)
             << m->name() << " level " << lvl.level;
+      }
     }
   }
 }

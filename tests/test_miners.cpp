@@ -154,8 +154,8 @@ TEST_P(MinerCommon, ReportsWallTime) {
 
 INSTANTIATE_TEST_SUITE_P(AllMiners, MinerCommon,
                          testing::ValuesIn(kMinerNames),
-                         [](const testing::TestParamInfo<const char*>& info) {
-                           std::string n = info.param;
+                         [](const testing::TestParamInfo<const char*>& p) {
+                           std::string n = p.param;
                            for (char& ch : n)
                              if (!std::isalnum(static_cast<unsigned char>(ch)))
                                ch = '_';

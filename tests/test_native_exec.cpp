@@ -1,19 +1,17 @@
-// NATIVE execution tier drills (DESIGN.md §9): whole-block vectorized
-// execution must be invisible in everything but wall-clock time. Per-kernel
-// native-vs-interpreted runs demand byte-identical device output and
-// field-exact KernelStats; dispatch guards pin that sampled (traced) blocks
-// never take the native path and that --no-native / GPAPRIORI_NO_NATIVE
-// restore the interpreter bit-for-bit; fault plans fire identically on both
-// paths because injection is launch-granular.
+// Native path drills (DESIGN.md §9): whole-block vectorized execution must
+// be invisible in everything but wall-clock time. Per-kernel native-vs-
+// interpreted runs demand byte-identical device output and field-exact
+// KernelStats; dispatch guards pin that sampled (traced) blocks never take
+// the native path and that ExecutorOptions::native = false (--no-native)
+// restores the interpreter bit-for-bit; a default mine interprets only its
+// sampled blocks; fault plans fire identically on both paths because
+// injection is launch-granular.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <iterator>
 #include <numeric>
-#include <random>
 #include <span>
 #include <string>
 #include <thread>
@@ -22,9 +20,7 @@
 #include <vector>
 
 #include "core/gpapriori_all.hpp"
-#include "core/horizontal_kernel.hpp"
 #include "core/support_kernel.hpp"
-#include "core/tidset_kernel.hpp"
 #include "datagen/datagen.hpp"
 #include "fim/bitset_ops.hpp"
 #include "gpusim/device_context.hpp"
@@ -152,21 +148,6 @@ TEST(NativeDispatch, OptionsKnobDisablesNative) {
   EXPECT_EQ(off.out, on.out);
 }
 
-TEST(NativeDispatch, EnvVarDisablesNative) {
-  ::setenv("GPAPRIORI_NO_NATIVE", "1", 1);
-  EXPECT_FALSE(resolve_native({.native = true}));
-  EXPECT_EQ(run_probe(0, true).native_calls, 0u);
-  // "0" and empty mean "not disabled", mirroring boolean env conventions.
-  ::setenv("GPAPRIORI_NO_NATIVE", "0", 1);
-  EXPECT_TRUE(resolve_native({.native = true}));
-  ::setenv("GPAPRIORI_NO_NATIVE", "", 1);
-  EXPECT_TRUE(resolve_native({.native = true}));
-  ::unsetenv("GPAPRIORI_NO_NATIVE");
-  EXPECT_TRUE(resolve_native({.native = true}));
-  EXPECT_FALSE(resolve_native({.native = false}));
-  EXPECT_EQ(run_probe(0, true).native_calls, 64u);
-}
-
 TEST(NativeDispatch, NativeRunsOnEveryPoolWorkerCount) {
   const auto ref = run_probe(8, true, 1);
   const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
@@ -271,10 +252,8 @@ SupportRun run_support(const SupportSetup& s, bool preload,
 
 void drill_support(const SupportSetup& s, bool preload, std::uint32_t unroll,
                    std::uint32_t block, const std::string& what) {
-  // Reference: every block traced (pure interpreter).
+  // Reference: every block traced (the interpreter).
   const auto traced = run_support(s, preload, unroll, block, 1, true);
-  // Interpreted zero-trace fast path (native declined).
-  const auto interp = run_support(s, preload, unroll, block, 0, false);
   // Native whole-block path.
   const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
   for (std::uint32_t threads : {1u, 2u, hw}) {
@@ -282,8 +261,6 @@ void drill_support(const SupportSetup& s, bool preload, std::uint32_t unroll,
     const std::string w = what + " host_threads=" + std::to_string(threads);
     expect_counters_eq(traced.stats.counters, native.stats.counters,
                        w + " traced-vs-native");
-    expect_counters_eq(interp.stats.counters, native.stats.counters,
-                       w + " interp-vs-native");
     EXPECT_EQ(traced.supports, native.supports) << w;
   }
   // Oracle cross-check.
@@ -315,8 +292,8 @@ TEST(NativeSupport, SyntheticShapeSweep) {
 }
 
 TEST(NativeSupport, PinnedUnrollAccountingHoldsOnTheNativePath) {
-  // The hand-computed 207-instruction shape from the fast-path drills must
-  // come out of the closed-form native accounting too.
+  // The hand-computed 207-instruction shape of the TracedVsNative drills
+  // must come out of the closed-form native accounting too.
   const auto db = testutil::random_db(7 * 32, 8, 0.5, 11);
   std::vector<fim::Item> rows;
   for (fim::Item x = 0; x < 8; ++x) rows.push_back(x);
@@ -377,147 +354,6 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// TidsetJoinKernel: data-dependent binary searches.
-
-TEST(NativeTidset, JoinCounterExactAndByteIdentical) {
-  // Pooled sorted tid lists of assorted lengths, including empty ones.
-  std::mt19937_64 rng(99);
-  std::vector<std::uint32_t> tids;
-  std::vector<std::uint32_t> table;  // {a_start, a_len, b_start, b_len}
-  constexpr std::uint32_t pairs = 40;
-  for (std::uint32_t p = 0; p < pairs; ++p) {
-    auto make_list = [&](std::uint32_t max_len) {
-      const auto start = static_cast<std::uint32_t>(tids.size());
-      const std::uint32_t len =
-          p == 0 ? 0 : static_cast<std::uint32_t>(rng() % max_len);
-      std::uint32_t v = 0;
-      for (std::uint32_t i = 0; i < len; ++i) {
-        v += 1 + static_cast<std::uint32_t>(rng() % 5);
-        tids.push_back(v);
-      }
-      return std::pair(start, len);
-    };
-    const auto [as, al] = make_list(400);
-    const auto [bs, bl] = make_list(600);
-    table.insert(table.end(), {as, al, bs, bl});
-  }
-
-  auto run = [&](std::uint64_t stride, bool native,
-                 std::uint32_t host_threads) {
-    DeviceOptions opts;
-    opts.arena_bytes = 16 << 20;
-    opts.strict_memory = true;
-    opts.executor.sample_stride = stride;
-    opts.executor.native = native;
-    opts.executor.host_threads = host_threads;
-    Device dev(props, opts);
-    auto d_tids = dev.alloc<std::uint32_t>(std::max<std::size_t>(tids.size(), 1));
-    if (!tids.empty())
-      dev.copy_to_device(d_tids, std::span<const std::uint32_t>(tids));
-    auto d_table = dev.alloc<std::uint32_t>(table.size());
-    dev.copy_to_device(d_table, std::span<const std::uint32_t>(table));
-    auto d_out = dev.alloc<std::uint32_t>(pairs);
-    gpapriori::TidsetJoinKernel kernel({d_tids, d_table, d_out});
-    auto stats = dev.launch(kernel, {Dim3{pairs}, Dim3{64}});
-    std::vector<std::uint32_t> out(pairs);
-    dev.copy_to_host(std::span<std::uint32_t>(out), d_out);
-    return std::pair(std::move(stats), std::move(out));
-  };
-
-  const auto [traced_stats, traced_out] = run(1, true, 1);
-  const auto [interp_stats, interp_out] = run(0, false, 1);
-  const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-  for (std::uint32_t threads : {1u, 2u, hw}) {
-    const auto [native_stats, native_out] = run(0, true, threads);
-    const std::string w = "host_threads=" + std::to_string(threads);
-    expect_counters_eq(traced_stats.counters, native_stats.counters,
-                       w + " traced-vs-native");
-    expect_counters_eq(interp_stats.counters, native_stats.counters,
-                       w + " interp-vs-native");
-    EXPECT_EQ(traced_out, native_out) << w;
-  }
-  // Oracle: intersection sizes of the underlying lists.
-  for (std::uint32_t p = 0; p < pairs; ++p) {
-    const auto a0 = table[p * 4 + 0], al = table[p * 4 + 1];
-    const auto b0 = table[p * 4 + 2], bl = table[p * 4 + 3];
-    std::vector<std::uint32_t> inter;
-    std::set_intersection(tids.begin() + a0, tids.begin() + a0 + al,
-                          tids.begin() + b0, tids.begin() + b0 + bl,
-                          std::back_inserter(inter));
-    EXPECT_EQ(traced_out[p], inter.size()) << "pair " << p;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// HorizontalCountKernel: atomics + ragged loops.
-
-TEST(NativeHorizontal, CountCounterExactAndByteIdentical) {
-  const auto db = testutil::random_db(400, 12, 0.35, 4242);
-  std::vector<std::uint32_t> items, offsets{0};
-  for (std::size_t t = 0; t < db.num_transactions(); ++t) {
-    for (const auto item : db.transaction(t))
-      items.push_back(static_cast<std::uint32_t>(item));
-    offsets.push_back(static_cast<std::uint32_t>(items.size()));
-  }
-  const std::uint32_t k = 2;
-  const auto flat = all_combos(8, k);
-  const auto ncand = static_cast<std::uint32_t>(flat.size() / k);
-
-  auto run = [&](std::uint64_t stride, bool native,
-                 std::uint32_t host_threads) {
-    DeviceOptions opts;
-    opts.arena_bytes = 16 << 20;
-    opts.strict_memory = true;
-    opts.executor.sample_stride = stride;
-    opts.executor.native = native;
-    opts.executor.host_threads = host_threads;
-    Device dev(props, opts);
-    auto d_items = dev.alloc<std::uint32_t>(items.size());
-    dev.copy_to_device(d_items, std::span<const std::uint32_t>(items));
-    auto d_offs = dev.alloc<std::uint32_t>(offsets.size());
-    dev.copy_to_device(d_offs, std::span<const std::uint32_t>(offsets));
-    auto d_cand = dev.alloc<std::uint32_t>(flat.size());
-    dev.copy_to_device(d_cand, std::span<const std::uint32_t>(flat));
-    auto d_sup = dev.alloc<std::uint32_t>(ncand);
-    const std::vector<std::uint32_t> zeros(ncand, 0);
-    dev.copy_to_device(d_sup, std::span<const std::uint32_t>(zeros));
-    gpapriori::HorizontalCountKernel::Args args;
-    args.items = d_items;
-    args.offsets = d_offs;
-    args.num_transactions = static_cast<std::uint32_t>(db.num_transactions());
-    args.candidates = d_cand;
-    args.num_candidates = ncand;
-    args.k = k;
-    args.supports = d_sup;
-    gpapriori::HorizontalCountKernel kernel(args);
-    auto stats = dev.launch(kernel, {Dim3{8}, Dim3{64}});
-    std::vector<std::uint32_t> out(ncand);
-    dev.copy_to_host(std::span<std::uint32_t>(out), d_sup);
-    return std::pair(std::move(stats), std::move(out));
-  };
-
-  const auto [traced_stats, traced_out] = run(1, true, 1);
-  const auto [interp_stats, interp_out] = run(0, false, 1);
-  const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-  for (std::uint32_t threads : {1u, 2u, hw}) {
-    const auto [native_stats, native_out] = run(0, true, threads);
-    const std::string w = "host_threads=" + std::to_string(threads);
-    expect_counters_eq(traced_stats.counters, native_stats.counters,
-                       w + " traced-vs-native");
-    expect_counters_eq(interp_stats.counters, native_stats.counters,
-                       w + " interp-vs-native");
-    EXPECT_EQ(traced_out, native_out) << w;
-  }
-  // Oracle: naive per-candidate containment counts.
-  for (std::uint32_t c = 0; c < ncand; ++c) {
-    fim::Itemset cand;
-    for (std::uint32_t i = 0; i < k; ++i)
-      cand = cand.with(static_cast<fim::Item>(flat[c * k + i]));
-    EXPECT_EQ(traced_out[c], testutil::naive_support(db, cand)) << c;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end mining: native on/off across datasets and worker counts.
 
 struct MiningCase {
@@ -573,6 +409,42 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<MiningCase>& p) {
       return std::string(p.param.name);
     });
+
+TEST(NativeMining, DefaultMineInterpretsOnlyItsSampledBlocks) {
+  // Every untraced block of a default mine goes native, so the interpreter
+  // runs exactly the sampled blocks. A block the native path declined
+  // would cost the plain interpreter instead.
+  const MiningCase cases[] = {
+      {datagen::DatasetId::kChess, "chess", 0.06, 0.75},
+      {datagen::DatasetId::kT40I10D100K, "t40", 0.006, 0.05}};
+  for (const MiningCase& c : cases) {
+    const auto db = datagen::profile(c.id).generate(c.scale);
+    miners::MiningParams p;
+    p.min_support_ratio = c.support;
+    for (const bool tiled : {true, false}) {
+      for (const std::uint32_t threads : {1u, 2u}) {
+        gpapriori::Config cfg;
+        cfg.arena_bytes = 64 << 20;
+        cfg.tiled = tiled;
+        cfg.host_threads = threads;
+        gpapriori::GpApriori miner(cfg);
+        (void)miner.mine(db, p);
+        std::uint64_t blocks = 0, native = 0, sampled = 0;
+        for (const KernelStats& s : miner.launch_history()) {
+          blocks += s.counters.blocks;
+          native += s.native_blocks;
+          sampled += s.sampled_blocks;
+        }
+        const std::string what = std::string(c.name) + " tiled=" +
+                                 std::to_string(tiled) +
+                                 " host_threads=" + std::to_string(threads);
+        EXPECT_GT(sampled, 0u) << what;
+        // interpreted_blocks (= blocks - native) == sampled_blocks
+        EXPECT_EQ(native + sampled, blocks) << what;
+      }
+    }
+  }
+}
 
 TEST(NativeMining, FaultPlansFireIdenticallyOnBothPaths) {
   // Injection is launch-granular (Device::launch fires on_launch before the

@@ -2,13 +2,16 @@
 // produce byte-identical itemsets to N serial mine() calls, the dataset
 // cache accounts hits/misses/evictions correctly, admission control
 // rejects past the queue bound, a per-request deadline salvages completed
-// levels, identical in-flight requests dedup onto one execution, and the
+// levels, identical in-flight requests dedup onto one execution, a cancel
+// reaches a request wherever it is before its answer, and the
 // request-file parser rejects malformed input with line context.
 
 #include "serve/mining_service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -632,6 +635,153 @@ TEST(MiningServiceTest, CancelHitsQueuedAndRunningRequests) {
     EXPECT_EQ(ran.status, RequestStatus::kOk) << ran.error;
   }
   EXPECT_GE(service.stats().cancelled, 1u + hit_running);
+}
+
+/// A FIMI file that takes long to parse and mines in a blink: items 0-3
+/// are in every transaction, and the other 12 items of each are spread
+/// over 5000 ids, none of them frequent at support 0.5.
+std::string write_slow_parse_file(const std::string& name) {
+  const std::string path = scratch(name);
+  std::ofstream f(path);
+  std::array<std::uint32_t, 12> rest{};
+  for (std::uint32_t t = 0; t < 200000; ++t) {
+    for (std::uint32_t j = 0; j < rest.size(); ++j)
+      rest[j] = 4 + (t * 7 + j * 401) % 5000;
+    std::sort(rest.begin(), rest.end());
+    f << "0 1 2 3";
+    for (const std::uint32_t item : rest) f << ' ' << item;
+    f << '\n';
+  }
+  return path;
+}
+
+/// Polls `done` until it holds, for at most a minute.
+template <typename F>
+bool eventually(F done) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::minutes(1);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+/// Whether the service's worker has started loading a dataset file: the
+/// cache counts the miss before it parses.
+bool parse_started(const MiningService& service) {
+  return service.stats().cache.db_misses != 0;
+}
+
+TEST(MiningServiceTest, CancelReachesARequestLoadingItsDataset) {
+  const std::string path = write_slow_parse_file("cancel_loading.dat");
+  ServiceOptions so;
+  so.workers = 1;
+  MiningService service(so);
+  auto f = service.submit(req("loading", path, 0.5, "CPU_TEST"));
+  ASSERT_TRUE(eventually([&] { return parse_started(service); }));
+  EXPECT_EQ(service.cancel("loading"), 1u);
+  const auto r = f.get();
+  EXPECT_EQ(r.status, RequestStatus::kTruncated) << r.error;
+  EXPECT_EQ(r.stop_reason, "cancelled");
+  EXPECT_EQ(r.itemsets.size(), 0u);  // its mine never started
+  EXPECT_EQ(service.stats().cancelled, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(MiningServiceTest, CancelledRequestStartsNoHedge) {
+  // Its device attempt would fail and be hedged onto CPU_TEST; cancelled
+  // before the mine, it starts neither the attempt nor the hedge.
+  const std::string path = write_slow_parse_file("cancel_nohedge.dat");
+  ServiceOptions so;
+  so.workers = 1;
+  so.base_config.allow_degradation = false;
+  MiningService service(so);
+  service.set_fault_plan(gpusim::FaultPlan::parse("launch#1+=timeout"));
+  auto f = service.submit(req("doomed", path, 0.5, "GPApriori"));
+  ASSERT_TRUE(eventually([&] { return parse_started(service); }));
+  EXPECT_EQ(service.cancel("doomed"), 1u);
+  const auto r = f.get();
+  EXPECT_EQ(r.status, RequestStatus::kTruncated) << r.error;
+  EXPECT_EQ(r.stop_reason, "cancelled");
+  EXPECT_EQ(r.hedges, 0u);
+  EXPECT_EQ(service.stats().hedges, 0u);
+  EXPECT_EQ(service.stats().errors, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(MiningServiceTest, CancelReachesARunningTopK) {
+  // Top-K registers no RunControl: the cancel cannot stop it, but the
+  // request still completes kTruncated.
+  ServiceOptions so;
+  so.workers = 1;
+  MiningService service(so);
+  service.register_dataset("dense", testutil::random_db(6000, 80, 0.4, 5));
+  MiningRequest topk = req("topk", "dense", 0);
+  topk.top_k = 100000;
+  auto f = service.submit(topk);
+  // The handle's cache hit comes right before the mine starts.
+  ASSERT_TRUE(
+      eventually([&] { return service.stats().cache.db_hits != 0; }));
+  EXPECT_EQ(service.cancel("topk"), 1u);
+  const auto r = f.get();
+  EXPECT_EQ(r.status, RequestStatus::kTruncated) << r.error;
+  EXPECT_EQ(r.stop_reason, "cancelled");
+  EXPECT_EQ(service.stats().cancelled, 1u);
+}
+
+TEST(MiningServiceTest, CancelDetachesAFollowerAndItsLeaderKeepsRunning) {
+  ServiceOptions so;
+  so.workers = 1;
+  MiningService service(so);
+  service.register_dataset("slow", slow_db());
+  service.register_dataset("small", small_db());
+
+  // Occupy the single worker so the leader is still queued when its twin
+  // attaches as a follower.
+  auto f_busy = service.submit(req("busy", "slow", 0.05, "CPU_TEST"));
+  auto f_lead = service.submit(req("lead", "small", 0.3, "GPApriori"));
+  auto f_twin = service.submit(req("twin", "small", 0.3, "GPApriori"));
+  ASSERT_EQ(service.stats().deduped, 1u);
+
+  EXPECT_EQ(service.cancel("twin"), 1u);
+  ASSERT_EQ(f_twin.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);  // answered by the cancel itself
+  const auto twin = f_twin.get();
+  EXPECT_EQ(twin.id, "twin");
+  EXPECT_EQ(twin.status, RequestStatus::kTruncated);
+  EXPECT_EQ(twin.stop_reason, "cancelled");
+  EXPECT_TRUE(twin.deduped);
+  EXPECT_EQ(twin.itemsets.size(), 0u);
+  EXPECT_EQ(service.cancel("twin"), 0u);  // answered: nothing left to hit
+
+  const auto lead = f_lead.get();
+  EXPECT_EQ(lead.status, RequestStatus::kOk) << lead.error;
+  EXPECT_GT(lead.itemsets.size(), 0u);
+  EXPECT_EQ(f_busy.get().status, RequestStatus::kOk);
+  EXPECT_EQ(service.stats().cancelled, 1u);
+}
+
+TEST(MiningServiceTest, CancelledRequestTakesNoNewFollowers) {
+  ServiceOptions so;
+  so.workers = 1;
+  MiningService service(so);
+  service.register_dataset("slow", slow_db());
+  service.register_dataset("small", small_db());
+
+  auto f_busy = service.submit(req("busy", "slow", 0.05, "CPU_TEST"));
+  auto f_gone = service.submit(req("gone", "small", 0.3, "GPApriori"));
+  EXPECT_EQ(service.cancel("gone"), 1u);
+  // An identical request arriving after the cancel must not inherit it.
+  auto f_fresh = service.submit(req("fresh", "small", 0.3, "GPApriori"));
+
+  const auto gone = f_gone.get();
+  EXPECT_EQ(gone.status, RequestStatus::kTruncated);
+  const auto fresh = f_fresh.get();
+  EXPECT_EQ(fresh.status, RequestStatus::kOk) << fresh.error;
+  EXPECT_FALSE(fresh.deduped);
+  EXPECT_GT(fresh.itemsets.size(), 0u);
+  EXPECT_EQ(f_busy.get().status, RequestStatus::kOk);
 }
 
 // -- Shutdown drain ---------------------------------------------------------

@@ -7,6 +7,7 @@
 #include "core/candidate_trie.hpp"
 #include "fim/bitset_ops.hpp"
 #include "gpusim/device_context.hpp"
+#include "gpusim/error.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -233,14 +234,14 @@ TEST(SupportKernel, PhaseCountFormula) {
 }
 
 // ---------------------------------------------------------------------------
-// Edge shapes, checked on all three execution paths (traced interpreter,
-// zero-trace interpreter, whole-block native): identical supports AND
-// identical aggregate counters (the DESIGN.md §9 contract).
+// Edge shapes, checked on both execution paths (traced interpreter,
+// whole-block native): identical supports AND identical aggregate counters
+// (the DESIGN.md §9 contract).
 
 /// Launches the kernel under one executor configuration.
 std::pair<std::vector<std::uint32_t>, gpusim::KernelStats> run_configured(
     const BitsetStore& store, const std::vector<std::uint32_t>& flat,
-    std::uint32_t k, std::uint32_t ncand, std::uint32_t block, bool preload,
+    std::uint32_t k, std::uint32_t ncand, gpusim::Dim3 block, bool preload,
     std::uint64_t sample_stride, bool native) {
   DeviceOptions opts;
   opts.arena_bytes = 16 << 20;
@@ -264,8 +265,7 @@ std::pair<std::vector<std::uint32_t>, gpusim::KernelStats> run_configured(
   args.k = k;
   args.supports = d_sup;
   SupportKernel kernel(args, preload, 4);
-  const auto stats =
-      dev.launch(kernel, {gpusim::Dim3{ncand}, gpusim::Dim3{block}});
+  const auto stats = dev.launch(kernel, {gpusim::Dim3{ncand}, block});
   std::vector<std::uint32_t> sup(ncand);
   dev.copy_to_host(std::span<std::uint32_t>(sup), d_sup);
   return {sup, stats};
@@ -278,12 +278,9 @@ void expect_edge_parity(const BitsetStore& store,
                         const std::vector<std::uint32_t>& expect) {
   const auto [s_traced, traced] =
       run_configured(store, flat, k, ncand, block, preload, 1, false);
-  const auto [s_plain, plain] =
-      run_configured(store, flat, k, ncand, block, preload, 0, false);
   const auto [s_native, native] =
       run_configured(store, flat, k, ncand, block, preload, 0, true);
   EXPECT_EQ(s_traced, expect);
-  EXPECT_EQ(s_plain, expect);
   EXPECT_EQ(s_native, expect);
   const auto eq = [](const gpusim::KernelCounters& a,
                      const gpusim::KernelCounters& b, const char* what) {
@@ -295,7 +292,6 @@ void expect_edge_parity(const BitsetStore& store,
     EXPECT_EQ(a.thread_instructions, b.thread_instructions) << what;
     EXPECT_EQ(a.barriers, b.barriers) << what;
   };
-  eq(traced.counters, plain.counters, "traced vs untraced");
   eq(traced.counters, native.counters, "traced vs native");
 }
 
@@ -351,6 +347,20 @@ TEST(SupportKernelEdge, PreloadZeroQuirkWhenKExceedsBlock) {
   const std::uint32_t full[] = {1, 2, 4};
   expect_edge_parity(store, flat, 3, 1, 2, false,
                      {store.and_popcount(full)});
+}
+
+/// Threads and partials are indexed by x alone, so a 2-D block would write
+/// each partial slot twice: it is rejected before any block runs.
+TEST(SupportKernelEdge, RejectsABlockThatIsNot1D) {
+  const auto db = testutil::random_db(100, 4, 0.5, 31);
+  std::vector<fim::Item> rows{0, 1, 2, 3};
+  const auto store = BitsetStore::from_db(db, rows);
+  const std::vector<std::uint32_t> flat{0, 1};
+  for (const bool native : {false, true})
+    EXPECT_THROW(run_configured(store, flat, 2, 1, gpusim::Dim3{32, 2}, true,
+                                0, native),
+                 gpusim::LaunchError)
+        << "native=" << native;
 }
 
 }  // namespace

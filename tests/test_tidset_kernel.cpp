@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <vector>
 
 #include "fim/vertical.hpp"
 #include "gpusim/device_context.hpp"
+#include "gpusim/error.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -36,7 +38,7 @@ JoinSetup make_setup(const std::vector<std::pair<std::vector<fim::Tid>,
   return s;
 }
 
-std::vector<std::uint32_t> run_join(const JoinSetup& s, std::uint32_t block,
+std::vector<std::uint32_t> run_join(const JoinSetup& s, gpusim::Dim3 block,
                                     gpusim::KernelStats* stats_out = nullptr) {
   DeviceOptions opts;
   opts.arena_bytes = 16 << 20;
@@ -54,7 +56,7 @@ std::vector<std::uint32_t> run_join(const JoinSetup& s, std::uint32_t block,
   TidsetJoinKernel kernel(args);
   const auto stats = dev.launch(
       kernel, {gpusim::Dim3{static_cast<std::uint32_t>(s.pairs.size())},
-               gpusim::Dim3{block}});
+               block});
   if (stats_out) *stats_out = stats;
   std::vector<std::uint32_t> out(s.pairs.size());
   dev.copy_to_host(std::span<std::uint32_t>(out), args.out);
@@ -94,6 +96,23 @@ TEST(TidsetJoinKernel, EmptyListsYieldZero) {
   EXPECT_EQ(out[0], 0u);
   EXPECT_EQ(out[1], 0u);
   EXPECT_EQ(out[2], 0u);
+}
+
+// Shapes the kernel would miscount are rejected before any block runs:
+// threads and partials are indexed by x alone, and the tree reduction
+// halves blockDim.x every phase.
+TEST(TidsetJoinKernel, RejectsABlockThatIsNot1D) {
+  const auto s = make_setup({{{0, 1, 2}, {0, 1, 2}}});
+  EXPECT_THROW(run_join(s, gpusim::Dim3{32, 2}), gpusim::LaunchError);
+}
+
+TEST(TidsetJoinKernel, RejectsANonPowerOfTwoBlock) {
+  // A 96-thread block would reduce only 64 of its 96 partials of this
+  // 250-element intersection.
+  std::vector<fim::Tid> a(250);
+  std::iota(a.begin(), a.end(), fim::Tid{0});
+  const auto s = make_setup({{a, a}});
+  EXPECT_THROW(run_join(s, 96), gpusim::LaunchError);
 }
 
 TEST(TidsetJoinKernel, BinarySearchProbesAreUncoalescedAndDivergent) {
