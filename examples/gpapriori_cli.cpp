@@ -123,10 +123,11 @@ int usage() {
       "byte-identical for every value; only wall-clock time changes.\n"
       "\n"
       "--no-native interprets every simulated block with the per-thread\n"
-      "interpreter, the reference the vectorized whole-block path is held\n"
-      "to. Results and statistics are bit-identical either way; only wall\n"
-      "time grows (a 4,605-transaction T40 slice at --support 0.01 and\n"
-      "--host-threads 1 on a 4-vCPU x86-64 VM: 1.1 s against 0.14 s).\n"
+      "interpreter, the reference the vectorized whole-block path and its\n"
+      "recorded sample are held to. Results and statistics are\n"
+      "bit-identical either way; only wall time grows (a 4,605-transaction\n"
+      "T40 slice at --support 0.01 and --host-threads 1 on a 4-vCPU x86-64\n"
+      "VM: 1.6 s against 0.18 s).\n"
       "\n"
       "--no-tiled disables the equivalence-class tiled support kernel and\n"
       "counts every candidate by complete k-way intersection (identical\n"

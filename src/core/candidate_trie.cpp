@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 
 #include "gpusim/host_pool.hpp"
@@ -58,6 +59,9 @@ CandidateTrie::CandidateTrie(std::size_t num_frequent_items)
 
 std::size_t CandidateTrie::extend() {
   const std::size_t k = depth();  // candidates will have size k+1
+  // Spans the group scan and the sharded join, waits for shards included.
+  std::optional<obs::ScopedSpan> join_span(
+      std::in_place, obs::SpanKind::kCandidateGen, "candgen-join");
 
   // Parent equivalence classes as contiguous node-id ranges of level k:
   // all roots for k == 1, else each level-(k-1) survivor's child range.
@@ -159,11 +163,14 @@ std::size_t CandidateTrie::extend() {
   // strictly sequential generation would have thrown first.
   for (const ShardOut& sh : shards)
     if (sh.error) std::rethrow_exception(sh.error);
+  join_span.reset();
 
   // Serial stitch in shard (= group) order: byte-identical node ids, child
   // order, and level order to the serial join for any shard count. Each
   // parent's children arrive in one consecutive burst (one group, one
-  // shard), so child ranges stay contiguous.
+  // shard), so child ranges stay contiguous. The span closes after the
+  // shard buffers are freed.
+  obs::ScopedSpan stitch_span(obs::SpanKind::kCandidateGen, "candgen-stitch");
   std::size_t created = 0;
   for (const ShardOut& sh : shards) created += sh.parents.size();
   // Grow the arena geometrically from what this level needs. An exact-size
@@ -192,6 +199,7 @@ std::size_t CandidateTrie::extend() {
     lvl.paths.insert(lvl.paths.end(), sh.paths.begin(), sh.paths.end());
   }
   levels_.push_back(std::move(lvl));
+  shards.clear();
 
   auto& metrics = obs::MetricsRegistry::global();
   if (metrics.enabled())

@@ -71,12 +71,12 @@ struct Config {
   /// 1 = sequential. Results are byte-identical for every value.
   std::uint32_t host_threads = 0;
 
-  /// Native path (gpusim::ExecutorOptions::native): untraced blocks of
-  /// the two support kernels run their whole-block vectorized
-  /// implementation instead of the per-thread interpreter. Results and
-  /// KernelStats are bit-identical either way (counter-equality contract,
-  /// DESIGN.md §9); false (--no-native) interprets every block, which is
-  /// the reference.
+  /// Native path (gpusim::ExecutorOptions::native): every block of the
+  /// two support kernels runs their whole-block vectorized implementation
+  /// instead of the per-thread interpreter; on sampled blocks it also
+  /// writes the warp rows the coalescing, bank and race models read.
+  /// Results and KernelStats are bit-identical either way (DESIGN.md §9);
+  /// false (--no-native) interprets every block, which is the reference.
   bool native = true;
 
   /// Equivalence-class tiled support counting (DESIGN.md §12): one block

@@ -2,12 +2,23 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 
 #include "core/level_loop.hpp"
+#include "gpusim/error.hpp"
 
 namespace gpapriori {
 
 gpusim::KernelInfo EqClassKernel::info(const gpusim::LaunchConfig& cfg) const {
+  // Threads and partials are indexed by x alone, and the tree reduction
+  // halves blockDim.x every phase: reject the shapes it would miscount, as
+  // SupportKernel::info does.
+  if (cfg.block.y != 1 || cfg.block.z != 1)
+    throw gpusim::LaunchError("gpapriori_eqclass: block must be 1-D");
+  if (!std::has_single_bit(cfg.block.x))
+    throw gpusim::LaunchError(
+        "gpapriori_eqclass: block.x must be a power of two (got " +
+        std::to_string(cfg.block.x) + ")");
   gpusim::KernelInfo i;
   i.num_phases = 1 /*accumulate+write*/ +
                  static_cast<std::uint32_t>(std::countr_zero(cfg.block.x)) +

@@ -260,6 +260,7 @@ double DeviceCounter::count(const LevelCandidates& lv,
   ScopedDeviceAlloc d_sup(fdev_, lv.count);
   std::vector<std::uint32_t> packed;
   if (tiled_) {
+    obs::ScopedSpan span(obs::SpanKind::kOther, "table-pack");
     packed.reserve(grouped.prefix_rows.size() + grouped.sibling_rows.size() +
                    grouped.group_offsets.size());
     for (const auto* part : {&grouped.prefix_rows, &grouped.sibling_rows,
@@ -309,6 +310,7 @@ double DeviceCounter::count(const LevelCandidates& lv,
       });
     }
     fdev_.download_verified(std::span<std::uint32_t>(partial), d_sup.get());
+    obs::ScopedSpan span(obs::SpanKind::kOther, "partial-fold");
     for (std::size_t i = 0; i < lv.count; ++i) supports[i] += partial[i];
   }
   return (device.ledger().total_ns() - device_ns_before) / 1e6;
@@ -647,7 +649,10 @@ void LevelLoop::mine_levels(SupportCounter& counter,
       if (lv.count != 0) {
         const miners::StopWatch flatten_watch;
         lv.paths = trie.level_paths(k);
-        if (grouped) lv.grouped = trie.flatten_level_grouped(k, group_cap_);
+        if (grouped) {
+          obs::ScopedSpan span(obs::SpanKind::kCandidateGen, "candgen-group");
+          lv.grouped = trie.flatten_level_grouped(k, group_cap_);
+        }
         ph.flatten_ms = flatten_watch.elapsed_ms();
       }
       if (cand_span.active()) {
@@ -669,16 +674,23 @@ void LevelLoop::mine_levels(SupportCounter& counter,
 
     // ---- Host: prune + emit (measured). ----
     host.restart();
-    trie.mark_frequent(k, supports, min_count_);
     std::vector<fim::Support> kept;
-    kept.reserve(trie.level_size(k));
-    for (fim::Support s : supports)
-      if (s >= min_count_) kept.push_back(s);
-    const double mark_ms = host.elapsed_ms();
-    counter.level_done(trie, k, supports, min_count_);
+    double mark_ms = 0;
+    {
+      obs::ScopedSpan span(obs::SpanKind::kOther, "prune");
+      trie.mark_frequent(k, supports, min_count_);
+      kept.reserve(trie.level_size(k));
+      for (fim::Support s : supports)
+        if (s >= min_count_) kept.push_back(s);
+      mark_ms = host.elapsed_ms();
+      counter.level_done(trie, k, supports, min_count_);
+    }
     host.restart();
-    emit_frequent_level(trie, k, kept, pre_->original_item, out.itemsets,
-                        workers_);
+    {
+      obs::ScopedSpan span(obs::SpanKind::kOther, "emit");
+      emit_frequent_level(trie, k, kept, pre_->original_item, out.itemsets,
+                          workers_);
+    }
     ph.emit_ms = host.elapsed_ms();
     ph.candgen_ms += mark_ms;
     record_host_phases(out, ph);

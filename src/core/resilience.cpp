@@ -176,9 +176,12 @@ void FaultAwareDevice::download_verified(std::span<std::uint32_t> dst,
                                          gpusim::DevicePtr<std::uint32_t> src) {
   for (std::uint32_t attempt = 0;; ++attempt) {
     with_retry("d2h copy", [&] { dev_.copy_to_host(dst, src); });
-    const std::uint64_t expect = dev_.checksum(src, dst.size());
-    const std::uint64_t got =
-        gpusim::Device::checksum_host_bytes(dst.data(), dst.size_bytes());
+    std::uint64_t expect = 0, got = 0;
+    {
+      obs::ScopedSpan span(obs::SpanKind::kOther, "d2h-verify");
+      expect = dev_.checksum(src, dst.size());
+      got = gpusim::Device::checksum_host_bytes(dst.data(), dst.size_bytes());
+    }
     if (expect == got) return;
     report_.corruption_detected += 1;
     obs::MetricsRegistry::global().add(obs::Counter::kCorruptionDetected, 1);

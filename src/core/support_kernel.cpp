@@ -146,17 +146,31 @@ bool SupportKernel::run_block_native(gpusim::BlockCtx& b) const {
   }
   b.store(args_.supports, cand, support);
 
-  // ---- accounting: field-exact against the interpreted phases ----
+  using gpusim::detail::BlockRecorder;
+  using gpusim::detail::WarpRows;
+  const std::uint64_t stride = args_.stride_words;
+
+  // ---- accounting: field-exact against the interpreted phases; on a
+  // sampled block, each phase's warp rows as the interpreter records them
+  // (DESIGN.md §8). Lanes are filled in groups of equal trip count
+  // (BlockCtx::for_each_piece); the lowest lane of a warp makes the most
+  // accesses of every class, so its count sizes the warp's rows. ----
   // Phase 0 — preload: threads tid < min(k, tpb) each do one global load
   // plus one shared store (2 ops).
-  if (preload_ && k != 0) {
-    const std::uint32_t pm = std::min(k, tpb);
-    b.charge_global_loads(pm, 4ull * pm);
-    b.charge_shared_stores(pm);
-    b.charge_split_phase(pm, 2, 0);
-  } else {
-    b.charge_split_phase(0, 0, 0);
-  }
+  const std::uint32_t pm = preload_ ? std::min(k, tpb) : 0;
+  b.charge_global_loads(pm, 4ull * pm);
+  b.charge_shared_stores(pm);
+  b.charge_split_phase(pm, 2, 0);
+  b.record_phase([&](BlockRecorder& rec) {
+    for (std::uint32_t w = 0; w < b.num_warps() && 32 * w < pm; ++w) {
+      WarpRows& warp = rec.warp(w);
+      const std::uint32_t n = std::min(pm - 32 * w, 32u);
+      WarpRows::fill_global(warp.loads.claim(1)[0], 0, n,
+                            args_.candidates.byte_of(cand * k + 32 * w), 4);
+      warp.fill_shared(warp.shared.claim(1)[0], 0, n,
+                       shared_cand_off(block, 32 * w), 4, true);
+    }
+  });
 
   // Phase 1 — accumulate: each of the W words is visited by exactly one
   // thread, costing k candidate loads (shared or global) + k bitset loads;
@@ -180,6 +194,40 @@ bool SupportKernel::run_block_native(gpusim::BlockCtx& b) const {
   };
   const std::uint64_t q = W / block;
   b.charge_split_phase(W % block, ops_of_iters(q + 1), ops_of_iters(q));
+  // Per word, each row id r is read (from shared when preloaded, else a
+  // broadcast global load interleaved with the bitset loads) before its
+  // bitset word. A preloaded id r >= blockDim reads 0: rows[] holds it so.
+  b.record_phase([&](BlockRecorder& rec) {
+    const std::uint64_t per_word = preload_ ? k : 2ull * k;
+    for (std::uint32_t w = 0; w < b.num_warps(); ++w) {
+      WarpRows& warp = rec.warp(w);
+      const std::uint64_t most = q + (32 * w < W % block ? 1 : 0);
+      const auto loads = warp.loads.claim(most * per_word);
+      const auto shared = warp.shared.claim(preload_ ? most * k + 1 : 1);
+      b.for_each_piece(w, 0, {W % block}, [&](std::uint32_t lo,
+                                              std::uint32_t hi) {
+        const std::uint32_t a = lo - 32 * w, e = hi - 32 * w;  // as lanes
+        const std::uint64_t n = q + (lo < W % block ? 1 : 0);
+        std::size_t ln = 0, sn = 0;
+        for (std::uint64_t m = 0; m < n; ++m) {
+          const std::uint64_t word0 = 32 * w + m * block;
+          for (std::uint32_t r = 0; r < k; ++r) {
+            if (preload_)
+              warp.fill_shared(shared[sn++], a, e, shared_cand_off(block, r),
+                               0, false);
+            else
+              WarpRows::fill_global(loads[ln++], a, e,
+                                    args_.candidates.byte_of(cand * k + r), 0);
+            WarpRows::fill_global(
+                loads[ln++], a, e,
+                args_.bitsets.byte_of(rows[r] * stride + word0), 4);
+          }
+        }
+        warp.fill_shared(shared[sn], a, e, shared_partial_off(32 * w), 4,
+                         true);
+      });
+    }
+  });
 
   // Reduction phases: threads tid < stride do 2 shared loads + add + store.
   for (std::uint32_t p = 2; p < 2 + log2b; ++p) {
@@ -187,12 +235,32 @@ bool SupportKernel::run_block_native(gpusim::BlockCtx& b) const {
     b.charge_shared_loads(2ull * s);
     b.charge_shared_stores(s);
     b.charge_split_phase(s, 4, 0);
+    b.record_phase([&](BlockRecorder& rec) {
+      for (std::uint32_t w = 0; w < b.num_warps() && 32 * w < s; ++w) {
+        WarpRows& warp = rec.warp(w);
+        const std::uint32_t n = std::min(s - 32 * w, 32u);
+        const auto shared = warp.shared.claim(3);
+        warp.fill_shared(shared[0], 0, n, shared_partial_off(32 * w), 4,
+                         false);
+        warp.fill_shared(shared[1], 0, n, shared_partial_off(32 * w + s), 4,
+                         false);
+        warp.fill_shared(shared[2], 0, n, shared_partial_off(32 * w), 4,
+                         true);
+      }
+    });
   }
 
   // Writeback: thread 0 loads the total and stores the support.
   b.charge_shared_loads(1);
   b.charge_global_stores(1, 4);
   b.charge_split_phase(1, 2, 0);
+  b.record_phase([&](BlockRecorder& rec) {
+    WarpRows& warp = rec.warp(0);
+    warp.fill_shared(warp.shared.claim(1)[0], 0, 1, shared_partial_off(0), 0,
+                     false);
+    WarpRows::fill_global(warp.stores.claim(1)[0], 0, 1,
+                          args_.supports.byte_of(cand), 0);
+  });
   return true;
 }
 

@@ -230,7 +230,18 @@ bool TiledSupportKernel::run_block_native(gpusim::BlockCtx& b) const {
   for (std::uint32_t s = 0; s < G; ++s)
     b.store(args_.supports, std::uint64_t{off0} + s, counts[s]);
 
-  // ---- accounting: field-exact against the interpreted phases ----
+  using gpusim::detail::BlockRecorder;
+  using gpusim::detail::WarpRows;
+  const auto bitset_byte = [&](std::uint32_t row, std::uint64_t word) {
+    return args_.bitsets.byte_of(row * stride + word);
+  };
+
+  // ---- accounting: field-exact against the interpreted phases; on a
+  // sampled block, each phase's warp rows as the interpreter records them
+  // (DESIGN.md §8). Lanes are filled in groups of equal trip count
+  // (BlockCtx::for_each_piece), and each group walks its own row sequence;
+  // the lowest lane of a warp makes the most accesses of every class, so
+  // its count sizes the warp's rows. ----
   // Every per-lane count below is a strided trip count (strided_trips), so
   // each phase is constant between a few cuts and is charged in O(warps).
   //
@@ -244,6 +255,45 @@ bool TiledSupportKernel::run_block_native(gpusim::BlockCtx& b) const {
         return 3 + (tid == 0 ? 2 : 0) + 4 * strided_trips(p, block, tid) +
                4 * strided_trips(G, block, tid);
       });
+  b.record_phase([&](BlockRecorder& rec) {
+    for (std::uint32_t w = 0; w < nw; ++w) {
+      WarpRows& warp = rec.warp(w);
+      const std::uint32_t t0 = 32 * w;
+      const std::uint64_t ids =
+          strided_trips(p, block, t0) + strided_trips(G, block, t0);
+      const auto loads = warp.loads.claim(2 + ids);
+      const auto shared = warp.shared.claim((w == 0 ? 2 : 0) + ids);
+      b.for_each_piece(w, 0, {1, p % block, G % block}, [&](std::uint32_t lo,
+                                                           std::uint32_t hi) {
+        const std::uint32_t a = lo - 32 * w, e = hi - 32 * w;  // as lanes
+        WarpRows::fill_global(loads[0], a, e, args_.group_offsets.byte_of(g),
+                              0);
+        WarpRows::fill_global(loads[1], a, e,
+                              args_.group_offsets.byte_of(g + 1), 0);
+        std::size_t ln = 2, sn = 0;
+        if (lo == 0) {  // thread 0's meta stores
+          warp.fill_shared(shared[sn++], 0, 1, shared_meta_off(0), 0, true);
+          warp.fill_shared(shared[sn++], 0, 1, shared_meta_off(1), 0, true);
+        }
+        for (std::uint64_t m = 0; m < strided_trips(p, block, lo); ++m) {
+          const std::uint64_t i = t0 + m * block;
+          WarpRows::fill_global(loads[ln++], a, e,
+                                args_.prefix_rows.byte_of(g * p + i), 4);
+          warp.fill_shared(shared[sn++], a, e,
+                           shared_prefix_off(static_cast<std::uint32_t>(i)),
+                           4, true);
+        }
+        for (std::uint64_t m = 0; m < strided_trips(G, block, lo); ++m) {
+          const std::uint64_t i = t0 + m * block;
+          WarpRows::fill_global(loads[ln++], a, e,
+                                args_.sibling_rows.byte_of(off0 + i), 4);
+          warp.fill_shared(shared[sn++], a, e,
+                           shared_sib_off(static_cast<std::uint32_t>(i)), 4,
+                           true);
+        }
+      });
+    }
+  });
 
   const auto ctrl_groups = [&](std::uint64_t n) -> std::uint64_t {
     return unroll_ <= 1 ? n : (n + unroll_ - 1) / unroll_;
@@ -264,6 +314,34 @@ bool TiledSupportKernel::run_block_native(gpusim::BlockCtx& b) const {
     };
     b.charge_split_phase(len % block, prefix_ops(len / block + 1),
                          prefix_ops(len / block));
+    // Per word: each prefix id's broadcast shared read, then its bitset
+    // word; the tile store last.
+    b.record_phase([&](BlockRecorder& rec) {
+      for (std::uint32_t w = 0; w < nw; ++w) {
+        WarpRows& warp = rec.warp(w);
+        const std::uint64_t most = strided_trips(len, block, 32 * w);
+        const auto loads = warp.loads.claim(most * p);
+        const auto shared = warp.shared.claim(most * (p + 1));
+        b.for_each_piece(w, 0, {len % block}, [&](std::uint32_t t_lo,
+                                                 std::uint32_t t_hi) {
+          const std::uint32_t a = t_lo - 32 * w, e = t_hi - 32 * w;  // as lanes
+          std::size_t ln = 0, sn = 0;
+          for (std::uint64_t m = 0; m < strided_trips(len, block, t_lo);
+               ++m) {
+            const std::uint64_t t = 32 * w + m * block;  // tile word, lane 0
+            for (std::uint32_t r = 0; r < p; ++r) {
+              warp.fill_shared(shared[sn++], a, e, shared_prefix_off(r), 0,
+                               false);
+              WarpRows::fill_global(loads[ln++], a, e,
+                                    bitset_byte(prefix[r], lo + t), 4);
+            }
+            warp.fill_shared(shared[sn++], a, e,
+                             shared_tile_off(static_cast<std::uint32_t>(t)),
+                             4, true);
+          }
+        });
+      }
+    });
 
     // Sibling-sweep phase: every thread reads the group size; each
     // sibling costs its 32 lanes one broadcast id load, len tile loads
@@ -279,6 +357,39 @@ bool TiledSupportKernel::run_block_native(gpusim::BlockCtx& b) const {
           const std::uint64_t n = strided_trips(len, 32, tid % 32);
           return 1 + nsib * (7 + 5 * n + 2 * ctrl_groups(n));
         });
+    // Lanes below len % 32 make one more word trip per sibling, so after
+    // each sibling their shared rows run one further ahead.
+    b.record_phase([&](BlockRecorder& rec) {
+      for (std::uint32_t w = 0; w < nw; ++w) {
+        WarpRows& warp = rec.warp(w);
+        const std::uint64_t nsib = strided_trips(G, nw, w);
+        const std::uint64_t most = strided_trips(len, 32, 0);
+        const auto loads = warp.loads.claim(nsib * most);
+        const auto shared = warp.shared.claim(1 + nsib * (most + 3));
+        warp.fill_shared(shared[0], 0, 32, shared_meta_off(0), 0, false);
+        b.for_each_piece(w, len % 32, {}, [&](std::uint32_t t_lo,
+                                             std::uint32_t t_hi) {
+          const std::uint32_t a = t_lo - 32 * w, e = t_hi - 32 * w;  // as lanes
+          const std::uint64_t n = strided_trips(len, 32, a);
+          std::size_t ln = 0, sn = 1;
+          for (std::uint32_t s = w; s < G; s += nw) {
+            warp.fill_shared(shared[sn++], a, e, shared_sib_off(s), 0, false);
+            for (std::uint64_t m = 0; m < n; ++m) {
+              const std::uint64_t t = 32 * m;  // tile word, lane 0
+              warp.fill_shared(shared[sn++], a, e,
+                               shared_tile_off(static_cast<std::uint32_t>(t)),
+                               4, false);
+              WarpRows::fill_global(loads[ln++], a, e,
+                                    bitset_byte(sib[s], lo + t), 4);
+            }
+            warp.fill_shared(shared[sn++], a, e, shared_partial_off(s, 0), 4,
+                             false);
+            warp.fill_shared(shared[sn++], a, e, shared_partial_off(s, 0), 4,
+                             true);
+          }
+        });
+      }
+    });
   }
 
   // Reduce + writeback: every thread reads the meta pair; each sibling's
@@ -287,6 +398,29 @@ bool TiledSupportKernel::run_block_native(gpusim::BlockCtx& b) const {
   b.charge_global_stores(G, 4ull * G);
   b.charge_split_phase(G % block, 2 + 68 * (G / block + 1),
                        2 + 68 * (G / block));
+  b.record_phase([&](BlockRecorder& rec) {
+    for (std::uint32_t w = 0; w < nw; ++w) {
+      WarpRows& warp = rec.warp(w);
+      const std::uint64_t most = strided_trips(G, block, 32 * w);
+      const auto stores = warp.stores.claim(most);
+      const auto shared = warp.shared.claim(2 + 32 * most);
+      warp.fill_shared(shared[0], 0, 32, shared_meta_off(0), 0, false);
+      warp.fill_shared(shared[1], 0, 32, shared_meta_off(1), 0, false);
+      b.for_each_piece(w, 0, {G % block}, [&](std::uint32_t t_lo,
+                                             std::uint32_t t_hi) {
+        const std::uint32_t a = t_lo - 32 * w, e = t_hi - 32 * w;  // as lanes
+        std::size_t sn = 2;
+        for (std::uint64_t m = 0; m < strided_trips(G, block, t_lo); ++m) {
+          const auto s = static_cast<std::uint32_t>(32 * w + m * block);
+          for (std::uint32_t l = 0; l < 32; ++l)
+            warp.fill_shared(shared[sn++], a, e, shared_partial_off(s, l),
+                             4 * kPartialPitch, false);
+          WarpRows::fill_global(stores[m], a, e,
+                                args_.supports.byte_of(off0 + s), 4);
+        }
+      });
+    }
+  });
   return true;
 }
 

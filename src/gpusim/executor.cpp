@@ -125,9 +125,43 @@ struct ChunkStats {
   std::uint64_t shared_requests = 0;
   std::uint64_t shared_serialization = 0;
   std::uint64_t shared_race_hazards = 0;
-  /// Wall time spent interpreting and analyzing sampled blocks; measured
-  /// only when the chunk's trace span is recorded.
+  /// Wall time of the sampled blocks, native or interpreted, and the part
+  /// of it spent in the coalescing, bank and race models; measured only
+  /// when the chunk's trace span is recorded.
   std::uint64_t sampled_ns = 0;
+  std::uint64_t sampled_analysis_ns = 0;
+};
+
+using Clock = std::chrono::steady_clock;
+
+std::uint64_t ns_since(Clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           start)
+          .count());
+}
+
+/// Runs each recorded phase of a sampled block, native or interpreted,
+/// through the coalescing and bank models and, when enabled, the race
+/// check, into the chunk's stats.
+class AnalyzingSink final : public detail::PhaseSink {
+ public:
+  AnalyzingSink(ChunkStats& out, bool races, bool timed)
+      : out_(&out), races_(races), timed_(timed) {}
+
+  void phase_recorded(detail::BlockRecorder& rec) override {
+    const Clock::time_point start =
+        timed_ ? Clock::now() : Clock::time_point{};
+    rec.analyze_phase(out_->load_coalescing, out_->store_coalescing,
+                      out_->shared_requests, out_->shared_serialization);
+    if (races_) out_->shared_race_hazards += rec.count_shared_races();
+    if (timed_) out_->sampled_analysis_ns += ns_since(start);
+  }
+
+ private:
+  ChunkStats* out_;
+  bool races_;
+  bool timed_;
 };
 
 /// Per-worker scratch reused across the chunks a worker claims.
@@ -156,7 +190,8 @@ struct LaunchJob {
 /// path for both the sequential and the pooled executor — determinism
 /// across host_threads values follows from every chunk running this exact
 /// code and the merge happening in chunk (= block) order. `time_sampled`
-/// adds each sampled block's wall time to out.sampled_ns.
+/// adds each sampled block's wall time to out.sampled_ns and its analysis
+/// time to out.sampled_analysis_ns.
 void run_block_range(const LaunchJob& job, std::uint64_t lo, std::uint64_t hi,
                      ChunkStats& out, WorkerScratch& scratch,
                      bool time_sampled) {
@@ -166,6 +201,7 @@ void run_block_range(const LaunchJob& job, std::uint64_t lo, std::uint64_t hi,
   // Nearly every launch is 1-D; skip the per-thread div/mod chain then
   // (it is pure fixed overhead repeated tpb * num_phases times per block).
   const bool block_1d = cfg.block.y == 1 && cfg.block.z == 1;
+  AnalyzingSink sink(out, opts.detect_shared_races, time_sampled);
 
   for (std::uint64_t flat_block = lo; flat_block < hi; ++flat_block) {
     const bool sampled =
@@ -180,32 +216,39 @@ void run_block_range(const LaunchJob& job, std::uint64_t lo, std::uint64_t hi,
     out.counters.blocks += 1;
     out.counters.threads += tpb;
 
-    // Native path: untraced blocks may execute as one whole-block
-    // vectorized call (DESIGN.md §9). Sampled blocks never do — the
-    // coalescing model must see every individual address. The phase-count
-    // check enforces that native code settled SIMT accounting for exactly
-    // the phases the interpreter would have run, and the barrier charge is
-    // identical by construction (one per phase boundary). A declined block,
-    // or any untraced block with native off, runs the interpreter below
-    // without recording.
-    if (opts.native && !sampled) {
-      BlockCtx bctx(cfg.grid, cfg.block, block_idx, *job.gmem, out.counters);
+    // Native path (DESIGN.md §9): with `native` on, every block is offered
+    // to the kernel's whole-block call. On a sampled block the context
+    // carries the recorder, and the kernel fills each phase's rows for the
+    // coalescing, bank and race models, so they still see every address.
+    // The checks enforce that native code settled SIMT accounting for, and
+    // recorded, exactly the phases the interpreter would have run; the
+    // barrier charge is identical by construction (one per phase
+    // boundary). A declined block, or any block with native off, runs the
+    // interpreter below, recording if sampled.
+    const bool timed = sampled && time_sampled;
+    const Clock::time_point start = timed ? Clock::now() : Clock::time_point{};
+    if (opts.native) {
+      BlockCtx bctx(cfg.grid, cfg.block, block_idx, *job.gmem, out.counters,
+                    sampled ? &scratch.recorder : nullptr, &sink);
       if (job.kernel->run_block_native(bctx)) {
+        const auto mismatch = [&](const char* what, std::uint32_t n) {
+          return SimError("run_block_native(" +
+                          std::string(job.kernel->name()) + "): " + what +
+                          " " + std::to_string(n) +
+                          " phases, kernel declares " +
+                          std::to_string(job.info->num_phases));
+        };
         if (bctx.phases_charged() != job.info->num_phases)
-          throw SimError(
-              std::string("run_block_native(") +
-              std::string(job.kernel->name()) + "): charged " +
-              std::to_string(bctx.phases_charged()) + " phases, kernel declares " +
-              std::to_string(job.info->num_phases));
+          throw mismatch("charged", bctx.phases_charged());
+        if (sampled && bctx.phases_recorded() != job.info->num_phases)
+          throw mismatch("recorded", bctx.phases_recorded());
         out.counters.barriers += job.info->num_phases - 1;
         out.native_blocks += 1;
+        if (timed) out.sampled_ns += ns_since(start);
         continue;
       }
     }
 
-    using Clock = std::chrono::steady_clock;
-    const bool timed = sampled && time_sampled;
-    const Clock::time_point start = timed ? Clock::now() : Clock::time_point{};
     scratch.smem.reset(job.shared_bytes);
 
     for (std::uint32_t phase = 0; phase < job.info->num_phases; ++phase) {
@@ -239,20 +282,9 @@ void run_block_range(const LaunchJob& job, std::uint64_t lo, std::uint64_t hi,
       }
       if (phase + 1 < job.info->num_phases) out.counters.barriers += 1;
 
-      if (sampled) {
-        scratch.recorder.analyze_phase(out.load_coalescing,
-                                       out.store_coalescing,
-                                       out.shared_requests,
-                                       out.shared_serialization);
-        if (opts.detect_shared_races)
-          out.shared_race_hazards += scratch.recorder.count_shared_races();
-      }
+      if (sampled) sink.phase_recorded(scratch.recorder);
     }
-    if (timed)
-      out.sampled_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               start)
-              .count());
+    if (timed) out.sampled_ns += ns_since(start);
   }
 }
 
@@ -352,6 +384,9 @@ KernelStats run_kernel(const Kernel& kernel, const LaunchConfig& cfg,
                        static_cast<double>(chunks[c].sampled_blocks));
           span.add_arg("sampled_ms",
                        static_cast<double>(chunks[c].sampled_ns) / 1e6);
+          span.add_arg("sampled_analysis_ms",
+                       static_cast<double>(chunks[c].sampled_analysis_ns) /
+                           1e6);
         }
       } catch (...) {
         errors[c] = std::current_exception();

@@ -41,12 +41,13 @@ struct ExecutorOptions {
   /// 1 = sequential on the calling thread. Mining output and KernelStats
   /// are byte-identical for every value; only wall-clock changes.
   std::uint32_t host_threads = 0;
-  /// Native path (DESIGN.md §9): untraced blocks of kernels implementing
-  /// run_block_native execute whole-block vectorized host code instead of
-  /// the per-thread interpreter. Counter-equal by contract, so results and
-  /// KernelStats are bit-identical either way; only wall-clock changes.
-  /// false = every block runs the interpreter (the reference), sampled
-  /// blocks recording and the rest not.
+  /// Native path (DESIGN.md §9): every block is offered to the kernel's
+  /// run_block_native, which executes whole-block vectorized host code
+  /// instead of the per-thread interpreter and, on a sampled block, fills
+  /// the warp rows the interpreter would record. Counter- and row-equal by
+  /// contract, so results and KernelStats are bit-identical either way;
+  /// only wall-clock changes. false = every block runs the interpreter
+  /// (the reference), sampled blocks recording and the rest not.
   bool native = true;
   /// Cooperative cancellation (gpusim/cancel.hpp). When set, workers check
   /// the token at chunk-dispatch granularity — a cancelled launch stops

@@ -70,7 +70,23 @@ struct RowTable {
     }
     return rows[n];
   }
+
+  /// Claims rows [0, n) at once, masks cleared, in place of whatever the
+  /// phase claimed so far: a native kernel then fills one row for a whole
+  /// group of lanes at a time. n is the most accesses any lane makes.
+  std::span<Row> claim(std::size_t n) {
+    if (rows.size() < n) rows.resize(n);
+    for (std::size_t i = 0; i < n; ++i) clear_masks(rows[i]);
+    used = n;
+    return {rows.data(), n};
+  }
 };
+
+/// Active-lane mask of lanes [lo, hi), hi <= 32.
+constexpr std::uint32_t lane_mask(std::uint32_t lo, std::uint32_t hi) {
+  return hi <= lo ? 0u
+                  : (hi - lo == 32 ? ~0u : ((1u << (hi - lo)) - 1u) << lo);
+}
 
 /// One warp's three row tables for the current phase.
 struct WarpRows {
@@ -83,6 +99,32 @@ struct WarpRows {
   void clear() {
     loads.used = stores.used = shared.used = 0;
     all_words = true;
+  }
+
+  // Row-major fills: lanes [lo, hi) of the warp each make one access of a
+  // claimed row, lane l at base + l * step (step 0 = broadcast). Same row
+  // rules as LaneRecorder, whatever order the groups are filled in.
+
+  /// Global row: the row's width is that of its highest active lane.
+  static void fill_global(WarpRequest& row, std::uint32_t lo,
+                          std::uint32_t hi, std::uint64_t base,
+                          std::uint64_t step, std::uint32_t bytes = 4) {
+    for (std::uint32_t l = lo; l < hi; ++l) row.addr[l] = base + l * step;
+    if (hi == 32 || (row.active_mask >> hi) == 0) row.access_bytes = bytes;
+    row.active_mask |= lane_mask(lo, hi);
+  }
+
+  /// Shared row of 4-byte word accesses; `write` sets the lanes' write bits.
+  void fill_shared(SharedRow& row, std::uint32_t lo, std::uint32_t hi,
+                   std::uint64_t base, std::uint64_t step, bool write) {
+    for (std::uint32_t l = lo; l < hi; ++l) {
+      row.req.addr[l] = base + l * step;
+      row.bytes[l] = 4;
+    }
+    const std::uint32_t mask = lane_mask(lo, hi);
+    row.req.active_mask |= mask;
+    if (write) row.write_mask |= mask;
+    all_words = all_words && base % 4 == 0 && step % 4 == 0;
   }
 };
 
@@ -141,6 +183,13 @@ class BlockRecorder {
     return {warps_[warp], lane};
   }
 
+  /// Warp `w`'s rows of the current phase (native kernels fill them).
+  [[nodiscard]] WarpRows& warp(std::uint32_t w) { return warps_[w]; }
+  [[nodiscard]] const WarpRows& warp(std::uint32_t w) const {
+    return warps_[w];
+  }
+  [[nodiscard]] std::uint32_t num_warps() const { return num_warps_; }
+
   /// Runs the recorded phase through the coalescing/bank models.
   void analyze_phase(MemoryAccessStats& loads, MemoryAccessStats& stores,
                      std::uint64_t& shared_requests,
@@ -170,6 +219,15 @@ class BlockRecorder {
   /// once the array covers the block's shared memory.
   std::vector<WriterStamp> first_writer_;
   std::uint32_t epoch_ = 0;
+};
+
+/// Where BlockCtx::record_phase hands each filled phase. The executor's
+/// sink runs the coalescing, bank and race models over the rows, as it
+/// does after each interpreted phase; a test's sink may copy them instead.
+class PhaseSink {
+ public:
+  virtual ~PhaseSink() = default;
+  virtual void phase_recorded(BlockRecorder& rec) = 0;
 };
 
 }  // namespace detail
@@ -305,7 +363,7 @@ struct KernelInfo {
 
 /// Whole-block execution context for the native path (DESIGN.md §9).
 ///
-/// On untraced blocks the executor may hand the entire block to
+/// With the native path on, the executor hands every block to
 /// Kernel::run_block_native instead of interpreting tpb × num_phases
 /// ThreadCtx calls. A native implementation computes the block's functional
 /// effect directly on raw device data (vectorized, word-tiled, whatever the
@@ -316,18 +374,27 @@ struct KernelInfo {
 /// called exactly once per declared phase (the executor verifies the
 /// count), which also yields the interpreter's barrier accounting.
 ///
+/// On a sampled block the context also carries the worker's recorder
+/// (recording() is true), and the kernel must fill every phase's warp rows
+/// through record_phase: the rows the interpreter would have recorded,
+/// under the same row rules (DESIGN.md §8), so the coalescing, bank and
+/// race models see every address. The executor verifies that count too.
+///
 /// Data accessors (view/load/store) deliberately charge NOTHING — native
 /// code reads k rows once but the interpreter charged one load per thread
 /// per word, so accounting is decoupled from access.
 class BlockCtx {
  public:
   BlockCtx(Dim3 grid_dim, Dim3 block_dim, Dim3 block_idx, GlobalMemory& gmem,
-           KernelCounters& counters)
+           KernelCounters& counters, detail::BlockRecorder* recorder = nullptr,
+           detail::PhaseSink* sink = nullptr)
       : grid_dim_(grid_dim),
         block_dim_(block_dim),
         block_idx_(block_idx),
         gmem_(&gmem),
-        counters_(&counters) {
+        counters_(&counters),
+        recorder_(recorder),
+        sink_(sink) {
     tpb_ = block_dim.x * block_dim.y * block_dim.z;
     num_warps_ = (tpb_ + 31) / 32;
   }
@@ -337,6 +404,7 @@ class BlockCtx {
   [[nodiscard]] Dim3 block_dim() const { return block_dim_; }
   [[nodiscard]] Dim3 block_idx() const { return block_idx_; }
   [[nodiscard]] std::uint32_t num_threads() const { return tpb_; }
+  [[nodiscard]] std::uint32_t num_warps() const { return num_warps_; }
   [[nodiscard]] std::uint64_t flat_block_idx() const {
     return block_idx_.x + grid_dim_.x * (block_idx_.y + static_cast<std::uint64_t>(grid_dim_.y) * block_idx_.z);
   }
@@ -427,32 +495,15 @@ class BlockCtx {
   void charge_piecewise_phase(std::uint32_t lane_cut,
                               std::initializer_list<std::uint32_t> tid_cuts,
                               F&& ops_of_tid) {
-    if (tid_cuts.size() > kMaxTidCuts)
-      throw SimError("BlockCtx::charge_piecewise_phase: too many cuts");
     for (std::uint32_t w = 0; w < num_warps_; ++w) {
-      const std::uint32_t wlo = w * 32, whi = std::min(wlo + 32, tpb_);
-      // Piece starts inside the warp, kept sorted by insertion; bounds[n]
-      // closes the last piece.
-      std::array<std::uint32_t, kMaxTidCuts + 3> bounds{};
-      std::size_t n = 0;
-      const auto add_start = [&](std::uint32_t c) {
-        std::size_t i = n++;
-        for (; i > 0 && bounds[i - 1] > c; --i) bounds[i] = bounds[i - 1];
-        bounds[i] = c;
-      };
-      add_start(wlo);
-      if (lane_cut != 0 && wlo + lane_cut < whi) add_start(wlo + lane_cut);
-      for (const std::uint32_t c : tid_cuts)
-        if (c > wlo && c < whi) add_start(c);
-      bounds[n] = whi;
       std::uint64_t mx = 0, mn = ~std::uint64_t{0}, sum = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (bounds[i] == bounds[i + 1]) continue;
-        const std::uint64_t ops = ops_of_tid(bounds[i]);
-        mx = std::max(mx, ops);
-        mn = std::min(mn, ops);
-        sum += ops * (bounds[i + 1] - bounds[i]);
-      }
+      for_each_piece(w, lane_cut, tid_cuts,
+                     [&](std::uint32_t lo, std::uint32_t hi) {
+                       const std::uint64_t ops = ops_of_tid(lo);
+                       mx = std::max(mx, ops);
+                       mn = std::min(mn, ops);
+                       sum += ops * (hi - lo);
+                     });
       counters_->warp_instructions += mx;
       counters_->thread_instructions += sum;
       counters_->warp_phases += 1;
@@ -461,8 +512,59 @@ class BlockCtx {
     ++phases_charged_;
   }
 
+  /// Calls fn(lo, hi) for each nonempty piece [lo, hi) of warp w's tids, in
+  /// ascending order, cut at lane `lane_cut` (0 = none) and at each tid in
+  /// `tid_cuts` (at most kMaxTidCuts): the lane groups of a phase whose
+  /// per-lane trip counts change only at those cuts.
+  template <typename F>
+  void for_each_piece(std::uint32_t w, std::uint32_t lane_cut,
+                      std::initializer_list<std::uint32_t> tid_cuts,
+                      F&& fn) const {
+    if (tid_cuts.size() > kMaxTidCuts)
+      throw SimError("BlockCtx::for_each_piece: too many cuts");
+    const std::uint32_t wlo = w * 32, whi = std::min(wlo + 32, tpb_);
+    // Piece starts inside the warp, kept sorted by insertion; bounds[n]
+    // closes the last piece.
+    std::array<std::uint32_t, kMaxTidCuts + 3> bounds{};
+    std::size_t n = 0;
+    const auto add_start = [&](std::uint32_t c) {
+      std::size_t i = n++;
+      for (; i > 0 && bounds[i - 1] > c; --i) bounds[i] = bounds[i - 1];
+      bounds[i] = c;
+    };
+    add_start(wlo);
+    if (lane_cut != 0 && wlo + lane_cut < whi) add_start(wlo + lane_cut);
+    for (const std::uint32_t c : tid_cuts)
+      if (c > wlo && c < whi) add_start(c);
+    bounds[n] = whi;
+    for (std::size_t i = 0; i < n; ++i)
+      if (bounds[i] != bounds[i + 1]) fn(bounds[i], bounds[i + 1]);
+  }
+
+  // --- sampled blocks: row recording, one call per declared phase ---
+
+  /// True on a sampled block: every phase must be recorded.
+  [[nodiscard]] bool recording() const { return recorder_ != nullptr; }
+
+  /// Records one phase of a sampled block (a no-op on any other): starts
+  /// the phase's rows, lets `fill(recorder)` write them, then hands them to
+  /// the sink. Call once per declared phase, in phase order.
+  template <typename F>
+  void record_phase(F&& fill) {
+    if (recorder_ == nullptr) return;
+    recorder_->begin_phase(num_warps_);
+    fill(*recorder_);
+    sink_->phase_recorded(*recorder_);
+    ++phases_recorded_;
+  }
+
   /// Phases settled so far; the executor demands == KernelInfo::num_phases.
   [[nodiscard]] std::uint32_t phases_charged() const { return phases_charged_; }
+  /// Phases recorded so far; on a sampled block the executor demands the
+  /// same.
+  [[nodiscard]] std::uint32_t phases_recorded() const {
+    return phases_recorded_;
+  }
 
  private:
   static constexpr std::size_t kMaxTidCuts = 4;
@@ -470,9 +572,12 @@ class BlockCtx {
   Dim3 grid_dim_, block_dim_, block_idx_;
   GlobalMemory* gmem_;
   KernelCounters* counters_;
+  detail::BlockRecorder* recorder_;
+  detail::PhaseSink* sink_;
   std::uint32_t tpb_ = 0;
   std::uint32_t num_warps_ = 0;
   std::uint32_t phases_charged_ = 0;
+  std::uint32_t phases_recorded_ = 0;
 };
 
 /// Base class for simulated kernels. Implementations keep no mutable state;
@@ -484,14 +589,15 @@ class Kernel {
   [[nodiscard]] virtual KernelInfo info(const LaunchConfig& cfg) const = 0;
   virtual void run_phase(std::uint32_t phase, ThreadCtx& t) const = 0;
 
-  /// Native path (DESIGN.md §9): execute one whole untraced block without
-  /// the per-thread interpreter. Return false (the default) to decline —
-  /// the executor then interprets the block through run_phase, exactly as
-  /// it interprets a sampled block but without recording — or compute the
-  /// block's full functional effect, settle every phase through the
-  /// BlockCtx charge API, and return true. Only ever called on blocks the
-  /// coalescing sampler skips; sampled blocks always interpret, so traces
-  /// stay exact. Only the kernels every GPApriori mine runs override it.
+  /// Native path (DESIGN.md §9): execute one whole block without the
+  /// per-thread interpreter. Return false (the default) to decline — the
+  /// executor then interprets the block through run_phase, recording it if
+  /// it is sampled — or compute the block's full functional effect, settle
+  /// every phase through the BlockCtx charge API, on a sampled block
+  /// (b.recording()) also fill every phase's rows through record_phase,
+  /// and return true. A kernel that cannot record declines before it
+  /// charges or records anything. Only the kernels every GPApriori mine
+  /// runs override it.
   virtual bool run_block_native(BlockCtx& b) const {
     (void)b;
     return false;

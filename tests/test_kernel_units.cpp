@@ -7,6 +7,7 @@
 #include "core/eqclass.hpp"
 #include "fim/bitset_ops.hpp"
 #include "gpusim/device_context.hpp"
+#include "gpusim/error.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -58,6 +59,57 @@ TEST(EqClassKernelUnit, WritesRowsAndSupports) {
     for (std::size_t w = 0; w < store.words_per_row(); ++w)
       ASSERT_EQ(got_rows[p * stride + w], expect_row[w]) << p << " " << w;
   }
+}
+
+/// Counts the pair (0, 1) over 2,000 identical transactions {0, 1} with one
+/// block of shape `block`; the right support is 2,000.
+std::uint32_t eqclass_pair_support(Dim3 block) {
+  std::vector<std::vector<fim::Item>> txs(2000, {0, 1});
+  const auto db = fim::TransactionDb::from_transactions(txs);
+  std::vector<fim::Item> items{0, 1};
+  const auto store = fim::BitsetStore::from_db(db, items);
+  const auto stride = static_cast<std::uint32_t>(store.row_stride_words());
+  DeviceOptions opts;
+  opts.arena_bytes = 1 << 20;
+  opts.strict_memory = true;
+  opts.executor.sample_stride = 1;
+  Device dev(DeviceProperties::tesla_t10(), opts);
+  auto d_rows = dev.alloc<std::uint32_t>(store.arena().size(), 64);
+  dev.copy_to_device(d_rows, store.arena());
+  const std::vector<std::uint32_t> table{0, 1};
+  auto d_table = dev.alloc<std::uint32_t>(table.size());
+  dev.copy_to_device(d_table, std::span<const std::uint32_t>(table));
+  auto d_out = dev.alloc<std::uint32_t>(stride, 64);
+  auto d_sup = dev.alloc<std::uint32_t>(1);
+  gpapriori::EqClassKernel::Args args;
+  args.parents = d_rows;
+  args.gen1 = d_rows;
+  args.stride_words = stride;
+  args.words_per_row = static_cast<std::uint32_t>(store.words_per_row());
+  args.pair_table = d_table;
+  args.out_rows = d_out;
+  args.supports = d_sup;
+  gpapriori::EqClassKernel kernel(args);
+  (void)dev.launch(kernel, {Dim3{1}, block});
+  std::uint32_t sup = 0;
+  dev.copy_to_host(std::span<std::uint32_t>(&sup, 1), d_sup);
+  return sup;
+}
+
+TEST(EqClassKernelUnit, CountsAPowerOfTwoBlockExactly) {
+  EXPECT_EQ(eqclass_pair_support(Dim3{64}), 2000u);
+}
+
+TEST(EqClassKernelUnit, RejectsNonOneDimensionalBlock) {
+  // A (32, 2) block would index partials by x alone and overrun shared
+  // memory mid-launch; it must fail at launch with a typed error.
+  EXPECT_THROW((void)eqclass_pair_support(Dim3{32, 2}), LaunchError);
+}
+
+TEST(EqClassKernelUnit, RejectsNonPowerOfTwoBlock) {
+  // The tree reduction halves blockDim.x: a 96-thread block would drop
+  // partials and count 672 of 2,000.
+  EXPECT_THROW((void)eqclass_pair_support(Dim3{96}), LaunchError);
 }
 
 TEST(ThreadCtxUnit, GeometryIdentities) {

@@ -1,11 +1,13 @@
 // Native path drills (DESIGN.md §9): whole-block vectorized execution must
 // be invisible in everything but wall-clock time. Per-kernel native-vs-
 // interpreted runs demand byte-identical device output and field-exact
-// KernelStats; dispatch guards pin that sampled (traced) blocks never take
-// the native path and that ExecutorOptions::native = false (--no-native)
-// restores the interpreter bit-for-bit; a default mine interprets only its
-// sampled blocks; fault plans fire identically on both paths because
-// injection is launch-granular.
+// KernelStats; dispatch guards pin that a kernel which cannot record its
+// sampled blocks declines them to the interpreter, that an accepted
+// sampled block must record every phase, and that ExecutorOptions::native
+// = false (--no-native) restores the interpreter bit-for-bit; a default
+// mine interprets no block; fault plans fire identically on both paths
+// because injection is launch-granular. tests/test_native_rows.cpp holds
+// the recorded rows themselves to the interpreter's.
 
 #include <gtest/gtest.h>
 
@@ -70,6 +72,7 @@ void expect_stats_eq(const KernelStats& a, const KernelStats& b,
 // Dispatch rules.
 
 /// Minimal kernel with both tiers; counts how often the native one runs.
+/// Its native path cannot record, so it declines sampled blocks.
 class ProbeKernel final : public Kernel {
  public:
   DevicePtr<std::uint32_t> out;
@@ -83,6 +86,7 @@ class ProbeKernel final : public Kernel {
     if (t.flat_tid() == 0) t.st_global(out, t.flat_block_idx(), 7u);
   }
   bool run_block_native(BlockCtx& b) const override {
+    if (b.recording()) return false;
     native_calls.fetch_add(1, std::memory_order_relaxed);
     b.store(out, b.flat_block_idx(), 7u);
     b.charge_global_stores(1, 4);
@@ -116,20 +120,24 @@ ProbeRun run_probe(std::uint64_t sample_stride, bool native,
 }
 
 TEST(NativeDispatch, SampledBlocksNeverTakeTheNativePath) {
-  // stride=1: every block is traced -> zero native calls even with the
-  // tier enabled.
+  // The probe cannot record, so it declines every sampled block and those
+  // interpret. stride=1: every block is traced -> zero native blocks even
+  // with the tier enabled.
   const auto traced = run_probe(1, true);
   EXPECT_EQ(traced.native_calls, 0u);
-  EXPECT_GT(traced.stats.sampled_blocks, 0u);
+  EXPECT_EQ(traced.stats.native_blocks, 0u);
+  EXPECT_EQ(traced.stats.sampled_blocks, 64u);
 
   // stride=0: no block is traced -> all 64 go native.
   const auto all_native = run_probe(0, true);
   EXPECT_EQ(all_native.native_calls, 64u);
+  EXPECT_EQ(all_native.stats.native_blocks, 64u);
 
   // stride=4: exactly the untraced blocks (64 - 16 sampled) go native.
   const auto mixed = run_probe(4, true);
   EXPECT_EQ(mixed.stats.sampled_blocks, 16u);
   EXPECT_EQ(mixed.native_calls, 64u - 16u);
+  EXPECT_EQ(mixed.stats.native_blocks, 64u - 16u);
 
   // Functional output and counters identical across every mix.
   EXPECT_EQ(traced.out, all_native.out);
@@ -182,6 +190,57 @@ TEST(NativeDispatch, PhaseCountMismatchThrows) {
   opts.sample_stride = 0;
   opts.host_threads = 1;
   EXPECT_THROW(run_kernel(k, {Dim3{4}, Dim3{32}}, mem, props, opts), SimError);
+}
+
+/// Accepts sampled blocks but records `recorded` of its two phases.
+class UnrecordingKernel final : public Kernel {
+ public:
+  explicit UnrecordingKernel(std::uint32_t recorded) : recorded_(recorded) {}
+  [[nodiscard]] std::string_view name() const override { return "unrecorded"; }
+  [[nodiscard]] KernelInfo info(const LaunchConfig&) const override {
+    return {.num_phases = 2, .static_shared_bytes = 64, .regs_per_thread = 8};
+  }
+  void run_phase(std::uint32_t, ThreadCtx&) const override {}
+  bool run_block_native(BlockCtx& b) const override {
+    for (std::uint32_t p = 0; p < 2; ++p) {
+      b.charge_split_phase(0, 0, 0);
+      if (p < recorded_) b.record_phase([](detail::BlockRecorder&) {});
+    }
+    return true;
+  }
+
+ private:
+  std::uint32_t recorded_;
+};
+
+TEST(NativeDispatch, AcceptedSampledBlockMustRecordEveryPhase) {
+  // Charged but not recorded: the models would silently miss the phase, so
+  // the executor names the kernel in a SimError instead.
+  GlobalMemory mem(1 << 16);
+  ExecutorOptions opts;
+  opts.sample_stride = 2;
+  opts.host_threads = 1;
+  for (const std::uint32_t recorded : {0u, 1u}) {
+    UnrecordingKernel k(recorded);
+    try {
+      (void)run_kernel(k, {Dim3{4}, Dim3{32}}, mem, props, opts);
+      ADD_FAILURE() << "recorded=" << recorded << ": no SimError";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("unrecorded"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Untraced blocks owe no rows.
+  opts.sample_stride = 0;
+  UnrecordingKernel k(0);
+  EXPECT_NO_THROW((void)run_kernel(k, {Dim3{4}, Dim3{32}}, mem, props, opts));
+  // Recording both phases satisfies the check.
+  opts.sample_stride = 2;
+  UnrecordingKernel full(2);
+  const KernelStats st =
+      run_kernel(full, {Dim3{4}, Dim3{32}}, mem, props, opts);
+  EXPECT_EQ(st.native_blocks, 4u);
+  EXPECT_EQ(st.sampled_blocks, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -410,10 +469,10 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(p.param.name);
     });
 
-TEST(NativeMining, DefaultMineInterpretsOnlyItsSampledBlocks) {
-  // Every untraced block of a default mine goes native, so the interpreter
-  // runs exactly the sampled blocks. A block the native path declined
-  // would cost the plain interpreter instead.
+TEST(NativeMining, DefaultMineInterpretsNoBlock) {
+  // Every block of a default mine goes native, sampled ones included: the
+  // support kernels record their own rows, so the interpreter runs no
+  // block. The sample is block 0 and every 64th block after it.
   const MiningCase cases[] = {
       {datagen::DatasetId::kChess, "chess", 0.06, 0.75},
       {datagen::DatasetId::kT40I10D100K, "t40", 0.006, 0.05}};
@@ -434,13 +493,16 @@ TEST(NativeMining, DefaultMineInterpretsOnlyItsSampledBlocks) {
           blocks += s.counters.blocks;
           native += s.native_blocks;
           sampled += s.sampled_blocks;
+          EXPECT_EQ(s.sampled_blocks,
+                    (s.counters.blocks + cfg.sample_stride - 1) /
+                        cfg.sample_stride);
         }
         const std::string what = std::string(c.name) + " tiled=" +
                                  std::to_string(tiled) +
                                  " host_threads=" + std::to_string(threads);
         EXPECT_GT(sampled, 0u) << what;
-        // interpreted_blocks (= blocks - native) == sampled_blocks
-        EXPECT_EQ(native + sampled, blocks) << what;
+        // interpreted_blocks (= blocks - native) == 0
+        EXPECT_EQ(native, blocks) << what;
       }
     }
   }
