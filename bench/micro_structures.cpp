@@ -73,7 +73,7 @@ void BM_TrieFlatten(benchmark::State& state) {
   gpapriori::CandidateTrie trie(n);
   trie.extend();
   for (auto _ : state)
-    benchmark::DoNotOptimize(trie.flatten_level(2));
+    benchmark::DoNotOptimize(trie.flatten_level_grouped(2, 64));
 }
 BENCHMARK(BM_TrieFlatten)->Arg(64)->Arg(256);
 

@@ -41,181 +41,175 @@ std::vector<std::size_t> weighted_boundaries(
 
 CandidateTrie::CandidateTrie(std::size_t num_frequent_items)
     : num_roots_(num_frequent_items) {
-  nodes_.reserve(num_frequent_items);
+  nodes_.resize(num_frequent_items);
   Level level1;
-  level1.node_ids.reserve(num_frequent_items);
-  level1.paths.reserve(num_frequent_items);
+  level1.paths.resize(num_frequent_items);
   for (std::size_t i = 0; i < num_frequent_items; ++i) {
-    Node n;
-    n.item = static_cast<fim::Item>(i);
-    n.pos = static_cast<std::uint32_t>(i);
-    n.frequent = true;
-    level1.node_ids.push_back(static_cast<std::uint32_t>(nodes_.size()));
-    level1.paths.push_back(static_cast<std::uint32_t>(i));
-    nodes_.push_back(n);
+    nodes_[i].item = static_cast<fim::Item>(i);
+    level1.paths[i] = static_cast<std::uint32_t>(i);
   }
   levels_.push_back(std::move(level1));
 }
 
 std::size_t CandidateTrie::extend() {
   const std::size_t k = depth();  // candidates will have size k+1
-  // Spans the group scan and the sharded join, waits for shards included.
+  const Level& cur = levels_[k - 1];
+  const auto m = static_cast<std::uint32_t>(level_size(k));
+  // Spans the class scan and the join, waits for shards included.
   std::optional<obs::ScopedSpan> join_span(
       std::in_place, obs::SpanKind::kCandidateGen, "candgen-join");
-
-  // Parent equivalence classes as contiguous node-id ranges of level k:
-  // all roots for k == 1, else each level-(k-1) survivor's child range.
-  // Ranges may contain infrequent nodes — the join filters on the flag.
-  struct Group {
-    std::uint32_t lo, hi;
-  };
-  std::vector<Group> groups;
-  std::vector<std::uint64_t> cum_pairs;  // cumulative join-pair counts
-  std::uint64_t total_pairs = 0;
-  auto add_group = [&](std::uint32_t lo, std::uint32_t hi) {
-    std::uint64_t m = 0;
-    for (std::uint32_t id = lo; id < hi; ++id)
-      if (nodes_[id].frequent) ++m;
-    if (m < 2) return;  // no joinable pair
-    groups.push_back({lo, hi});
-    total_pairs += m * (m - 1) / 2;
-    cum_pairs.push_back(total_pairs);
-  };
-  if (k == 1) {
-    add_group(0, static_cast<std::uint32_t>(num_roots_));
-  } else {
-    for (std::uint32_t id : levels_[k - 2].node_ids) {
-      const Node& nd = nodes_[id];
-      if (nd.child_begin != nd.child_end)
-        add_group(nd.child_begin, nd.child_end);
-    }
-  }
-
-  // Shape-deterministic shard count; shard boundaries are contiguous group
-  // ranges balanced by join-pair count. The stitch below restores exact
-  // serial order, so the count only affects wall clock, never the result.
+  Level next;
   std::uint32_t nshards = 1;
-  if (workers_ > 1 && groups.size() >= 2 &&
-      total_pairs >= kMinParallelJoinPairs)
-    nshards = static_cast<std::uint32_t>(
-        std::min<std::size_t>(workers_, groups.size()));
-  last_extend_shards_ = nshards;
+  if (k == 1) {
+    // Level 2 is every pair of level-1 survivors: the count is exact and
+    // no 1-subset can fail the prune, so the tables are written in place.
+    const std::size_t n = m < 2 ? 0 : std::size_t{m} * (m - 1) / 2;
+    next.parents.resize(n);
+    next.paths.resize(2 * n);
+    std::uint32_t* parent = next.parents.data();
+    std::uint32_t* path = next.paths.data();
+    for (std::uint32_t i = 0; i < m; ++i) {
+      for (std::uint32_t j = i + 1; j < m; ++j) {
+        *parent++ = i;
+        *path++ = cur.paths[i];
+        *path++ = cur.paths[j];
+      }
+    }
+  } else if (cur.first_node != kNone) {
+    // Parent equivalence classes: each level-(k-1) survivor's children, a
+    // run of equal parents among the deepest level's survivors.
+    struct Group {
+      std::uint32_t lo, hi;
+    };
+    std::vector<Group> groups;
+    std::vector<std::uint64_t> cum_pairs;  // cumulative join-pair counts
+    std::uint64_t total_pairs = 0;
+    for (std::uint32_t lo = 0, hi = 0; lo < m; lo = hi) {
+      while (++hi < m && cur.parents[hi] == cur.parents[lo]) {
+      }
+      const std::uint64_t size = hi - lo;
+      if (size < 2) continue;  // no joinable pair
+      groups.push_back({lo, hi});
+      total_pairs += size * (size - 1) / 2;
+      cum_pairs.push_back(total_pairs);
+    }
 
-  const auto bounds = weighted_boundaries(cum_pairs, total_pairs, nshards);
-
-  struct ShardOut {
-    std::vector<std::uint32_t> parents;  ///< vi node id per candidate
-    std::vector<std::uint32_t> paths;    ///< k+1 row ids per candidate
-    std::exception_ptr error;
-  };
-  std::vector<ShardOut> shards(nshards);
-
-  const Level& cur = levels_[k - 1];
-  const auto work = [&](std::uint32_t s) {
-    ShardOut& out = shards[s];
-    try {
-      obs::ScopedSpan span(obs::SpanKind::kCandidateGen, "candgen-shard");
-      // Scratch hoisted per worker: the candidate path (k+1 items) and the
-      // subset buffer of the Apriori prune (k items).
-      std::vector<fim::Item> items(k + 1);
-      std::vector<fim::Item> sub(k);
-      for (std::size_t g = bounds[s]; g < bounds[s + 1]; ++g) {
-        for (std::uint32_t vi = groups[g].lo; vi < groups[g].hi; ++vi) {
-          if (!nodes_[vi].frequent) continue;
-          // Path to vi: cached level-k row of the survivor (built once per
-          // vi, not re-walked per sibling pair).
-          const std::uint32_t* vip = cur.paths.data() + nodes_[vi].pos * k;
-          std::copy(vip, vip + k, items.begin());
-
-          for (std::uint32_t vj = vi + 1; vj < groups[g].hi; ++vj) {
-            if (!nodes_[vj].frequent) continue;
-            items[k] = nodes_[vj].item;
-
-            // Apriori prune: every k-subset must be frequent. Dropping the
-            // last or second-to-last item yields the two join parents
-            // (frequent by construction); check the remaining k-1 subsets.
-            bool ok = true;
-            for (std::size_t drop = 0; ok && drop + 2 < k + 1; ++drop) {
-              std::size_t q = 0;
-              for (std::size_t p = 0; p < k + 1; ++p)
-                if (p != drop) sub[q++] = items[p];
-              ok = is_frequent(sub);
+    // Shape-deterministic shard count; shard boundaries are contiguous
+    // class ranges balanced by join-pair count. The tables are concatenated
+    // in shard order, so the count only affects wall clock, never a byte.
+    if (workers_ > 1 && groups.size() >= 2 &&
+        total_pairs >= kMinParallelJoinPairs)
+      nshards = static_cast<std::uint32_t>(
+          std::min<std::size_t>(workers_, groups.size()));
+    const auto bounds = weighted_boundaries(cum_pairs, total_pairs, nshards);
+    std::vector<Level> tables(nshards);
+    std::vector<std::exception_ptr> errors(nshards);
+    const auto work = [&](std::uint32_t s) {
+      Level& out = tables[s];
+      try {
+        obs::ScopedSpan span(obs::SpanKind::kCandidateGen, "candgen-shard");
+        // Apriori prune: every k-subset of the candidate vi's path +
+        // `last` (vj's last item) must be a survivor. Dropping either of
+        // the two last items gives a join parent. Dropping item d < k-1
+        // gives vi's path without item d, then `last`: base[d] is the node
+        // of the former, found once per vi, so each pair costs one child
+        // search per subset.
+        std::vector<std::uint32_t> base(k - 1);
+        for (std::size_t g = bounds[s]; g < bounds[s + 1]; ++g) {
+          for (std::uint32_t vi = groups[g].lo; vi + 1 < groups[g].hi; ++vi) {
+            const std::uint32_t* vip = cur.paths.data() + std::size_t{vi} * k;
+            bool live = true;
+            for (std::size_t d = 0; live && d + 1 < k; ++d) {
+              std::uint32_t node = vip[d == 0 ? 1 : 0];  // a root: id == row
+              for (std::size_t p = d == 0 ? 2 : 1; live && p < k; ++p)
+                if (p != d) live = (node = find_child(node, vip[p])) != kNone;
+              base[d] = node;
             }
-            if (!ok) continue;
-
-            out.parents.push_back(vi);
-            out.paths.insert(out.paths.end(), items.begin(), items.end());
+            for (std::uint32_t vj = vi + 1; live && vj < groups[g].hi; ++vj) {
+              const std::uint32_t last = cur.paths[std::size_t{vj} * k + k - 1];
+              if (!std::all_of(base.begin(), base.end(), [&](std::uint32_t b) {
+                    return find_child(b, last) != kNone;
+                  }))
+                continue;
+              out.parents.push_back(vi);
+              out.paths.insert(out.paths.end(), vip, vip + k);
+              out.paths.push_back(last);
+            }
           }
         }
+        if (span.active()) {
+          span.add_arg("shard", static_cast<double>(s));
+          span.add_arg("groups",
+                       static_cast<double>(bounds[s + 1] - bounds[s]));
+          span.add_arg("candidates", static_cast<double>(out.parents.size()));
+        }
+      } catch (...) {
+        errors[s] = std::current_exception();
       }
-      if (span.active()) {
-        span.add_arg("shard", static_cast<double>(s));
-        span.add_arg("groups", static_cast<double>(bounds[s + 1] - bounds[s]));
-        span.add_arg("candidates", static_cast<double>(out.parents.size()));
+    };
+    gpusim::HostPool::instance().run(nshards, work);
+    // Fail deterministically: the lowest shard's error wins, matching what
+    // strictly sequential generation would have thrown first.
+    for (const std::exception_ptr& e : errors)
+      if (e) std::rethrow_exception(e);
+    join_span.reset();
+
+    // Shard (= class) order makes the level the serial join's, byte for
+    // byte. The span closes after the shard tables are freed.
+    obs::ScopedSpan stitch_span(obs::SpanKind::kCandidateGen,
+                                "candgen-stitch");
+    if (nshards == 1) {
+      next = std::move(tables[0]);
+    } else {
+      std::size_t n = 0;
+      for (const Level& t : tables) n += t.parents.size();
+      next.parents.reserve(n);
+      next.paths.reserve(n * (k + 1));
+      for (const Level& t : tables) {
+        next.parents.insert(next.parents.end(), t.parents.begin(),
+                            t.parents.end());
+        next.paths.insert(next.paths.end(), t.paths.begin(), t.paths.end());
       }
-    } catch (...) {
-      out.error = std::current_exception();
+      tables.clear();
     }
-  };
-  gpusim::HostPool::instance().run(nshards, work);
-
-  // Fail deterministically: the lowest shard's error wins, matching what
-  // strictly sequential generation would have thrown first.
-  for (const ShardOut& sh : shards)
-    if (sh.error) std::rethrow_exception(sh.error);
-  join_span.reset();
-
-  // Serial stitch in shard (= group) order: byte-identical node ids, child
-  // order, and level order to the serial join for any shard count. Each
-  // parent's children arrive in one consecutive burst (one group, one
-  // shard), so child ranges stay contiguous. The span closes after the
-  // shard buffers are freed.
-  obs::ScopedSpan stitch_span(obs::SpanKind::kCandidateGen, "candgen-stitch");
-  std::size_t created = 0;
-  for (const ShardOut& sh : shards) created += sh.parents.size();
-  // Grow the arena geometrically from what this level needs. An exact-size
-  // reserve would reallocate and copy every node at every level; doubling
-  // from the old capacity instead walks up through a chain of buffers that
-  // stay in the heap and raise peak RSS.
-  const std::size_t need = nodes_.size() + created;
-  if (need > nodes_.capacity()) nodes_.reserve(need + need / 2);
-  Level lvl;
-  lvl.node_ids.reserve(created);
-  lvl.paths.reserve(created * (k + 1));
-  for (const ShardOut& sh : shards) {
-    for (std::size_t c = 0; c < sh.parents.size(); ++c) {
-      const std::uint32_t parent = sh.parents[c];
-      const auto id = static_cast<std::uint32_t>(nodes_.size());
-      Node child;
-      child.item = sh.paths[c * (k + 1) + k];
-      child.parent = parent;
-      child.pos = static_cast<std::uint32_t>(lvl.node_ids.size());
-      nodes_.push_back(child);
-      Node& pn = nodes_[parent];
-      if (pn.child_begin == pn.child_end) pn.child_begin = id;
-      pn.child_end = id + 1;
-      lvl.node_ids.push_back(id);
-    }
-    lvl.paths.insert(lvl.paths.end(), sh.paths.begin(), sh.paths.end());
   }
-  levels_.push_back(std::move(lvl));
-  shards.clear();
+  last_extend_shards_ = nshards;
+  levels_.push_back(std::move(next));
 
   auto& metrics = obs::MetricsRegistry::global();
   if (metrics.enabled())
     metrics.add(obs::Counter::kCandgenShards, nshards);
-  return created;
+  return level_size(k + 1);
+}
+
+void CandidateTrie::append_nodes() {
+  const std::size_t k = depth();
+  const Level& prev = levels_[k - 2];
+  Level& lvl = levels_.back();
+  lvl.first_node = static_cast<std::uint32_t>(nodes_.size());
+  for (std::size_t i = 0; i < lvl.parents.size(); ++i) {
+    const auto id = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back({lvl.paths[i * k + k - 1], 0, 0});
+    // Survivors arrive in parent order: each parent's children are one run.
+    // A root's node id is its row id.
+    const std::uint32_t p = lvl.parents[i];
+    Node& parent = nodes_[k == 2 ? prev.paths[p] : prev.first_node + p];
+    if (parent.child_begin == parent.child_end) parent.child_begin = id;
+    parent.child_end = id + 1;
+  }
 }
 
 bool CandidateTrie::append_level(std::vector<std::uint32_t> paths) {
   const std::size_t k = depth() + 1;
-  const std::size_t n = paths.size() / k;
   const Level& prev = levels_.back();
-  const std::size_t m = prev.node_ids.size();
+  if (k > 2 && prev.first_node == kNone) return false;  // no survivors
+  const std::size_t n = paths.size() / k;
+  const std::size_t m = level_size(k - 1);
 
   // Both levels are in lexicographic order, so each path's (k-1)-prefix
   // lies at or after the previous path's: one forward walk finds them all.
-  std::vector<std::uint32_t> parents(n);
+  Level lvl;
+  lvl.parents.resize(n);
   std::size_t p = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t* row = paths.data() + i * k;
@@ -226,34 +220,12 @@ bool CandidateTrie::append_level(std::vector<std::uint32_t> paths) {
                                                  row, row + k - 1))
       ++p;
     if (p == m || !std::equal(row, row + k - 1, prefix(p))) return false;
-    parents[i] = prev.node_ids[p];
-  }
-
-  const std::size_t need = nodes_.size() + n;
-  if (need > nodes_.capacity()) nodes_.reserve(need + need / 2);
-  Level lvl;
-  lvl.node_ids.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto id = static_cast<std::uint32_t>(nodes_.size());
-    Node child;
-    child.item = paths[i * k + k - 1];
-    child.parent = parents[i];
-    child.pos = static_cast<std::uint32_t>(i);
-    child.frequent = true;
-    nodes_.push_back(child);
-    Node& pn = nodes_[parents[i]];
-    if (pn.child_begin == pn.child_end) pn.child_begin = id;
-    pn.child_end = id + 1;
-    lvl.node_ids.push_back(id);
+    lvl.parents[i] = static_cast<std::uint32_t>(p);
   }
   lvl.paths = std::move(paths);
   levels_.push_back(std::move(lvl));
+  append_nodes();
   return true;
-}
-
-std::vector<std::uint32_t> CandidateTrie::flatten_level(
-    std::size_t level) const {
-  return levels_[level - 1].paths;  // one block copy of the cached arena
 }
 
 std::uint32_t CandidateTrie::GroupedLevel::max_group_size() const {
@@ -272,29 +244,25 @@ CandidateTrie::GroupedLevel CandidateTrie::flatten_level_grouped(
     throw std::invalid_argument(
         "CandidateTrie::flatten_level_grouped: max_group_size must be >= 1");
   const Level& lvl = levels_[level - 1];
-  const std::size_t n = lvl.node_ids.size();
+  const std::size_t n = level_size(level);
   GroupedLevel out;
   out.prefix_len = static_cast<std::uint32_t>(level - 1);
   out.group_offsets.push_back(0);
 
   // Pass 1 (serial, one compare per candidate): group boundaries — a new
   // group starts on parent change or when the size cap splits a class.
-  std::uint32_t cur_parent = kNoParent;
-  std::uint32_t cur_size = 0;
+  std::uint32_t size = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const Node& nd = nodes_[lvl.node_ids[i]];
-    if (nd.parent != cur_parent || cur_size == max_group_size) {
-      if (cur_size != 0)
-        out.group_offsets.push_back(static_cast<std::uint32_t>(i));
-      cur_parent = nd.parent;
-      cur_size = 0;
+    if (size == max_group_size ||
+        (i != 0 && lvl.parents[i] != lvl.parents[i - 1])) {
+      out.group_offsets.push_back(static_cast<std::uint32_t>(i));
+      size = 0;
     }
-    ++cur_size;
+    ++size;
   }
-  if (cur_size != 0)
-    out.group_offsets.push_back(static_cast<std::uint32_t>(n));
+  if (n != 0) out.group_offsets.push_back(static_cast<std::uint32_t>(n));
 
-  // Pass 2: block copies out of the cached path arena — the prefix is the
+  // Pass 2: block copies out of the path table — the prefix is the
   // first k-1 row ids of the group's first candidate, the sibling row is
   // each candidate's last. Parallel over contiguous group ranges (disjoint
   // writes into the pre-sized tables) when the level is large enough.
@@ -326,8 +294,11 @@ CandidateTrie::GroupedLevel CandidateTrie::flatten_level_grouped(
 std::size_t CandidateTrie::mark_frequent(std::size_t level,
                                          std::span<const fim::Support> supports,
                                          fim::Support min_count) {
-  Level& lvl = levels_[level - 1];
-  const std::size_t n = lvl.node_ids.size();
+  if (level != depth() || (level >= 2 && levels_.back().first_node != kNone))
+    throw std::invalid_argument(
+        "CandidateTrie::mark_frequent: not the deepest unmarked level");
+  Level& lvl = levels_.back();
+  const std::size_t n = level_size(level);
   if (supports.size() != n)
     throw std::invalid_argument("CandidateTrie::mark_frequent: size mismatch");
 
@@ -353,66 +324,54 @@ std::size_t CandidateTrie::mark_frequent(std::size_t level,
     offsets[s + 1] = offsets[s] + counts[s];
   const std::size_t survivors = offsets[nshards];
 
-  // Pass 2: set flags and compact node ids + cached paths into pre-sized
-  // arenas at the shard's offset — disjoint writes, order preserved, so the
-  // surviving level is byte-identical to the serial erase-based compaction.
-  Level compact;
-  compact.node_ids.resize(survivors);
-  compact.paths.resize(survivors * level);
+  // Pass 2: compact the parent and path tables into pre-sized ones at the
+  // shard's offset — disjoint writes, order preserved, so the surviving
+  // level is byte-identical to a serial compaction.
+  Level kept;
+  kept.parents.resize(level >= 2 ? survivors : 0);
+  kept.paths.resize(survivors * level);
   gpusim::HostPool::instance().run(nshards, [&](std::uint32_t s) {
     const auto [lo, hi] = range(s);
     std::size_t at = offsets[s];
     for (std::size_t i = lo; i < hi; ++i) {
-      const std::uint32_t id = lvl.node_ids[i];
-      Node& nd = nodes_[id];
-      if (supports[i] >= min_count) {
-        nd.frequent = true;
-        nd.pos = static_cast<std::uint32_t>(at);
-        compact.node_ids[at] = id;
-        std::copy(lvl.paths.data() + i * level,
-                  lvl.paths.data() + (i + 1) * level,
-                  compact.paths.begin() +
-                      static_cast<std::ptrdiff_t>(at * level));
-        ++at;
-      } else {
-        nd.frequent = false;  // roots start frequent; level-1 marking prunes
-      }
+      if (supports[i] < min_count) continue;
+      if (level >= 2) kept.parents[at] = lvl.parents[i];
+      std::copy(lvl.paths.data() + i * level,
+                lvl.paths.data() + (i + 1) * level,
+                kept.paths.begin() + static_cast<std::ptrdiff_t>(at * level));
+      ++at;
     }
   });
-  lvl = std::move(compact);
+  lvl = std::move(kept);
+  // Roots are nodes from the start; a dropped root keeps its node, but it
+  // leaves level 1's survivor list and so is never joined.
+  if (level >= 2) append_nodes();
   return survivors;
 }
 
-std::vector<fim::Item> CandidateTrie::candidate_items(std::size_t level,
-                                                      std::size_t i) const {
-  const auto row = candidate_row_span(level, i);
-  return {row.begin(), row.end()};
+std::uint32_t CandidateTrie::find_child(std::uint32_t node,
+                                        fim::Item item) const {
+  // Children are a contiguous id range sorted by item.
+  const auto first = nodes_.begin() + nodes_[node].child_begin;
+  const auto last = nodes_.begin() + nodes_[node].child_end;
+  const auto it = std::lower_bound(
+      first, last, item,
+      [](const Node& nd, fim::Item x) { return nd.item < x; });
+  return it == last || it->item != item
+             ? kNone
+             : static_cast<std::uint32_t>(it - nodes_.begin());
 }
 
 bool CandidateTrie::is_frequent(std::span<const fim::Item> items) const {
-  if (items.empty()) return false;
-  // Root node ids equal their items by construction.
-  if (items[0] >= num_roots_) return false;
-  std::uint32_t found = items[0];
-  if (!nodes_[found].frequent) return false;
-  for (std::size_t d = 1; d < items.size(); ++d) {
-    const Node& pn = nodes_[found];
-    // Children are a contiguous id range sorted by item.
-    std::uint32_t lo = pn.child_begin, hi = pn.child_end;
-    while (lo < hi) {
-      const std::uint32_t mid = lo + (hi - lo) / 2;
-      if (nodes_[mid].item < items[d])
-        lo = mid + 1;
-      else
-        hi = mid;
-    }
-    if (lo == pn.child_end || nodes_[lo].item != items[d]) return false;
-    // Mid-path infrequent nodes cut the lookup exactly like an erase-based
-    // trie would by removing them from their sibling list.
-    if (d + 1 < items.size() && !nodes_[lo].frequent) return false;
-    found = lo;
-  }
-  return nodes_[found].frequent;
+  if (items.empty() || items[0] >= num_roots_) return false;
+  // Level 1's survivors are sorted row ids; deeper survivors are the nodes.
+  if (items.size() == 1)
+    return std::binary_search(levels_[0].paths.begin(),
+                              levels_[0].paths.end(), items[0]);
+  std::uint32_t found = items[0];  // root node ids equal their items
+  for (std::size_t d = 1; d < items.size() && found != kNone; ++d)
+    found = find_child(found, items[d]);
+  return found != kNone;
 }
 
 }  // namespace gpapriori

@@ -64,7 +64,7 @@ NativeTopKResult mine_top_k_native(const fim::TransactionDb& db,
     if (max_itemset_size && lvl > max_itemset_size) break;
     const std::size_t ncand = trie.extend();
     if (ncand == 0) break;
-    // Zero-copy view of the cached path arena — valid until mark_frequent
+    // Zero-copy view of the level's path table — valid until mark_frequent
     // compacts the level, so every read happens before the prune below.
     const std::span<const std::uint32_t> flat = trie.level_paths(lvl);
 

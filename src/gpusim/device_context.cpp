@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "gpusim/checksum.hpp"
+
 namespace gpusim {
 
 Device::Device(DeviceProperties props, DeviceOptions opts)
@@ -53,32 +55,13 @@ KernelStats Device::launch(const Kernel& kernel, const LaunchConfig& cfg) {
   return stats;
 }
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t fnv1a(std::uint64_t h, const unsigned char* p, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-  return h;
-}
-
-}  // namespace
-
 std::uint64_t Device::checksum_device_bytes(std::uint64_t addr,
                                             std::size_t n) const {
-  unsigned char buf[4096];
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t off = 0; off < n; off += sizeof(buf)) {
-    const std::size_t chunk = std::min(sizeof(buf), n - off);
-    mem_.read_bytes(addr + off, buf, chunk);
-    h = fnv1a(h, buf, chunk);
-  }
-  return h;
+  return word_checksum(mem_.view<unsigned char>(addr, n).data(), n);
 }
 
 std::uint64_t Device::checksum_host_bytes(const void* data, std::size_t n) {
-  return fnv1a(kFnvOffset, static_cast<const unsigned char*>(data), n);
+  return word_checksum(data, n);
 }
 
 std::string Device::profile_report() const {

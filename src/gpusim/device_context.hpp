@@ -108,7 +108,7 @@ class Device {
                         obs::Counter::kD2HBytes, dst.size_bytes(), sim_ns);
   }
 
-  /// FNV-1a checksum of a device range, computed device-side (exempt from
+  /// word_checksum() of a device range, computed device-side (exempt from
   /// transfer fault injection — the real system would run a tiny reduction
   /// kernel). Lets callers verify a D2H copy arrived intact.
   template <typename T>

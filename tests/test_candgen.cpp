@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <thread>
@@ -18,18 +19,7 @@
 namespace {
 
 using gpapriori::CandidateTrie;
-
-/// Deterministic pseudo-support of a candidate path — a pure function of
-/// the item content, so every trie replica prunes identically regardless
-/// of how its levels were generated.
-fim::Support synth_support(std::span<const std::uint32_t> path) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::uint32_t x : path) {
-    h ^= x + 0x9e3779b9u;
-    h *= 1099511628211ull;
-  }
-  return static_cast<fim::Support>(h % 1000);
-}
+using testutil::synth_support;
 
 /// Worker counts the suite sweeps: serial, the smallest parallel shape,
 /// an odd count that never divides level sizes evenly, and whatever this
@@ -41,13 +31,16 @@ std::vector<std::uint32_t> worker_counts() {
 
 /// Grows a trie level by level with set_workers(workers): extend, prune
 /// with synth_support at `min_count`, until extension dries up or
-/// `max_depth` is reached.
+/// `max_depth` is reached. `shards`, if given, receives each extension's
+/// last_extend_shards(), level 2 first.
 CandidateTrie grow(std::size_t roots, std::uint32_t workers,
-                   fim::Support min_count, std::size_t max_depth) {
+                   fim::Support min_count, std::size_t max_depth,
+                   std::vector<std::uint32_t>* shards = nullptr) {
   CandidateTrie trie(roots);
   trie.set_workers(workers);
   for (std::size_t k = 2; k <= max_depth; ++k) {
     const std::size_t ncand = trie.extend();
+    if (shards != nullptr) shards->push_back(trie.last_extend_shards());
     if (ncand == 0) break;
     std::vector<fim::Support> supports(ncand);
     for (std::size_t c = 0; c < ncand; ++c)
@@ -89,24 +82,31 @@ void expect_identical(const CandidateTrie& a, const CandidateTrie& b,
   }
 }
 
-// 96 roots put level 2 at C(96,2) = 4560 join pairs, past the parallel
-// threshold, so workers >= 2 really shard the join; the pruned deeper
-// levels exercise the uneven-group rebase/stitch path.
+// Level 2 (C(96,2) = 4560 pairs of the 96 roots) is one equivalence class
+// written in place, so it never shards. Level 3 joins the level-2
+// survivors within ~95 classes, past the 2048-pair parallel threshold, so
+// workers >= 2 must shard it; it and the pruned deeper levels exercise the
+// uneven class ranges and the in-order concatenation of shard tables.
 TEST(CandgenDeterminism, TrieByteIdenticalAcrossWorkerCounts) {
   const CandidateTrie serial = grow(96, 1, 700, 5);
   ASSERT_GE(serial.depth(), 3u) << "test shape too shallow to be meaningful";
   for (std::uint32_t w : worker_counts()) {
-    const CandidateTrie sharded = grow(96, w, 700, 5);
-    if (w >= 2) {
-      EXPECT_GT(sharded.last_extend_shards(), 0u);
-    }
+    std::vector<std::uint32_t> shards;
+    const CandidateTrie sharded = grow(96, w, 700, 5, &shards);
+    ASSERT_GE(shards.size(), 2u) << "workers=" << w;
+    EXPECT_EQ(shards[0], 1u) << "level 2 sharded, workers=" << w;
+    if (w >= 2)
+      EXPECT_GT(shards[1], 1u) << "level 3 not sharded, workers=" << w;
+    else
+      EXPECT_EQ(shards[1], 1u);
     expect_identical(serial, sharded, w);
   }
 }
 
 // One big flat level (C(200,2) = 19900 candidates) crosses the parallel
-// mark_frequent threshold: the compaction that rewrites node_ids, paths,
-// and pos must agree with the serial order bit for bit.
+// mark_frequent threshold: the compaction of the parent and path tables,
+// and the survivor nodes it appends, must agree with the serial order bit
+// for bit.
 TEST(CandgenDeterminism, ParallelMarkFrequentMatchesSerial) {
   auto build = [](std::uint32_t workers) {
     CandidateTrie trie(200);
@@ -127,11 +127,13 @@ TEST(CandgenDeterminism, ParallelMarkFrequentMatchesSerial) {
 TEST(CandgenDeterminism, FlattenLevelMatchesPathArena) {
   const CandidateTrie trie = grow(40, 3, 600, 4);
   for (std::size_t k = 1; k <= trie.depth(); ++k) {
-    const std::vector<std::uint32_t> flat = trie.flatten_level(k);
     const auto paths = trie.level_paths(k);
-    ASSERT_EQ(flat.size(), paths.size());
-    EXPECT_TRUE(std::equal(flat.begin(), flat.end(), paths.begin()));
-    ASSERT_EQ(flat.size(), trie.level_size(k) * k);
+    ASSERT_EQ(paths.size(), trie.level_size(k) * k);
+    for (std::size_t i = 0; i < trie.level_size(k); ++i) {
+      const auto row = trie.candidate_row_span(k, i);
+      ASSERT_EQ(row.data(), paths.data() + i * k) << "level " << k;
+      EXPECT_TRUE(std::is_sorted(row.begin(), row.end())) << "level " << k;
+    }
   }
 }
 

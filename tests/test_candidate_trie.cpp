@@ -3,12 +3,49 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "test_util.hpp"
 
 namespace {
 
 using gpapriori::CandidateTrie;
+
+std::vector<std::uint32_t> rows(std::span<const std::uint32_t> view) {
+  return {view.begin(), view.end()};
+}
+
+/// Extends and marks (synth_support >= 400) until level `depth` is marked.
+CandidateTrie grow(std::size_t roots, std::size_t depth) {
+  CandidateTrie trie(roots);
+  for (std::size_t k = 2; k <= depth; ++k) {
+    std::vector<fim::Support> supports(trie.extend());
+    for (std::size_t c = 0; c < supports.size(); ++c)
+      supports[c] = testutil::synth_support(trie.candidate_row_span(k, c));
+    trie.mark_frequent(k, supports, 400);
+  }
+  return trie;
+}
+
+/// Same levels: paths, parent positions and grouped layouts at two caps.
+void expect_same_levels(const CandidateTrie& a, const CandidateTrie& b) {
+  ASSERT_EQ(a.depth(), b.depth());
+  for (std::size_t k = 1; k <= a.depth(); ++k) {
+    ASSERT_EQ(rows(a.level_paths(k)), rows(b.level_paths(k))) << "level " << k;
+    if (k < 2) continue;
+    for (std::size_t i = 0; i < a.level_size(k); ++i)
+      ASSERT_EQ(a.parent_index(k, i), b.parent_index(k, i))
+          << "level " << k << " candidate " << i;
+    for (const std::uint32_t cap : {64u, 5u}) {
+      const auto ga = a.flatten_level_grouped(k, cap);
+      const auto gb = b.flatten_level_grouped(k, cap);
+      EXPECT_EQ(ga.prefix_rows, gb.prefix_rows) << "level " << k;
+      EXPECT_EQ(ga.sibling_rows, gb.sibling_rows) << "level " << k;
+      EXPECT_EQ(ga.group_offsets, gb.group_offsets) << "level " << k;
+    }
+  }
+}
 
 TEST(CandidateTrie, Level1Roots) {
   CandidateTrie trie(4);
@@ -22,11 +59,11 @@ TEST(CandidateTrie, Level2IsAllSiblingPairs) {
   CandidateTrie trie(4);
   EXPECT_EQ(trie.extend(), 6u);  // C(4,2)
   EXPECT_EQ(trie.depth(), 2u);
-  const auto flat = trie.flatten_level(2);
+  const auto flat = trie.level_paths(2);
   ASSERT_EQ(flat.size(), 12u);
   // Equivalence-class order: 01,02,03,12,13,23.
   const std::vector<std::uint32_t> expect{0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3};
-  EXPECT_EQ(flat, expect);
+  EXPECT_EQ(rows(flat), expect);
 }
 
 TEST(CandidateTrie, MarkFrequentPrunesLevel) {
@@ -50,8 +87,8 @@ TEST(CandidateTrie, SubsetPruneUsesApriori) {
   const std::vector<fim::Support> s2{9, 9, 0, 9, 9, 0};
   trie.mark_frequent(2, s2, 1);
   EXPECT_EQ(trie.extend(), 1u);
-  const auto items = trie.candidate_items(3, 0);
-  EXPECT_EQ(items, (std::vector<fim::Item>{0, 1, 2}));
+  EXPECT_EQ(rows(trie.candidate_row_span(3, 0)),
+            (std::vector<fim::Item>{0, 1, 2}));
 }
 
 TEST(CandidateTrie, PaperFig1StyleGrowth) {
@@ -64,7 +101,7 @@ TEST(CandidateTrie, PaperFig1StyleGrowth) {
   trie.extend();
   EXPECT_EQ(trie.level_size(3), 10u);  // C(5,3)
   for (std::size_t i = 0; i < trie.level_size(3); ++i) {
-    const auto items = trie.candidate_items(3, i);
+    const auto items = rows(trie.candidate_row_span(3, i));
     EXPECT_TRUE(fim::is_strictly_increasing(items));
     for (std::size_t d = 0; d < items.size(); ++d) {
       auto sub = items;
@@ -104,9 +141,9 @@ TEST(CandidateTrie, IsFrequentOnUnknownPaths) {
 TEST(CandidateTrie, FlattenOrderMatchesCandidateItems) {
   CandidateTrie trie(4);
   trie.extend();
-  const auto flat = trie.flatten_level(2);
+  const auto flat = trie.level_paths(2);
   for (std::size_t i = 0; i < trie.level_size(2); ++i) {
-    const auto items = trie.candidate_items(2, i);
+    const auto items = trie.candidate_row_span(2, i);
     EXPECT_EQ(items[0], flat[i * 2]);
     EXPECT_EQ(items[1], flat[i * 2 + 1]);
   }
@@ -131,7 +168,7 @@ TEST(CandidateTrie, CandidatesMatchAprioriGenSemantics) {
     // Every true frequent k-set must be among the candidates (completeness).
     std::vector<std::vector<fim::Item>> cand_items;
     for (std::size_t i = 0; i < n; ++i)
-      cand_items.push_back(trie.candidate_items(k, i));
+      cand_items.push_back(rows(trie.candidate_row_span(k, i)));
     std::size_t true_k = 0;
     for (const auto& fs : frequent) {
       if (fs.items.size() != k) continue;
@@ -149,6 +186,69 @@ TEST(CandidateTrie, CandidatesMatchAprioriGenSemantics) {
       sk[i] = testutil::naive_support(db, fim::Itemset(cand_items[i]));
     trie.mark_frequent(k, sk, min_count);
   }
+}
+
+// Only survivors become nodes: candidates live in the level's tables until
+// mark_frequent() keeps them, and what it drops never becomes a node.
+TEST(CandidateTrie, NodesAreRootsPlusSurvivors) {
+  CandidateTrie trie(24);
+  std::size_t survivors = 0;
+  for (std::size_t k = 2; k <= 4; ++k) {
+    const std::size_t before = trie.num_nodes();
+    std::vector<fim::Support> supports(trie.extend());
+    ASSERT_FALSE(supports.empty()) << "level " << k;
+    EXPECT_EQ(trie.num_nodes(), before) << "candidates became nodes";
+    for (std::size_t c = 0; c < supports.size(); ++c)
+      supports[c] = testutil::synth_support(trie.candidate_row_span(k, c));
+    survivors += trie.mark_frequent(k, supports, 400);
+    ASSERT_LT(trie.level_size(k), supports.size()) << "nothing was pruned";
+    EXPECT_EQ(trie.num_nodes(), 24 + survivors) << "level " << k;
+  }
+}
+
+// A root dropped by a level-1 mark (as the top-K miner makes) keeps its
+// node but must be neither joined nor found.
+TEST(CandidateTrie, DroppedRootIsNeitherJoinedNorFound) {
+  CandidateTrie trie(4);
+  const std::vector<fim::Support> s1{5, 0, 5, 5};
+  EXPECT_EQ(trie.mark_frequent(1, s1, 1), 3u);
+  EXPECT_FALSE(trie.is_frequent(std::vector<fim::Item>{1}));
+  EXPECT_TRUE(trie.is_frequent(std::vector<fim::Item>{2}));
+  ASSERT_EQ(trie.extend(), 3u);
+  EXPECT_EQ(rows(trie.level_paths(2)),
+            (std::vector<std::uint32_t>{0, 2, 0, 3, 2, 3}));
+  EXPECT_EQ(trie.parent_index(2, 2), 1u);  // root 2 is level-1 survivor 1
+  const std::vector<fim::Support> s2(3, 9);
+  trie.mark_frequent(2, s2, 1);
+  EXPECT_FALSE(trie.is_frequent(std::vector<fim::Item>{1, 2}));
+  EXPECT_TRUE(trie.is_frequent(std::vector<fim::Item>{0, 2}));
+  ASSERT_EQ(trie.extend(), 1u);
+  EXPECT_EQ(rows(trie.level_paths(3)), (std::vector<std::uint32_t>{0, 2, 3}));
+}
+
+TEST(CandidateTrie, MarkFrequentOnlyOnTheDeepestUnmarkedLevel) {
+  CandidateTrie trie(3);
+  trie.extend();
+  const std::vector<fim::Support> s1(3, 1), s2(3, 1);
+  EXPECT_THROW(trie.mark_frequent(1, s1, 1), std::invalid_argument);
+  trie.mark_frequent(2, s2, 1);
+  EXPECT_THROW(trie.mark_frequent(2, s2, 1), std::invalid_argument);
+}
+
+// The resume path: a trie rebuilt by append_level from a mined trie's
+// survivor paths is the mined trie, and extends to the same next level.
+TEST(CandidateTrie, AppendLevelRebuildsTheMinedTrie) {
+  CandidateTrie mined = grow(40, 4);
+  ASSERT_GT(mined.level_size(4), 0u) << "test shape too shallow";
+  CandidateTrie rebuilt(40);
+  for (std::size_t k = 2; k <= mined.depth(); ++k)
+    ASSERT_TRUE(rebuilt.append_level(rows(mined.level_paths(k))))
+        << "level " << k;
+  EXPECT_EQ(rebuilt.num_nodes(), mined.num_nodes());
+  expect_same_levels(mined, rebuilt);
+  ASSERT_GT(mined.extend(), 0u);
+  EXPECT_EQ(rebuilt.extend(), mined.level_size(5));
+  expect_same_levels(mined, rebuilt);
 }
 
 }  // namespace

@@ -265,6 +265,23 @@ TEST(DeviceFaults, ChecksumMatchesOnCleanDevice) {
   EXPECT_FALSE(dev.fault_injection_enabled());
 }
 
+// 37 words are 148 bytes: four 32-byte blocks, two full 8-byte words and
+// a 4-byte tail, so the zero-padded tail of the word hash is covered too.
+TEST(DeviceFaults, ChecksumChangesOnEverySingleBitFlip) {
+  std::vector<std::uint32_t> h(37);
+  std::iota(h.begin(), h.end(), 0x9e3779b9u);
+  const std::size_t bytes = h.size() * 4;
+  const std::uint64_t clean = Device::checksum_host_bytes(h.data(), bytes);
+  for (std::size_t w = 0; w < h.size(); ++w) {
+    for (std::uint32_t bit = 0; bit < 32; ++bit) {
+      h[w] ^= 1u << bit;
+      EXPECT_NE(Device::checksum_host_bytes(h.data(), bytes), clean)
+          << "word " << w << " bit " << bit;
+      h[w] ^= 1u << bit;
+    }
+  }
+}
+
 TEST(DeviceFaults, ProfileReportMentionsInjectedFaults) {
   Device dev(DeviceProperties::tesla_t10(), small_device("alloc#1=oom"));
   EXPECT_THROW(dev.alloc<std::uint32_t>(4), DeviceOomError);

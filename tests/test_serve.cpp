@@ -611,7 +611,10 @@ TEST(MiningServiceTest, CancelHitsQueuedAndRunningRequests) {
   service.register_dataset("slow", slow_db());
   service.register_dataset("small", small_db());
 
-  auto f_run = service.submit(req("victim-run", "slow", 0.015, "GPApriori"));
+  // At support 0.005 victim-run mines for ~200 ms in Release, far past the
+  // 30 ms sleep, so victim-wait is still queued when it is cancelled; the
+  // cancel cuts victim-run short at its next level boundary.
+  auto f_run = service.submit(req("victim-run", "slow", 0.005, "GPApriori"));
   auto f_wait = service.submit(req("victim-wait", "small", 0.3, "CPU_TEST"));
   // Let the single worker pick up victim-run so it is genuinely active.
   std::this_thread::sleep_for(std::chrono::milliseconds(30));

@@ -76,14 +76,13 @@ TEST_P(SupportKernelSweep, MatchesCpuAndPopcount) {
 
   // All k-combinations of the 8 rows as candidates (trie-order irrelevant).
   gpapriori::CandidateTrie trie(items);
-  std::vector<std::uint32_t> flat;
   for (std::uint32_t lvl = 2; lvl <= c.k; ++lvl) {
     trie.extend();
     std::vector<fim::Support> all(trie.level_size(lvl), 100);
     trie.mark_frequent(lvl, all, 1);
   }
-  flat = c.k == 1 ? std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}
-                  : trie.flatten_level(c.k);
+  const auto paths = trie.level_paths(c.k);  // level 1: rows 0..7
+  const std::vector<std::uint32_t> flat(paths.begin(), paths.end());
 
   DeviceOptions opts;
   opts.arena_bytes = 32 << 20;

@@ -114,7 +114,7 @@ TEST_P(TiledKernelSweep, MatchesCompleteIntersection) {
 
   const auto trie = full_trie(c.items, c.k);
   const auto grouped = trie.flatten_level_grouped(c.k, c.max_group);
-  const auto flat = trie.flatten_level(c.k);
+  const auto flat = trie.level_paths(c.k);
   ASSERT_EQ(grouped.sibling_rows.size(), flat.size() / c.k);
 
   DeviceOptions opts;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "fim/itemset.hpp"
@@ -70,6 +71,18 @@ inline fim::TransactionDb random_db(std::size_t num_trans,
     for (fim::Item x = 0; x < universe; ++x)
       if (u(rng) < density) tx.push_back(x);
   return fim::TransactionDb::from_transactions(txs);
+}
+
+/// Deterministic pseudo-support in [0, 1000) of a candidate path — a pure
+/// function of the item content, so every trie replica prunes identically
+/// regardless of how its levels were generated.
+inline fim::Support synth_support(std::span<const std::uint32_t> path) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::uint32_t x : path) {
+    h ^= x + 0x9e3779b9u;
+    h *= 1099511628211ull;
+  }
+  return static_cast<fim::Support>(h % 1000);
 }
 
 }  // namespace testutil
