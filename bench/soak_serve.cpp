@@ -1,15 +1,15 @@
 // Chaos soak for the mining service (DESIGN.md §15, EXPERIMENTS.md
 // "serving under overload").
 //
-// Phase 1 — mixed-workload soak. One MiningService takes three waves of
-// requests over three registered datasets: a clean wave, a storm wave
-// (sticky launch faults injected service-wide, plus random cancellation),
-// and a recovery wave (transient fault window that the retry ladder heals,
-// submitted fast enough to trip admission shedding). Requests mix
-// threshold sweeps, top-K, rule generation, deadlines, pinned and
-// planner-chosen drivers, duplicates (dedup fodder) and deliberately
-// malformed entries. Shed requests are retried after their retry_after_ms
-// hint, the way a well-behaved client would.
+// One MiningService takes three waves of requests over three registered
+// datasets: a clean wave, a storm wave (sticky launch faults injected
+// service-wide, plus random cancellation), and a recovery wave (transient
+// fault window that the retry ladder heals, submitted fast enough to trip
+// admission shedding). Requests mix threshold sweeps, top-K, rule
+// generation, deadlines, pinned and planner-chosen drivers, duplicates
+// (dedup fodder) and deliberately malformed entries. Shed requests are
+// retried after their retry_after_ms hint, the way a well-behaved client
+// would.
 //
 // Invariants asserted (process exits 1 on any violation):
 //   * no hangs — every future resolves within a generous per-wave guard;
@@ -17,16 +17,8 @@
 //     malformed ones are kInvalid;
 //   * every kOk result is byte-identical to a fault-free serial reference
 //     mine (CPU_TEST / native top-K) of the same request — faults,
-//     hedging, breaker reroutes, dedup and cache sharing may change the
-//     route, never the answer.
-//
-// Phase 2 — breaker A/B. The same sticky fault plan is served twice with
-// identical workloads: breakers on vs breakers off. With breakers every
-// request after the first trips is planned straight onto the healthy CPU
-// tier; without, each one burns a doomed device attempt and a hedged
-// re-enqueue to the back of the queue. The turnaround p50/p95 of both arms
-// goes into results/BENCH_soak_serve.json so the win is a recorded number,
-// not an anecdote.
+//     hedging, dedup and cache sharing may change the route, never the
+//     answer.
 
 #include <algorithm>
 #include <chrono>
@@ -146,75 +138,6 @@ struct Tally {
   }
 };
 
-struct ArmStats {
-  double p50_ms = 0, p95_ms = 0, mean_ms = 0;
-  std::uint64_t ok = 0, errors = 0, hedges = 0, trips = 0,
-                short_circuited = 0;
-};
-
-/// One breaker A/B arm: N planner-routed requests against a sticky
-/// launch-fault storm, batch-submitted, per-request turnaround recorded.
-ArmStats run_ab_arm(bool breakers_on, int n, const fim::TransactionDb& db) {
-  serve::ServiceOptions so;
-  so.workers = 2;
-  so.max_queue = 512;
-  so.breakers = breakers_on;
-  so.breaker.window = 4;
-  so.breaker.min_samples = 2;
-  so.breaker.failure_threshold = 0.5;
-  so.breaker.open_cooldown_ms = 60'000;  // stays open for the whole arm
-  so.hedging = true;
-  so.hedge_budget = 0;  // unlimited: every doomed attempt may hedge
-  so.base_config.allow_degradation = false;  // device faults become kError
-  so.admission.enabled = false;  // measure the breakers, not the shedder
-
-  serve::MiningService svc(so);
-  svc.register_dataset("ab", db);
-  svc.set_fault_plan(gpusim::FaultPlan::parse("launch#1+=timeout"));
-
-  std::vector<std::future<serve::MiningResult>> futs;
-  std::vector<Clock::time_point> t0s;
-  futs.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    serve::MiningRequest rq;
-    rq.id = std::string("ab-") + (breakers_on ? "on-" : "off-") +
-            std::to_string(i);
-    rq.dataset = "ab";
-    rq.min_support_abs = static_cast<fim::Support>(40 + i);  // distinct: no dedup
-    t0s.push_back(Clock::now());
-    futs.push_back(svc.submit(std::move(rq)));
-  }
-
-  ArmStats arm;
-  std::vector<double> lat;
-  lat.reserve(futs.size());
-  for (std::size_t i = 0; i < futs.size(); ++i) {
-    if (futs[i].wait_for(std::chrono::seconds(300)) !=
-        std::future_status::ready) {
-      std::fprintf(stderr, "soak: HANG in A/B arm (breakers %s, request %zu)\n",
-                   breakers_on ? "on" : "off", i);
-      std::fflush(nullptr);
-      std::_Exit(1);
-    }
-    const auto r = futs[i].get();
-    lat.push_back(ms_since(t0s[i]));
-    if (r.status == serve::RequestStatus::kOk)
-      ++arm.ok;
-    else
-      ++arm.errors;
-  }
-  arm.p50_ms = percentile(lat, 0.50);
-  arm.p95_ms = percentile(lat, 0.95);
-  for (double l : lat) arm.mean_ms += l;
-  arm.mean_ms /= static_cast<double>(lat.empty() ? 1 : lat.size());
-  const auto st = svc.stats();
-  arm.hedges = st.hedges;
-  arm.trips = st.breaker_static.trips + st.breaker_partitioned.trips;
-  arm.short_circuited = st.breaker_static.short_circuited +
-                        st.breaker_partitioned.short_circuited;
-  return arm;
-}
-
 std::uint64_t parse_u64_flag(int argc, char** argv, const char* flag,
                              std::uint64_t fallback) {
   for (int i = 1; i + 1 < argc; ++i)
@@ -235,13 +158,9 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = parse_u64_flag(argc, argv, "--seed", 20260810);
   const std::size_t total = parse_u64_flag(
       argc, argv, "--requests", smoke ? 72 : 240);
-  const int ab_n =
-      static_cast<int>(parse_u64_flag(argc, argv, "--ab", smoke ? 12 : 40));
 
-  std::printf("=== serve chaos soak: %zu requests, %d/arm A/B, seed %llu%s "
-              "===\n",
-              total, ab_n, static_cast<unsigned long long>(seed),
-              smoke ? " (smoke)" : "");
+  std::printf("=== serve chaos soak: %zu requests, seed %llu%s ===\n", total,
+              static_cast<unsigned long long>(seed), smoke ? " (smoke)" : "");
 
   // Three dataset shapes: dense-and-deep, moderate, sparse-and-wide.
   const auto dense = testutil::random_db(400, 12, 0.40, 1);
@@ -327,12 +246,6 @@ int main(int argc, char** argv) {
   serve::ServiceOptions so;
   so.workers = 4;
   so.max_queue = 512;
-  so.breakers = true;
-  so.breaker.window = 6;
-  so.breaker.min_samples = 3;
-  so.breaker.failure_threshold = 0.5;
-  so.breaker.open_cooldown_ms = 300;
-  so.hedging = true;
   so.hedge_budget = 0;  // unlimited for the drill
   so.base_config.allow_degradation = false;  // faults surface as kError
   so.admission.max_inflight = 12;  // force shedding when a wave lands at once
@@ -411,7 +324,6 @@ int main(int argc, char** argv) {
               "requests [%zu, %zu)\n", wave1_begin, wave2_begin);
   svc.set_fault_plan(gpusim::FaultPlan::parse("launch#1+=timeout"));
   drain_wave(1, true);
-  const auto storm_stats = svc.stats();
 
   std::printf("wave 2 (recovery): transient fault window, requests "
               "[%zu, %zu)\n", wave2_begin, specs.size());
@@ -463,16 +375,11 @@ int main(int argc, char** argv) {
     ++violations;
   }
   const auto st = svc.stats();
-  const std::uint64_t storm_trips =
-      storm_stats.breaker_static.trips + storm_stats.breaker_partitioned.trips;
-  if (storm_trips == 0)
-    std::printf("soak: note — the storm wave tripped no breaker (small run?)"
-                "\n");
 
   std::printf("soak: %zu requests in %.0f ms — ok %llu, truncated %llu, "
               "shed %llu (+%llu client retries), rejected %llu, invalid "
-              "%llu, error %llu; %llu cancel hits, %llu hedges, %llu trips; "
-              "%llu/%llu kOk results byte-identical\n",
+              "%llu, error %llu; %llu cancel hits, %llu hedges; %llu/%llu "
+              "kOk results byte-identical\n",
               specs.size(), soak_wall_ms,
               static_cast<unsigned long long>(tally.ok),
               static_cast<unsigned long long>(tally.truncated),
@@ -483,59 +390,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(tally.error),
               static_cast<unsigned long long>(cancel_hits),
               static_cast<unsigned long long>(st.hedges),
-              static_cast<unsigned long long>(st.breaker_static.trips +
-                                              st.breaker_partitioned.trips),
               static_cast<unsigned long long>(compared - mismatches),
               static_cast<unsigned long long>(compared));
 
-  // -- Breaker A/B ---------------------------------------------------------
-  // Arm order biases the comparison, so the seed picks it: odd seeds run
-  // the breakers-off arm first. Compare arms over seeds of both parities.
-  const bool off_first = seed % 2 == 1;
-  std::printf("A/B: %d requests per arm against a sticky launch fault, "
-              "breakers-%s arm first...\n",
-              ab_n, off_first ? "off" : "on");
-  ArmStats on, off;
-  if (off_first) {
-    off = run_ab_arm(false, ab_n, dense);
-    on = run_ab_arm(true, ab_n, dense);
-  } else {
-    on = run_ab_arm(true, ab_n, dense);
-    off = run_ab_arm(false, ab_n, dense);
-  }
-  std::printf("A/B: breakers on  p50 %.1f ms, p95 %.1f ms (%llu trips, "
-              "%llu short-circuits, %llu hedges)\n",
-              on.p50_ms, on.p95_ms,
-              static_cast<unsigned long long>(on.trips),
-              static_cast<unsigned long long>(on.short_circuited),
-              static_cast<unsigned long long>(on.hedges));
-  std::printf("A/B: breakers off p50 %.1f ms, p95 %.1f ms (%llu hedges)\n",
-              off.p50_ms, off.p95_ms,
-              static_cast<unsigned long long>(off.hedges));
-  if (on.p95_ms > 0)
-    std::printf("A/B: breaker p95 win: %.2fx\n", off.p95_ms / on.p95_ms);
-  if (off.p95_ms <= on.p95_ms)
-    std::printf("soak: note — breakers did not lower p95 on this run\n");
-  if (on.ok + on.errors != static_cast<std::uint64_t>(ab_n) ||
-      off.ok + off.errors != static_cast<std::uint64_t>(ab_n)) {
-    std::fprintf(stderr, "soak: FAIL A/B arm lost requests\n");
-    ++violations;
-  }
-
   // -- BENCH json ----------------------------------------------------------
   if (std::ofstream json = bench::open_json("soak_serve")) {
-    auto arm_json = [](const ArmStats& a) {
-      std::string s = "{\"p50_ms\": " + bench::json_number(a.p50_ms) +
-                      ", \"p95_ms\": " + bench::json_number(a.p95_ms) +
-                      ", \"mean_ms\": " + bench::json_number(a.mean_ms) +
-                      ", \"ok\": " + std::to_string(a.ok) +
-                      ", \"errors\": " + std::to_string(a.errors) +
-                      ", \"hedges\": " + std::to_string(a.hedges) +
-                      ", \"trips\": " + std::to_string(a.trips) +
-                      ", \"short_circuited\": " +
-                      std::to_string(a.short_circuited) + "}";
-      return s;
-    };
     json << "{\n"
          << "  \"figure\": \"soak\",\n"
          << "  \"bench\": \"soak_serve\",\n"
@@ -567,14 +426,6 @@ int main(int argc, char** argv) {
          << "  \"exec_p95_ms\": "
          << bench::json_number(percentile(exec_ms, 0.95)) << ",\n"
          << "  \"service_stats\": " << serve::to_json(st) << ",\n"
-         << "  \"breaker_ab\": {\"fault_plan\": \"launch#1+=timeout\", "
-         << "\"requests_per_arm\": " << ab_n << ", \"first_arm\": \""
-         << (off_first ? "without_breakers" : "with_breakers")
-         << "\", \"with_breakers\": "
-         << arm_json(on) << ", \"without_breakers\": " << arm_json(off)
-         << ", \"p95_speedup\": "
-         << bench::json_number(on.p95_ms > 0 ? off.p95_ms / on.p95_ms : 0)
-         << "},\n"
          << "  \"pass\": " << (violations == 0 ? "true" : "false") << "\n"
          << "}\n";
   }

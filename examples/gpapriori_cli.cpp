@@ -92,16 +92,15 @@ int usage() {
       "                [--default-deadline-ms MS] [--fault-plan SPEC]\n"
       "                [--admission-bytes-mb N] [--max-request-ms MS]\n"
       "                [--max-inflight N] [--hedge-budget N]\n"
-      "                [--no-admission] [--no-breakers] [--no-hedging]\n"
+      "                [--no-admission] [--no-hedging]\n"
       "  gpapriori_cli list-algos\n"
       "\n"
       "serve executes a batch of mining requests concurrently through the\n"
       "MiningService (shared dataset cache, in-flight dedup, driver\n"
-      "planner, cost-based admission, per-tier circuit breakers, hedged\n"
-      "retries) and prints one JSON object per request. The request file\n"
-      "holds one request per line as key=value tokens ('#' comments);\n"
-      "a malformed line is answered as status=invalid and the rest of the\n"
-      "file still runs:\n"
+      "planner, cost-based admission, hedged retries) and prints one JSON\n"
+      "object per request. The request file holds one request per line as\n"
+      "key=value tokens ('#' comments); a malformed line is answered as\n"
+      "status=invalid and the rest of the file still runs:\n"
       "  dataset=PATH [id=NAME] [algo=NAME] support=R|count=N|topk=K\n"
       "  [max-size=K] [rules=CONF] [deadline-ms=MS] [out=PATH]\n"
       "serve exits 0 when every request succeeded, 6 when some were\n"
@@ -580,10 +579,8 @@ int cmd_serve(int argc, char** argv) {
       so.hedge_budget = n;
     } else if (a == "--no-admission") {
       so.admission.enabled = false;
-    } else if (a == "--no-breakers") {
-      so.breakers = false;
     } else if (a == "--no-hedging") {
-      so.hedging = false;
+      so.max_hedges_per_request = 0;
     } else if (a == "--metrics") {
       metrics = true;
     } else if (a == "--trace-out") {

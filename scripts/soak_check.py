@@ -14,10 +14,8 @@ json it emitted:
     deadline or a cancellation stopped it mid-run or in the queue) and at
     least one cancellation hit a queued or running request.
 
-The breaker A/B p95 numbers are printed — and an inversion (breakers not
-lowering p95) only warns, because wall-clock under sanitizers or a loaded
-CI box is too noisy to gate on. The committed release-build numbers live
-in results/BENCH_soak_serve.json and EXPERIMENTS.md.
+The committed release-build numbers live in results/BENCH_soak_serve.json
+and EXPERIMENTS.md.
 
 Usage:
   soak_check.py --soak <soak_serve binary> [--smoke]
@@ -77,18 +75,6 @@ def check(report):
             f"{report.get('cancel_hits', 0)} cancel hits, "
             f"{report.get('compared', 0)} kOk results byte-identical to "
             f"serial")
-
-    ab = report.get("breaker_ab", {})
-    on, off = ab.get("with_breakers", {}), ab.get("without_breakers", {})
-    if on and off:
-        print(f"soak_check: breaker A/B p95 {on.get('p95_ms', 0):.1f} ms (on) "
-              f"vs {off.get('p95_ms', 0):.1f} ms (off), "
-              f"win {ab.get('p95_speedup', 0):.2f}x, "
-              f"{on.get('trips', 0)} trips, "
-              f"{on.get('short_circuited', 0)} short-circuits")
-        if off.get("p95_ms", 0) <= on.get("p95_ms", 0):
-            print("soak_check: WARNING breakers did not lower p95 on this "
-                  "run (noisy box / sanitizer build?) — not gating on it")
 
     if failures:
         for f in failures:

@@ -229,9 +229,10 @@ bool CandidateTrie::append_level(std::vector<std::uint32_t> paths) {
 }
 
 std::uint32_t CandidateTrie::GroupedLevel::max_group_size() const {
+  const auto offsets = group_offsets();
   std::uint32_t mx = 0;
-  for (std::size_t g = 0; g + 1 < group_offsets.size(); ++g)
-    mx = std::max(mx, group_offsets[g + 1] - group_offsets[g]);
+  for (std::size_t g = 0; g < groups; ++g)
+    mx = std::max(mx, offsets[g + 1] - offsets[g]);
   return mx;
 }
 
@@ -245,30 +246,38 @@ CandidateTrie::GroupedLevel CandidateTrie::flatten_level_grouped(
         "CandidateTrie::flatten_level_grouped: max_group_size must be >= 1");
   const Level& lvl = levels_[level - 1];
   const std::size_t n = level_size(level);
-  GroupedLevel out;
-  out.prefix_len = static_cast<std::uint32_t>(level - 1);
-  out.group_offsets.push_back(0);
+  const std::size_t p = level - 1;
 
   // Pass 1 (serial, one compare per candidate): group boundaries — a new
   // group starts on parent change or when the size cap splits a class.
+  std::vector<std::uint32_t> offsets{0};
   std::uint32_t size = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (size == max_group_size ||
         (i != 0 && lvl.parents[i] != lvl.parents[i - 1])) {
-      out.group_offsets.push_back(static_cast<std::uint32_t>(i));
+      offsets.push_back(static_cast<std::uint32_t>(i));
       size = 0;
     }
     ++size;
   }
-  if (n != 0) out.group_offsets.push_back(static_cast<std::uint32_t>(n));
+  if (n != 0) offsets.push_back(static_cast<std::uint32_t>(n));
 
-  // Pass 2: block copies out of the path table — the prefix is the
-  // first k-1 row ids of the group's first candidate, the sibling row is
-  // each candidate's last. Parallel over contiguous group ranges (disjoint
-  // writes into the pre-sized tables) when the level is large enough.
-  const std::size_t ngroups = out.num_groups();
-  out.prefix_rows.resize(ngroups * (level - 1));
-  out.sibling_rows.resize(n);
+  const std::size_t ngroups = offsets.size() - 1;
+  GroupedLevel out;
+  out.prefix_len = static_cast<std::uint32_t>(p);
+  out.groups = ngroups;
+  out.candidates = n;
+  out.table.reserve(ngroups * p + n + offsets.size());
+  out.table.resize(ngroups * p + n);
+  out.table.insert(out.table.end(), offsets.begin(), offsets.end());
+
+  // Pass 2: block copies out of the path table, in place into the sized
+  // table — the prefix is the first k-1 row ids of the group's first
+  // candidate, the sibling row is each candidate's last. Parallel over
+  // contiguous group ranges (disjoint writes) when the level is large
+  // enough.
+  std::uint32_t* const prefix_rows = out.table.data();
+  std::uint32_t* const sibling_rows = prefix_rows + ngroups * p;
   std::uint32_t nshards = 1;
   if (workers_ > 1 && ngroups >= 2 && n * level >= kMinParallelFlattenWords)
     nshards = static_cast<std::uint32_t>(
@@ -277,14 +286,12 @@ CandidateTrie::GroupedLevel CandidateTrie::flatten_level_grouped(
     const std::size_t glo = ngroups * s / nshards;
     const std::size_t ghi = ngroups * (s + 1) / nshards;
     for (std::size_t g = glo; g < ghi; ++g) {
-      const std::uint32_t clo = out.group_offsets[g];
-      const std::uint32_t chi = out.group_offsets[g + 1];
+      const std::uint32_t clo = offsets[g];
+      const std::uint32_t chi = offsets[g + 1];
       const std::uint32_t* first = lvl.paths.data() + clo * level;
-      std::copy(first, first + (level - 1),
-                out.prefix_rows.begin() +
-                    static_cast<std::ptrdiff_t>(g * (level - 1)));
+      std::copy(first, first + p, prefix_rows + g * p);
       for (std::uint32_t c = clo; c < chi; ++c)
-        out.sibling_rows[c] = lvl.paths[c * level + (level - 1)];
+        sibling_rows[c] = lvl.paths[c * level + p];
     }
   };
   gpusim::HostPool::instance().run(nshards, fill);

@@ -37,13 +37,14 @@ class HostCounter final : public SupportCounter {
     // prefix AND once, then popcount every sibling's last row against it.
     // Identical supports (AND is associative/commutative).
     const CandidateTrie::GroupedLevel& g = lv.grouped;
-    const std::span<const std::uint32_t> prefixes(g.prefix_rows);
+    const auto prefixes = g.prefix_rows();
+    const auto offsets = g.group_offsets();
+    const auto siblings = g.sibling_rows();
     std::vector<fim::BitsetStore::Word> mask(store.row_stride_words());
-    for (std::size_t i = 0; i < g.num_groups(); ++i) {
+    for (std::size_t i = 0; i < g.groups; ++i) {
       store.and_rows(prefixes.subspan(i * g.prefix_len, g.prefix_len), mask);
-      for (std::uint32_t c = g.group_offsets[i]; c < g.group_offsets[i + 1];
-           ++c)
-        supports[c] = store.masked_popcount(mask, g.sibling_rows[c]);
+      for (std::uint32_t c = offsets[i]; c < offsets[i + 1]; ++c)
+        supports[c] = store.masked_popcount(mask, siblings[c]);
     }
     return 0;
   }

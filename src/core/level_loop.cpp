@@ -196,7 +196,7 @@ void SupportCounter::add_metrics(const LevelCandidates& lv,
   auto& metrics = obs::MetricsRegistry::global();
   const std::uint64_t k = lv.k;
   const std::uint64_t ncand = lv.count;
-  const std::uint64_t ngroups = lv.grouped.num_groups();
+  const std::uint64_t ngroups = lv.grouped.groups;
   for (const auto& slice : lv.slices) {
     const std::uint64_t W = slice.words_per_row();
     if (grouped()) {
@@ -251,24 +251,16 @@ double DeviceCounter::count(const LevelCandidates& lv,
   const double device_ns_before = device.ledger().total_ns();
   const CandidateTrie::GroupedLevel& grouped = lv.grouped;
 
-  // Tiled layout ships three arrays (shared prefixes, per-candidate last
-  // items, group offsets) PACKED into one allocation and one upload — a
-  // per-level transfer pays pcie_latency_us regardless of size, and at
-  // chess scale that fixed cost would eat the kernel-side win three times
-  // over. The complete intersection ships the candidate-major paths.
-  // Either way supports land at global candidate indices.
+  // Tiled layout ships its three arrays (shared prefixes, per-candidate
+  // last items, group offsets) as the one table they are built in: one
+  // allocation and one upload — a per-level transfer pays pcie_latency_us
+  // regardless of size, and at chess scale that fixed cost would eat the
+  // kernel-side win three times over. The complete intersection ships the
+  // candidate-major paths. Either way supports land at global candidate
+  // indices.
   ScopedDeviceAlloc d_sup(fdev_, lv.count);
-  std::vector<std::uint32_t> packed;
-  if (tiled_) {
-    obs::ScopedSpan span(obs::SpanKind::kOther, "table-pack");
-    packed.reserve(grouped.prefix_rows.size() + grouped.sibling_rows.size() +
-                   grouped.group_offsets.size());
-    for (const auto* part : {&grouped.prefix_rows, &grouped.sibling_rows,
-                             &grouped.group_offsets})
-      packed.insert(packed.end(), part->begin(), part->end());
-  }
   const std::span<const std::uint32_t> table =
-      tiled_ ? std::span<const std::uint32_t>(packed) : lv.paths;
+      tiled_ ? std::span<const std::uint32_t>(grouped.table) : lv.paths;
   ScopedDeviceAlloc d_tab(fdev_, table.size());
   fdev_.upload(d_tab.get(), table);
 
@@ -286,13 +278,13 @@ double DeviceCounter::count(const LevelCandidates& lv,
       args.stride_words = static_cast<std::uint32_t>(slice.row_stride_words());
       args.words_per_row = static_cast<std::uint32_t>(slice.words_per_row());
       args.prefix_rows = d_tab.get();
-      args.sibling_rows = args.prefix_rows + grouped.prefix_rows.size();
-      args.group_offsets = args.sibling_rows + grouped.sibling_rows.size();
+      args.sibling_rows = args.prefix_rows + grouped.prefix_rows().size();
+      args.group_offsets = args.sibling_rows + grouped.sibling_rows().size();
       args.k = static_cast<std::uint32_t>(lv.k);
       args.max_group_size = grouped.max_group_size();
       args.supports = d_sup.get();
-      launch_batched(grouped.num_groups(), [&](std::uint32_t first,
-                                               gpusim::Dim3 grid) {
+      launch_batched(grouped.groups, [&](std::uint32_t first,
+                                         gpusim::Dim3 grid) {
         args.first_group = first;
         launch(TiledSupportKernel(args, cfg_.unroll), grid);
       });
@@ -660,7 +652,7 @@ void LevelLoop::mine_levels(SupportCounter& counter,
         cand_span.add_arg("candidates", static_cast<double>(lv.count));
         if (grouped && lv.count != 0)
           cand_span.add_arg("groups",
-                            static_cast<double>(lv.grouped.num_groups()));
+                            static_cast<double>(lv.grouped.groups));
       }
     }
     if (lv.count == 0) break;
@@ -707,7 +699,7 @@ void LevelLoop::mine_levels(SupportCounter& counter,
       level_span.add_arg("survivors", static_cast<double>(survivors));
       level_span.add_arg("device_ms", level_device_ms);
       if (grouped) {
-        const double ngroups = static_cast<double>(lv.grouped.num_groups());
+        const double ngroups = static_cast<double>(lv.grouped.groups);
         level_span.add_arg("groups", ngroups);
         level_span.add_arg("prefix_reuse",
                            static_cast<double>(lv.count) / ngroups);

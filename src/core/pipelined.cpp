@@ -56,8 +56,9 @@ double PipelinedCounter::count(const LevelCandidates& lv,
   const double dev_before = device_.ledger().total_ns();
   const fim::BitsetStore& store = lv.slices[0];
   const CandidateTrie::GroupedLevel& grouped = lv.grouped;
+  const auto offsets = grouped.group_offsets();
   const std::size_t k = lv.k;
-  const std::size_t num_units = tiled_ ? grouped.num_groups() : lv.count;
+  const std::size_t num_units = tiled_ ? grouped.groups : lv.count;
   const std::size_t chunk_units = (num_units + chunks_ - 1) / chunks_;
   num_chunks_ = (num_units + chunk_units - 1) / chunk_units;
   auto d_sup = device_.alloc<std::uint32_t>(lv.count);
@@ -65,13 +66,12 @@ double PipelinedCounter::count(const LevelCandidates& lv,
   gpusim::DevicePtr<std::uint32_t> d_cand, d_prefix, d_sib, d_off;
   const std::size_t p = k - 1;
   if (tiled_) {
-    d_prefix = device_.alloc<std::uint32_t>(grouped.prefix_rows.size());
-    d_sib = device_.alloc<std::uint32_t>(grouped.sibling_rows.size());
-    d_off = device_.alloc<std::uint32_t>(grouped.group_offsets.size());
+    d_prefix = device_.alloc<std::uint32_t>(grouped.prefix_rows().size());
+    d_sib = device_.alloc<std::uint32_t>(grouped.sibling_rows().size());
+    d_off = device_.alloc<std::uint32_t>(offsets.size());
     // The offsets table is tiny and every chunk's kernels read it, so it
     // goes up front on the synchronous queue.
-    device_.copy_to_device(
-        d_off, std::span<const std::uint32_t>(grouped.group_offsets));
+    device_.copy_to_device(d_off, offsets);
   } else {
     d_cand = device_.alloc<std::uint32_t>(lv.paths.size());
   }
@@ -87,8 +87,7 @@ double PipelinedCounter::count(const LevelCandidates& lv,
   // kernels write and its download pulls back.
   auto cand_bounds = [&](std::size_t lo, std::size_t hi) {
     using Range = std::pair<std::size_t, std::size_t>;
-    return tiled_ ? Range{grouped.group_offsets[lo], grouped.group_offsets[hi]}
-                  : Range{lo, hi};
+    return tiled_ ? Range{offsets[lo], offsets[hi]} : Range{lo, hi};
   };
   // Issue order matters on the single DMA engine: chunk c+1's UPLOAD must
   // be issued before chunk c's kernel/download or it queues behind that
@@ -100,13 +99,9 @@ double PipelinedCounter::count(const LevelCandidates& lv,
       const auto [clo, chi] = cand_bounds(lo, hi);
       device_.copy_to_device_async(
           d_prefix + lo * p,
-          std::span<const std::uint32_t>(grouped.prefix_rows)
-              .subspan(lo * p, (hi - lo) * p),
-          stream_of(c));
+          grouped.prefix_rows().subspan(lo * p, (hi - lo) * p), stream_of(c));
       device_.copy_to_device_async(
-          d_sib + clo,
-          std::span<const std::uint32_t>(grouped.sibling_rows)
-              .subspan(clo, chi - clo),
+          d_sib + clo, grouped.sibling_rows().subspan(clo, chi - clo),
           stream_of(c));
     } else {
       device_.copy_to_device_async(

@@ -1,7 +1,5 @@
 #include "core/resilience.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <sstream>
 
 namespace gpapriori {
@@ -46,125 +44,6 @@ std::string ResilienceReport::summary() const {
      << ", ecc=" << device_faults.injected_ecc << ")";
   for (const auto& e : events) os << "\n  - " << e;
   return os.str();
-}
-
-const char* to_string(CircuitBreaker::State s) {
-  switch (s) {
-    case CircuitBreaker::State::kClosed: return "closed";
-    case CircuitBreaker::State::kOpen: return "open";
-    case CircuitBreaker::State::kHalfOpen: return "half-open";
-  }
-  return "?";
-}
-
-CircuitBreaker::CircuitBreaker() : CircuitBreaker(Options{}) {}
-
-CircuitBreaker::CircuitBreaker(Options opts) : opts_(opts) {
-  opts_.window = std::clamp<std::size_t>(opts_.window, 1, 1024);
-  opts_.min_samples = std::clamp<std::size_t>(opts_.min_samples, 1,
-                                              opts_.window);
-  opts_.failure_threshold = std::clamp(opts_.failure_threshold, 0.0, 1.0);
-  ring_.assign(opts_.window, 0);
-}
-
-double CircuitBreaker::now_ms() const {
-  if (opts_.clock_ms != nullptr) return opts_.clock_ms();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void CircuitBreaker::push_outcome_locked(bool ok) {
-  if (ring_count_ == opts_.window)
-    ring_failures_ -= ring_[ring_pos_];
-  else
-    ++ring_count_;
-  ring_[ring_pos_] = ok ? 0 : 1;
-  ring_failures_ += ring_[ring_pos_];
-  ring_pos_ = (ring_pos_ + 1) % opts_.window;
-}
-
-void CircuitBreaker::trip_locked() {
-  state_ = State::kOpen;
-  opened_at_ms_ = now_ms();
-  probe_inflight_ = false;
-  ++counters_.trips;
-  // The window restarts from scratch: outcomes that tripped the breaker
-  // must not re-trip it the moment the half-open probe closes it again.
-  std::fill(ring_.begin(), ring_.end(), std::uint8_t{0});
-  ring_pos_ = ring_count_ = ring_failures_ = 0;
-}
-
-bool CircuitBreaker::allow() {
-  std::lock_guard lk(m_);
-  switch (state_) {
-    case State::kClosed:
-      return true;
-    case State::kOpen:
-      if (now_ms() - opened_at_ms_ < opts_.open_cooldown_ms) {
-        ++counters_.short_circuited;
-        return false;
-      }
-      state_ = State::kHalfOpen;
-      [[fallthrough]];
-    case State::kHalfOpen:
-      if (probe_inflight_) {
-        ++counters_.short_circuited;
-        return false;
-      }
-      probe_inflight_ = true;
-      ++counters_.probes;
-      return true;
-  }
-  return true;
-}
-
-void CircuitBreaker::record_success() {
-  std::lock_guard lk(m_);
-  ++counters_.successes;
-  if (state_ == State::kHalfOpen) {
-    state_ = State::kClosed;
-    probe_inflight_ = false;
-    return;  // window is already clean (cleared at trip time)
-  }
-  if (state_ == State::kClosed) push_outcome_locked(true);
-  // kOpen: a request admitted before the trip finishing late carries no
-  // new information — the breaker already knows the tier is unhealthy.
-}
-
-void CircuitBreaker::record_failure() {
-  std::lock_guard lk(m_);
-  ++counters_.failures;
-  if (state_ == State::kHalfOpen) {
-    trip_locked();  // probe failed: back to open, cooldown restarts
-    return;
-  }
-  if (state_ != State::kClosed) return;
-  push_outcome_locked(false);
-  if (ring_count_ >= opts_.min_samples &&
-      static_cast<double>(ring_failures_) >=
-          opts_.failure_threshold * static_cast<double>(ring_count_))
-    trip_locked();
-}
-
-CircuitBreaker::State CircuitBreaker::state() const {
-  std::lock_guard lk(m_);
-  return state_;
-}
-
-CircuitBreaker::Snapshot CircuitBreaker::snapshot() const {
-  std::lock_guard lk(m_);
-  Snapshot s = counters_;
-  s.state = state_;
-  return s;
-}
-
-void CircuitBreaker::reset() {
-  std::lock_guard lk(m_);
-  state_ = State::kClosed;
-  probe_inflight_ = false;
-  std::fill(ring_.begin(), ring_.end(), std::uint8_t{0});
-  ring_pos_ = ring_count_ = ring_failures_ = 0;
 }
 
 void FaultAwareDevice::upload(gpusim::DevicePtr<std::uint32_t> dst,

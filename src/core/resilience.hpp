@@ -21,7 +21,6 @@
 //     so exactness survives every fallback.
 
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -181,80 +180,6 @@ class FaultAwareDevice {
   ResilienceReport& report_;
   const gpusim::CancelToken* cancel_ = nullptr;
 };
-
-/// Circuit breaker over a fallible execution tier (DESIGN.md §15). The
-/// retry/ladder machinery above heals one request at a time; the breaker
-/// carries that knowledge ACROSS requests so a fault storm is discovered
-/// once, not once per request.
-///
-///   closed ──(failure rate in window ≥ threshold)──> open
-///   open ──(cooldown elapsed, next allow())──> half-open (one probe)
-///   half-open ──(probe succeeds)──> closed   (window cleared)
-///   half-open ──(probe fails)────> open      (cooldown restarts)
-///
-/// Outcomes are recorded by whoever ran a request against the tier
-/// (record_success / record_failure); allow() answers whether a NEW
-/// request may be planned onto the tier. Thread-safe; in the open state
-/// allow() is one mutex acquisition, cheap at request rates.
-class CircuitBreaker {
- public:
-  enum class State : std::uint8_t { kClosed, kOpen, kHalfOpen };
-
-  struct Options {
-    /// Sliding outcome window the failure rate is computed over.
-    std::size_t window = 8;
-    /// Never trip before this many outcomes are in the window, so one
-    /// unlucky first request cannot open the breaker.
-    std::size_t min_samples = 4;
-    /// Trip when failures/window-samples reaches this fraction.
-    double failure_threshold = 0.5;
-    /// Wall milliseconds spent open before a half-open probe is allowed.
-    double open_cooldown_ms = 2000.0;
-    /// Test hook: monotonic clock in ms. Null = steady_clock.
-    double (*clock_ms)() = nullptr;
-  };
-
-  struct Snapshot {
-    State state = State::kClosed;
-    std::uint64_t trips = 0;      ///< closed/half-open -> open transitions
-    std::uint64_t probes = 0;     ///< half-open trial requests admitted
-    std::uint64_t successes = 0;  ///< outcomes recorded as success
-    std::uint64_t failures = 0;   ///< outcomes recorded as failure
-    std::uint64_t short_circuited = 0;  ///< allow() == false answers
-  };
-
-  CircuitBreaker();  ///< default Options
-  explicit CircuitBreaker(Options opts);
-
-  /// May a new request be planned onto this tier? Consumes the single
-  /// half-open probe slot when it grants one.
-  [[nodiscard]] bool allow();
-  void record_success();
-  void record_failure();
-
-  [[nodiscard]] State state() const;
-  [[nodiscard]] Snapshot snapshot() const;
-  /// Back to closed with an empty window (admin reset / test reuse).
-  void reset();
-
- private:
-  [[nodiscard]] double now_ms() const;
-  void push_outcome_locked(bool ok);
-  void trip_locked();
-
-  Options opts_;
-  mutable std::mutex m_;
-  State state_ = State::kClosed;
-  std::vector<std::uint8_t> ring_;  ///< 1 = failure
-  std::size_t ring_pos_ = 0;
-  std::size_t ring_count_ = 0;
-  std::size_t ring_failures_ = 0;
-  double opened_at_ms_ = 0;
-  bool probe_inflight_ = false;
-  Snapshot counters_;
-};
-
-[[nodiscard]] const char* to_string(CircuitBreaker::State s);
 
 /// RAII device allocation: frees on scope exit, so a thrown fault mid-level
 /// leaves the arena clean for the next rung of the ladder.

@@ -48,7 +48,7 @@ struct FaultPlan {
   /// Nth AND every later operation fails — a persistent device fault.
   /// With `last` > 0, operations nth..last (inclusive) fail — a bounded
   /// fault window, i.e. a storm that heals on its own (chaos soak drills
-  /// use this to exercise breaker recovery).
+  /// use this to exercise the retry ladder).
   struct Trigger {
     FaultOp op = FaultOp::kAlloc;
     std::uint64_t nth = 1;

@@ -57,9 +57,6 @@ const char* to_string(Counter c) {
     case Counter::kServeQueueWaitUs: return "serve_queue_wait_us";
     case Counter::kServeShedOverload: return "serve_shed_overload";
     case Counter::kServeHedges: return "serve_hedges";
-    case Counter::kServeBreakerTrips: return "serve_breaker_trips";
-    case Counter::kServeBreakerShortCircuits:
-      return "serve_breaker_short_circuits";
     case Counter::kServeCancelled: return "serve_cancelled";
     case Counter::kServeExpiredInQueue: return "serve_expired_in_queue";
     case Counter::kCount: break;

@@ -77,8 +77,6 @@ enum class Counter : std::size_t {
   kServeQueueWaitUs,    ///< cumulative µs requests spent queued
   kServeShedOverload,   ///< requests shed by cost-based admission control
   kServeHedges,         ///< kError requests re-enqueued onto another plan
-  kServeBreakerTrips,   ///< circuit-breaker closed/half-open -> open events
-  kServeBreakerShortCircuits,  ///< plans rerouted past an open breaker
   kServeCancelled,      ///< requests cancelled via MiningService::cancel
   kServeExpiredInQueue, ///< requests whose deadline lapsed before pickup
   kCount,

@@ -29,20 +29,6 @@ bool uses_shared_layout(const std::string& algo) {
          algo == "Hybrid CPU+GPU Apriori";
 }
 
-/// Drivers on the static-bitset device tier (one upfront vertical layout
-/// in the arena). The partitioned driver is its own tier — it streams
-/// transaction partitions and survives arena pressure the static tier
-/// cannot — and everything else runs on the host.
-bool on_static_tier(const std::string& algo) {
-  return algo == "GPApriori" || algo == "GPApriori (eq-class)" ||
-         algo == "GPApriori (pipelined)" || algo == "GPU Eclat" ||
-         algo == "Hybrid CPU+GPU Apriori";
-}
-
-bool on_partitioned_tier(const std::string& algo) {
-  return algo == "GPApriori (partitioned)";
-}
-
 /// Why `r` can never run, or empty when it can: everything execute() would
 /// otherwise find out only after loading the dataset.
 std::string invalid_reason(const MiningRequest& r) {
@@ -149,9 +135,7 @@ MiningService::MiningService(ServiceOptions opts)
     : opts_(std::move(opts)),
       cache_(opts_.cache_bytes),
       estimator_(opts_.cost_model),
-      admission_(opts_.admission, resolve_workers(opts_.workers)),
-      breaker_static_(opts_.breaker),
-      breaker_partitioned_(opts_.breaker) {
+      admission_(opts_.admission, resolve_workers(opts_.workers)) {
   const std::uint32_t n = resolve_workers(opts_.workers);
   workers_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i)
@@ -351,8 +335,6 @@ ServiceStats MiningService::stats() const {
     s = stats_;
   }
   s.cache = cache_.stats();
-  s.breaker_static = breaker_static_.snapshot();
-  s.breaker_partitioned = breaker_partitioned_.snapshot();
   s.admission = admission_.stats();
   return s;
 }
@@ -429,8 +411,8 @@ void MiningService::worker_loop() {
     // checkpoint the failed attempt left so its salvaged levels are not
     // recounted. The re-enqueue goes to the queue front — the request
     // already waited its turn once.
-    if (result.status == RequestStatus::kError && opts_.hedging &&
-        job->request.top_k == 0 && result.algo != "CPU_TEST" &&
+    if (result.status == RequestStatus::kError && job->request.top_k == 0 &&
+        result.algo != "CPU_TEST" &&
         job->attempts < opts_.max_hedges_per_request) {
       bool hedged = false;
       {
@@ -514,30 +496,6 @@ void MiningService::publish(const std::shared_ptr<Job>& job,
   job->promise.set_value(std::move(result));
 }
 
-void MiningService::feed_breakers(const std::string& algo,
-                                  const MiningResult& r,
-                                  const gpapriori::ResilienceReport* rep) {
-  if (!opts_.breakers) return;
-  gpapriori::CircuitBreaker* br = nullptr;
-  if (on_static_tier(algo)) br = &breaker_static_;
-  else if (on_partitioned_tier(algo)) br = &breaker_partitioned_;
-  if (br == nullptr) return;  // host tier: no breaker to feed
-
-  // A run that only completed by degrading off its tier is tier-failure
-  // evidence even though the request itself succeeded.
-  const bool failed = r.status == RequestStatus::kError ||
-                      (rep != nullptr && rep->degraded());
-  const std::uint64_t trips_before = br->snapshot().trips;
-  if (failed)
-    br->record_failure();
-  else
-    br->record_success();
-  const std::uint64_t tripped = br->snapshot().trips - trips_before;
-  if (tripped != 0)
-    obs::MetricsRegistry::global().add(obs::Counter::kServeBreakerTrips,
-                                       tripped);
-}
-
 MiningResult MiningService::execute(Job& job) {
   const MiningRequest& req = job.request;
   MiningResult r;
@@ -608,38 +566,11 @@ MiningResult MiningService::execute(Job& job) {
         r.planner_reason =
             "hedged retry pinned to CPU_TEST after a device-fault error";
       } else if (algo.empty()) {
-        if (opts_.plan_drivers) {
-          PlanDecision plan = plan_driver(ds.dataset->stats, min_count, cfg);
-          if (opts_.breakers) {
-            // Consult breakers lazily, only for the tier the plan would
-            // actually land on: allow() in half-open state consumes the
-            // single probe slot, which must never be spent on a tier this
-            // request does not run.
-            PlanConstraints pc;
-            if (on_static_tier(plan.algo)) {
-              pc.allow_static_device = breaker_static_.allow();
-              if (!pc.allow_static_device) {
-                obs::MetricsRegistry::global().add(
-                    obs::Counter::kServeBreakerShortCircuits, 1);
-                pc.allow_partitioned = breaker_partitioned_.allow();
-                if (!pc.allow_partitioned)
-                  obs::MetricsRegistry::global().add(
-                      obs::Counter::kServeBreakerShortCircuits, 1);
-              }
-            } else if (on_partitioned_tier(plan.algo)) {
-              pc.allow_partitioned = breaker_partitioned_.allow();
-              if (!pc.allow_partitioned)
-                obs::MetricsRegistry::global().add(
-                    obs::Counter::kServeBreakerShortCircuits, 1);
-            }
-            plan = constrain_plan(std::move(plan), pc);
-          }
-          algo = plan.algo;
-          cfg.tiled = plan.tiled;
-          r.planner_reason = plan.reason;
-        } else {
-          algo = "GPApriori";
-        }
+        const PlanDecision plan =
+            plan_driver(ds.dataset->stats, min_count, cfg);
+        algo = plan.algo;
+        cfg.tiled = plan.tiled;
+        r.planner_reason = plan.reason;
       }
       r.algo = algo;
 
@@ -659,7 +590,7 @@ MiningResult MiningService::execute(Job& job) {
       // Arm a per-level checkpoint while a hedge is still possible, so a
       // retry resumes the salvaged prefix instead of recounting it. The
       // final allowed attempt skips the write (nothing would consume it).
-      if (opts_.hedging && job.attempts < opts_.max_hedges_per_request) {
+      if (job.attempts < opts_.max_hedges_per_request) {
         if (job.checkpoint_path.empty()) {
           namespace fs = std::filesystem;
           std::error_code ec;
@@ -708,9 +639,6 @@ MiningResult MiningService::execute(Job& job) {
       } else {
         r.status = RequestStatus::kOk;
       }
-      const auto* gp = dynamic_cast<const gpapriori::GpApriori*>(miner.get());
-      feed_breakers(algo, r, gp != nullptr ? &gp->resilience_report()
-                                           : nullptr);
 
       // -- Rules -------------------------------------------------------------
       if (req.rules_confidence >= 0) {
@@ -743,7 +671,6 @@ MiningResult MiningService::execute(Job& job) {
   } catch (const std::exception& e) {
     r.status = RequestStatus::kError;
     r.error = e.what();
-    feed_breakers(r.algo, r, nullptr);
     return r;
   }
 }

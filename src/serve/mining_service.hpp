@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/resilience.hpp"
 #include "fim/transaction_db.hpp"
 #include "serve/cost_estimator.hpp"
 #include "serve/dataset_cache.hpp"
@@ -126,9 +125,6 @@ struct ServiceOptions {
   std::uint32_t threads_per_request = 1;
   /// Deadline applied to requests that do not carry one. 0 = none.
   double default_deadline_ms = 0;
-  /// Let the planner pick drivers for unpinned requests; when false they
-  /// run base_config's default driver (GPApriori).
-  bool plan_drivers = true;
   /// Template Config for every request (device model, arena, tiling...).
   /// Per-request fields (run_control, shared_layout, host_threads) are
   /// overwritten per execution.
@@ -141,17 +137,11 @@ struct ServiceOptions {
   /// Cost-model constants the admission estimates are computed with.
   CostEstimator::Calibration cost_model;
 
-  /// Per-tier circuit breakers (core/resilience.hpp): device-fault
-  /// outcomes feed them, and unpinned requests plan around open tiers.
-  bool breakers = true;
-  gpapriori::CircuitBreaker::Options breaker;
-
   /// Service-level hedging: a kError request (device fault past the
-  /// ladder) is re-enqueued once onto CPU_TEST — which never touches the
+  /// ladder) is re-enqueued onto CPU_TEST — which never touches the
   /// device — resuming from the per-level checkpoint its first attempt
-  /// left behind, so the salvaged prefix is not recomputed.
-  bool hedging = true;
-  /// Hedges allowed per request (attempts = 1 + this).
+  /// left behind, so the salvaged prefix is not recomputed. Hedges allowed
+  /// per request (attempts = 1 + this); 0 turns hedging off.
   std::uint32_t max_hedges_per_request = 1;
   /// Run-wide hedge budget: total re-enqueues across the service's life.
   /// Prevents a hostile workload from doubling itself. 0 = unlimited.
@@ -185,8 +175,6 @@ struct ServiceStats {
   std::uint64_t expired_in_queue = 0;  ///< drained with deadline already spent
   QueueWaitHistogram queue_wait;
   CacheStats cache;
-  gpapriori::CircuitBreaker::Snapshot breaker_static;
-  gpapriori::CircuitBreaker::Snapshot breaker_partitioned;
   AdmissionController::Stats admission;
 };
 
@@ -230,12 +218,6 @@ class MiningService {
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] DatasetCache& cache() { return cache_; }
   [[nodiscard]] const ServiceOptions& options() const { return opts_; }
-  [[nodiscard]] const gpapriori::CircuitBreaker& static_breaker() const {
-    return breaker_static_;
-  }
-  [[nodiscard]] const gpapriori::CircuitBreaker& partitioned_breaker() const {
-    return breaker_partitioned_;
-  }
 
   /// Stops accepting work, finishes queued requests, joins the workers.
   /// Queued requests whose deadline already elapsed while waiting are
@@ -269,9 +251,6 @@ class MiningService {
 
   void worker_loop();
   MiningResult execute(Job& job);
-  /// Records the outcome of a device-tier run into the breakers.
-  void feed_breakers(const std::string& algo, const MiningResult& r,
-                     const gpapriori::ResilienceReport* rep);
   /// Terminal delivery: releases admission tokens, retires the dedup and
   /// id entries, satisfies followers and the job's promise, updates stats.
   /// A job cancel() hit completes kTruncated whatever its attempt returned.
@@ -291,8 +270,6 @@ class MiningService {
   DatasetCache cache_;
   CostEstimator estimator_;
   AdmissionController admission_;
-  gpapriori::CircuitBreaker breaker_static_;
-  gpapriori::CircuitBreaker breaker_partitioned_;
 
   mutable std::mutex m_;
   std::condition_variable cv_;

@@ -59,30 +59,4 @@ PlanDecision plan_driver(const fim::DatasetStats& stats,
               stats.density, stats.avg_transaction_length)};
 }
 
-PlanDecision constrain_plan(PlanDecision plan,
-                            const PlanConstraints& constraints) {
-  const bool on_static = plan.algo == "GPApriori" ||
-                         plan.algo == "GPApriori (eq-class)" ||
-                         plan.algo == "GPApriori (pipelined)" ||
-                         plan.algo == "GPU Eclat" ||
-                         plan.algo == "Hybrid CPU+GPU Apriori";
-  const bool on_partitioned = plan.algo == "GPApriori (partitioned)";
-  if (on_static && !constraints.allow_static_device) {
-    if (constraints.allow_partitioned) {
-      plan.reason += "; static-device breaker open, rerouted to "
-                     "partitioned streaming";
-      plan.algo = "GPApriori (partitioned)";
-    } else {
-      plan.reason += "; both device breakers open, rerouted to CPU_TEST";
-      plan.algo = "CPU_TEST";
-    }
-  } else if (on_partitioned && !constraints.allow_partitioned) {
-    // Partitioned was chosen because the static bitset does not fit the
-    // arena, so the only healthy rung left is the CPU.
-    plan.reason += "; partitioned breaker open, rerouted to CPU_TEST";
-    plan.algo = "CPU_TEST";
-  }
-  return plan;
-}
-
 }  // namespace serve

@@ -35,29 +35,10 @@ struct PlanDecision {
   std::string reason;  ///< one-line human-readable justification
 };
 
-/// Tier availability handed down by the service's circuit breakers
-/// (DESIGN.md §15): an open breaker takes its tier out of the rotation so
-/// unpinned requests plan straight to a healthy one instead of
-/// rediscovering the fault per request. CPU_TEST never touches the device
-/// and is always available — constraining both device tiers away routes
-/// there.
-struct PlanConstraints {
-  bool allow_static_device = true;  ///< GPApriori / GPU Eclat tier
-  bool allow_partitioned = true;    ///< GPApriori (partitioned) tier
-};
-
 /// Picks a driver for mining `stats`-shaped data at `min_count`, under the
 /// arena budget of `base` (Config supplies arena_bytes and device model).
 [[nodiscard]] PlanDecision plan_driver(const fim::DatasetStats& stats,
                                        fim::Support min_count,
                                        const gpapriori::Config& base);
-
-/// Remaps `plan` onto the healthiest allowed tier. A no-op under the
-/// default constraints; with a tier struck out the decision moves
-/// static -> partitioned -> CPU_TEST (every rung produces byte-identical
-/// itemsets, so rerouting costs wall-time, never correctness) and the
-/// reason records the detour.
-[[nodiscard]] PlanDecision constrain_plan(PlanDecision plan,
-                                          const PlanConstraints& constraints);
 
 }  // namespace serve

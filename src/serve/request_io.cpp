@@ -274,23 +274,6 @@ std::string to_json(const ServiceStats& s) {
                 static_cast<double>(s.cache.evictions), first);
   append_number(out, "builds_coalesced",
                 static_cast<double>(s.cache.builds_coalesced), first);
-  const auto breaker = [&](const char* name,
-                           const gpapriori::CircuitBreaker::Snapshot& b) {
-    out += ",\"";
-    out += name;
-    out += "\":{";
-    bool f2 = true;
-    append_field(out, "state", gpapriori::to_string(b.state), f2);
-    append_number(out, "trips", static_cast<double>(b.trips), f2);
-    append_number(out, "probes", static_cast<double>(b.probes), f2);
-    append_number(out, "successes", static_cast<double>(b.successes), f2);
-    append_number(out, "failures", static_cast<double>(b.failures), f2);
-    append_number(out, "short_circuited",
-                  static_cast<double>(b.short_circuited), f2);
-    out += "}";
-  };
-  breaker("breaker_static", s.breaker_static);
-  breaker("breaker_partitioned", s.breaker_partitioned);
   out += ",\"admission\":{";
   bool f3 = true;
   append_number(out, "admitted", static_cast<double>(s.admission.admitted),

@@ -64,7 +64,7 @@ struct RequestFileEntry {
 [[nodiscard]] std::string to_json_line(const MiningResult& r);
 
 /// ServiceStats as one JSON object (queue-wait histogram, shed/hedge/
-/// cancel counters, cache hit rates, breaker snapshots, admission state) —
+/// cancel counters, cache hit rates, admission state) —
 /// the `--metrics` export of `gpapriori_cli serve` and the soak harness's
 /// BENCH columns.
 [[nodiscard]] std::string to_json(const ServiceStats& s);

@@ -19,6 +19,7 @@
 namespace {
 
 using gpapriori::CandidateTrie;
+using testutil::rows;
 using testutil::synth_support;
 
 /// Worker counts the suite sweeps: serial, the smallest parallel shape,
@@ -71,11 +72,11 @@ void expect_identical(const CandidateTrie& a, const CandidateTrie& b,
         const auto ga = a.flatten_level_grouped(k, cap);
         const auto gb = b.flatten_level_grouped(k, cap);
         EXPECT_EQ(ga.prefix_len, gb.prefix_len);
-        EXPECT_EQ(ga.prefix_rows, gb.prefix_rows)
+        EXPECT_EQ(rows(ga.prefix_rows()), rows(gb.prefix_rows()))
             << "workers=" << workers << " level=" << k << " cap=" << cap;
-        EXPECT_EQ(ga.sibling_rows, gb.sibling_rows)
+        EXPECT_EQ(rows(ga.sibling_rows()), rows(gb.sibling_rows()))
             << "workers=" << workers << " level=" << k << " cap=" << cap;
-        EXPECT_EQ(ga.group_offsets, gb.group_offsets)
+        EXPECT_EQ(rows(ga.group_offsets()), rows(gb.group_offsets()))
             << "workers=" << workers << " level=" << k << " cap=" << cap;
       }
     }
@@ -165,11 +166,11 @@ TEST(CandgenEdgeCases, SingleGroupLevel) {
     trie.set_workers(w);
     ASSERT_EQ(trie.extend(), 1u) << "workers=" << w;
     const auto g = trie.flatten_level_grouped(2, 64);
-    ASSERT_EQ(g.num_groups(), 1u);
+    ASSERT_EQ(g.groups, 1u);
     EXPECT_EQ(g.prefix_len, 1u);
-    ASSERT_EQ(g.prefix_rows, (std::vector<std::uint32_t>{0}));
-    ASSERT_EQ(g.sibling_rows, (std::vector<std::uint32_t>{1}));
-    ASSERT_EQ(g.group_offsets, (std::vector<std::uint32_t>{0, 1}));
+    ASSERT_EQ(rows(g.prefix_rows()), (std::vector<std::uint32_t>{0}));
+    ASSERT_EQ(rows(g.sibling_rows()), (std::vector<std::uint32_t>{1}));
+    ASSERT_EQ(rows(g.group_offsets()), (std::vector<std::uint32_t>{0, 1}));
     EXPECT_EQ(g.max_group_size(), 1u);
     EXPECT_EQ(trie.parent_index(2, 0), 0u);
   }

@@ -11,10 +11,7 @@
 namespace {
 
 using gpapriori::CandidateTrie;
-
-std::vector<std::uint32_t> rows(std::span<const std::uint32_t> view) {
-  return {view.begin(), view.end()};
-}
+using testutil::rows;
 
 /// Extends and marks (synth_support >= 400) until level `depth` is marked.
 CandidateTrie grow(std::size_t roots, std::size_t depth) {
@@ -40,9 +37,12 @@ void expect_same_levels(const CandidateTrie& a, const CandidateTrie& b) {
     for (const std::uint32_t cap : {64u, 5u}) {
       const auto ga = a.flatten_level_grouped(k, cap);
       const auto gb = b.flatten_level_grouped(k, cap);
-      EXPECT_EQ(ga.prefix_rows, gb.prefix_rows) << "level " << k;
-      EXPECT_EQ(ga.sibling_rows, gb.sibling_rows) << "level " << k;
-      EXPECT_EQ(ga.group_offsets, gb.group_offsets) << "level " << k;
+      EXPECT_EQ(rows(ga.prefix_rows()), rows(gb.prefix_rows()))
+          << "level " << k;
+      EXPECT_EQ(rows(ga.sibling_rows()), rows(gb.sibling_rows()))
+          << "level " << k;
+      EXPECT_EQ(rows(ga.group_offsets()), rows(gb.group_offsets()))
+          << "level " << k;
     }
   }
 }

@@ -117,7 +117,7 @@ TEST(FaultPlan, ParseRejectsMalformedWindows) {
 
 TEST(FaultInjector, WindowTriggerFiresOnlyInsideItsRange) {
   // A bounded fault storm: ops 3..5 fail, everything before and after is
-  // clean — the self-healing shape breaker-recovery drills lean on.
+  // clean — the self-healing shape the retry-ladder drills lean on.
   FaultInjector inj(FaultPlan::parse("launch#3-5=ecc"));
   int thrown = 0;
   for (int i = 0; i < 8; ++i) {

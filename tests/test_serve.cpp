@@ -501,55 +501,6 @@ TEST(MiningServiceTest, AdmissionWallCeilingShedsPermanently) {
   EXPECT_EQ(service.stats().shed, 1u);
 }
 
-// -- Circuit breakers -------------------------------------------------------
-
-TEST(MiningServiceTest, OpenBreakerReroutesUnpinnedRequestsOffTheTier) {
-  ServiceOptions so;
-  so.workers = 1;
-  so.hedging = false;  // keep fault-storm requests terminal at kError
-  so.base_config.allow_degradation = false;  // errors, not silent CPU runs
-  so.breaker.window = 2;
-  so.breaker.min_samples = 2;
-  so.breaker.failure_threshold = 0.5;
-  so.breaker.open_cooldown_ms = 3'600'000;  // no half-open probe mid-test
-  MiningService service(so);
-  service.register_dataset("mem", small_db());
-
-  // A persistent launch-fault storm: every static-tier request errors and
-  // feeds the static breaker until it trips. Distinct thresholds keep the
-  // two requests from deduping onto a single execution (and outcome).
-  service.set_fault_plan(gpusim::FaultPlan::parse("launch#1+=timeout"));
-  const auto storm = service.run_batch({req("s1", "mem", 0.3, "GPApriori"),
-                                        req("s2", "mem", 0.25, "GPApriori")});
-  ASSERT_EQ(storm.size(), 2u);
-  EXPECT_EQ(storm[0].status, RequestStatus::kError) << storm[0].error;
-  EXPECT_EQ(storm[1].status, RequestStatus::kError) << storm[1].error;
-
-  auto st = service.stats();
-  EXPECT_EQ(st.breaker_static.state, gpapriori::CircuitBreaker::State::kOpen);
-  EXPECT_GE(st.breaker_static.trips, 1u);
-
-  // Heal the device. The breaker has not cooled down, so an unpinned
-  // request plans onto the static tier, is short-circuited, and reroutes
-  // to the partitioned tier — which is healthy and serves it.
-  service.set_fault_plan(gpusim::FaultPlan{});
-  const auto rerouted = service.run_batch({req("r", "mem", 0.3)});
-  ASSERT_EQ(rerouted.size(), 1u);
-  ASSERT_EQ(rerouted[0].status, RequestStatus::kOk) << rerouted[0].error;
-  EXPECT_EQ(rerouted[0].algo, "GPApriori (partitioned)");
-  EXPECT_NE(rerouted[0].planner_reason.find("breaker open"),
-            std::string::npos)
-      << rerouted[0].planner_reason;
-
-  // The reroute is routing-only: the result matches a pinned healthy run.
-  gpapriori::PartitionedGpApriori ref;
-  miners::MiningParams p;
-  p.min_support_ratio = 0.3;
-  EXPECT_EQ(rerouted[0].itemsets.to_string(),
-            ref.mine(small_db(), p).itemsets.to_string());
-  EXPECT_GE(service.stats().breaker_static.short_circuited, 1u);
-}
-
 // -- Hedged retries ---------------------------------------------------------
 
 TEST(MiningServiceTest, HedgedRetryRecoversFromPersistentDeviceFault) {
@@ -587,7 +538,7 @@ TEST(MiningServiceTest, HedgedRetryRecoversFromPersistentDeviceFault) {
 TEST(MiningServiceTest, MaxHedgesZeroKeepsErrorsTerminal) {
   ServiceOptions so;
   so.workers = 1;
-  so.max_hedges_per_request = 0;  // hedging mechanism armed, zero retries
+  so.max_hedges_per_request = 0;  // hedging off
   so.base_config.allow_degradation = false;
   MiningService service(so);
   service.register_dataset("mem", small_db());
@@ -600,6 +551,40 @@ TEST(MiningServiceTest, MaxHedgesZeroKeepsErrorsTerminal) {
   EXPECT_EQ(results[0].hedges, 0u);
   EXPECT_EQ(service.stats().hedges, 0u);
   EXPECT_EQ(service.stats().errors, 1u);
+}
+
+TEST(MiningServiceTest, UnpinnedRequestsUnderAStickyFaultEachHedgeOnce) {
+  ServiceOptions so;
+  so.workers = 1;
+  so.base_config.allow_degradation = false;  // every device attempt kErrors
+  MiningService service(so);
+  service.register_dataset("mem", small_db());
+  service.set_fault_plan(gpusim::FaultPlan::parse("launch#1+=timeout"));
+
+  // Distinct thresholds: no request dedups onto another's execution.
+  std::vector<MiningRequest> batch;
+  for (int i = 0; i < 10; ++i)
+    batch.push_back(req("u" + std::to_string(i), "mem", 0.10 + 0.02 * i));
+  const auto results = service.run_batch(batch);
+  ASSERT_EQ(results.size(), batch.size());
+
+  // However many came before it, each request plans onto the device, fails
+  // there, and is recovered by one hedge onto CPU_TEST.
+  gpapriori::GpApriori clean;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& r = results[i];
+    ASSERT_EQ(r.status, RequestStatus::kOk) << r.id << ": " << r.error;
+    EXPECT_EQ(r.hedges, 1u) << r.id;
+    EXPECT_EQ(r.algo, "CPU_TEST") << r.id;
+    miners::MiningParams p;
+    p.min_support_ratio = batch[i].min_support_ratio;
+    EXPECT_EQ(r.itemsets.to_string(),
+              clean.mine(small_db(), p).itemsets.to_string())
+        << r.id;
+  }
+  const auto st = service.stats();
+  EXPECT_EQ(st.hedges, 10u);
+  EXPECT_EQ(st.errors, 0u);
 }
 
 // -- Cancellation -----------------------------------------------------------
@@ -916,7 +901,7 @@ TEST(RequestIoTest, LenientParseIsolatesBadLinesWithTheOffendingKey) {
   std::remove(path.c_str());
 }
 
-TEST(RequestIoTest, ServiceStatsJsonExportsCountersBreakersAndAdmission) {
+TEST(RequestIoTest, ServiceStatsJsonExportsCountersAndAdmission) {
   serve::ServiceStats s;
   s.submitted = 7;
   s.completed = 5;
@@ -925,8 +910,6 @@ TEST(RequestIoTest, ServiceStatsJsonExportsCountersBreakersAndAdmission) {
   s.queue_wait.record(0.5);   // bucket 0 (< 1 ms)
   s.queue_wait.record(50.0);  // bucket 2 (< 100 ms)
   s.cache.db_hits = 4;
-  s.breaker_static.state = gpapriori::CircuitBreaker::State::kOpen;
-  s.breaker_static.trips = 3;
   s.admission.admitted = 5;
   s.admission.shed = 2;
 
@@ -941,11 +924,8 @@ TEST(RequestIoTest, ServiceStatsJsonExportsCountersBreakersAndAdmission) {
             std::string::npos)
       << j;
   EXPECT_NE(j.find("\"db_cache_hits\":4"), std::string::npos);
-  EXPECT_NE(j.find("\"breaker_static\":{\"state\":\"open\",\"trips\":3"),
-            std::string::npos)
-      << j;
-  EXPECT_NE(j.find("\"breaker_partitioned\":{\"state\":\"closed\""),
-            std::string::npos);
+  // Admission is the only nested object: no per-tier state is exported.
+  EXPECT_EQ(std::count(j.begin(), j.end(), '{'), 2) << j;
   EXPECT_NE(j.find("\"admission\":{\"admitted\":5,\"shed\":2"),
             std::string::npos)
       << j;

@@ -41,23 +41,22 @@ CandidateTrie full_trie(std::size_t items, std::uint32_t k) {
 std::pair<std::vector<std::uint32_t>, gpusim::KernelStats> run_tiled(
     const BitsetStore& store, const CandidateTrie::GroupedLevel& g,
     std::uint32_t k, std::uint32_t block_size, Device& dev) {
-  const auto ngroups = static_cast<std::uint32_t>(g.num_groups());
-  const auto ncand = static_cast<std::uint32_t>(g.sibling_rows.size());
+  const auto ngroups = static_cast<std::uint32_t>(g.groups);
+  const auto ncand = static_cast<std::uint32_t>(g.candidates);
   // W == 0 stores have an empty arena; keep a 1-word dummy so the device
   // allocation stays legal (the kernel never touches it when W == 0).
   auto d_bits = dev.alloc<std::uint32_t>(
       std::max<std::size_t>(store.arena().size(), 1), 64);
   if (!store.arena().empty()) dev.copy_to_device(d_bits, store.arena());
   gpusim::DevicePtr<std::uint32_t> d_prefix;
-  if (!g.prefix_rows.empty()) {
-    d_prefix = dev.alloc<std::uint32_t>(g.prefix_rows.size());
-    dev.copy_to_device(d_prefix,
-                       std::span<const std::uint32_t>(g.prefix_rows));
+  if (!g.prefix_rows().empty()) {
+    d_prefix = dev.alloc<std::uint32_t>(g.prefix_rows().size());
+    dev.copy_to_device(d_prefix, g.prefix_rows());
   }
-  auto d_sib = dev.alloc<std::uint32_t>(g.sibling_rows.size());
-  dev.copy_to_device(d_sib, std::span<const std::uint32_t>(g.sibling_rows));
-  auto d_off = dev.alloc<std::uint32_t>(g.group_offsets.size());
-  dev.copy_to_device(d_off, std::span<const std::uint32_t>(g.group_offsets));
+  auto d_sib = dev.alloc<std::uint32_t>(g.sibling_rows().size());
+  dev.copy_to_device(d_sib, g.sibling_rows());
+  auto d_off = dev.alloc<std::uint32_t>(g.group_offsets().size());
+  dev.copy_to_device(d_off, g.group_offsets());
   auto d_sup = dev.alloc<std::uint32_t>(ncand);
 
   TiledSupportKernel::Args args;
@@ -77,7 +76,7 @@ std::pair<std::vector<std::uint32_t>, gpusim::KernelStats> run_tiled(
   std::vector<std::uint32_t> sup(ncand);
   dev.copy_to_host(std::span<std::uint32_t>(sup), d_sup);
   dev.free(d_bits);
-  if (!g.prefix_rows.empty()) dev.free(d_prefix);
+  if (!g.prefix_rows().empty()) dev.free(d_prefix);
   dev.free(d_sib);
   dev.free(d_off);
   dev.free(d_sup);
@@ -115,7 +114,7 @@ TEST_P(TiledKernelSweep, MatchesCompleteIntersection) {
   const auto trie = full_trie(c.items, c.k);
   const auto grouped = trie.flatten_level_grouped(c.k, c.max_group);
   const auto flat = trie.level_paths(c.k);
-  ASSERT_EQ(grouped.sibling_rows.size(), flat.size() / c.k);
+  ASSERT_EQ(grouped.sibling_rows().size(), flat.size() / c.k);
 
   DeviceOptions opts;
   opts.arena_bytes = 32 << 20;
@@ -127,12 +126,14 @@ TEST_P(TiledKernelSweep, MatchesCompleteIntersection) {
   // Grouped flattening must enumerate the same candidates in the same
   // level order as the flat layout: group prefix + sibling == flat row ids.
   const std::uint32_t p = c.k - 1;
-  for (std::size_t g = 0; g < grouped.num_groups(); ++g)
-    for (std::size_t i = grouped.group_offsets[g];
-         i < grouped.group_offsets[g + 1]; ++i) {
+  const auto prefixes = grouped.prefix_rows();
+  const auto siblings = grouped.sibling_rows();
+  const auto offsets = grouped.group_offsets();
+  for (std::size_t g = 0; g < grouped.groups; ++g)
+    for (std::size_t i = offsets[g]; i < offsets[g + 1]; ++i) {
       for (std::uint32_t r = 0; r < p; ++r)
-        ASSERT_EQ(grouped.prefix_rows[g * p + r], flat[i * c.k + r]);
-      ASSERT_EQ(grouped.sibling_rows[i], flat[i * c.k + p]);
+        ASSERT_EQ(prefixes[g * p + r], flat[i * c.k + r]);
+      ASSERT_EQ(siblings[i], flat[i * c.k + p]);
     }
 
   for (std::size_t i = 0; i < sup.size(); ++i) {
@@ -172,10 +173,7 @@ TEST(TiledKernel, SingletonCandidatesEmptyPrefix) {
   for (fim::Item x = 0; x < items; ++x) rows.push_back(x);
   const auto store = BitsetStore::from_db(db, rows);
 
-  CandidateTrie::GroupedLevel g;
-  g.prefix_len = 0;
-  g.sibling_rows = {0, 1, 2, 3, 4, 5};
-  g.group_offsets = {0, 6};
+  const auto g = testutil::grouped_level(0, {}, {0, 1, 2, 3, 4, 5}, {0, 6});
 
   DeviceOptions opts;
   opts.arena_bytes = 8 << 20;
@@ -220,11 +218,10 @@ TEST(TiledKernel, GroupLargerThanBlock) {
   const auto store = BitsetStore::from_db(db, rows);
 
   // One group: prefix {0}, siblings 1..39 — more than the 32 threads.
-  CandidateTrie::GroupedLevel g;
-  g.prefix_len = 1;
-  g.prefix_rows = {0};
-  for (std::uint32_t s = 1; s < items; ++s) g.sibling_rows.push_back(s);
-  g.group_offsets = {0, static_cast<std::uint32_t>(g.sibling_rows.size())};
+  std::vector<std::uint32_t> sibs;
+  for (std::uint32_t s = 1; s < items; ++s) sibs.push_back(s);
+  const auto g = testutil::grouped_level(
+      1, {0}, sibs, {0, static_cast<std::uint32_t>(sibs.size())});
 
   DeviceOptions opts;
   opts.arena_bytes = 8 << 20;
@@ -232,8 +229,8 @@ TEST(TiledKernel, GroupLargerThanBlock) {
   opts.executor.sample_stride = 1;
   Device dev(DeviceProperties::tesla_t10(), opts);
   const auto [sup, stats] = run_tiled(store, g, 2, 32, dev);
-  for (std::size_t i = 0; i < g.sibling_rows.size(); ++i) {
-    const std::uint32_t pair[] = {0, g.sibling_rows[i]};
+  for (std::size_t i = 0; i < sibs.size(); ++i) {
+    const std::uint32_t pair[] = {0, sibs[i]};
     ASSERT_EQ(sup[i], store.and_popcount(pair)) << "sibling " << i;
   }
   EXPECT_EQ(stats.shared_race_hazards, 0u);

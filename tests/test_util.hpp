@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "core/candidate_trie.hpp"
 #include "fim/itemset.hpp"
 #include "fim/result.hpp"
 #include "fim/transaction_db.hpp"
@@ -71,6 +72,26 @@ inline fim::TransactionDb random_db(std::size_t num_trans,
     for (fim::Item x = 0; x < universe; ++x)
       if (u(rng) < density) tx.push_back(x);
   return fim::TransactionDb::from_transactions(txs);
+}
+
+/// A copy of `view`, for gtest comparisons and failure messages.
+inline std::vector<std::uint32_t> rows(std::span<const std::uint32_t> view) {
+  return {view.begin(), view.end()};
+}
+
+/// A grouped layout built by hand, packed the way
+/// CandidateTrie::flatten_level_grouped packs it.
+inline gpapriori::CandidateTrie::GroupedLevel grouped_level(
+    std::uint32_t prefix_len, const std::vector<std::uint32_t>& prefix_rows,
+    const std::vector<std::uint32_t>& sibling_rows,
+    const std::vector<std::uint32_t>& group_offsets) {
+  gpapriori::CandidateTrie::GroupedLevel g;
+  g.prefix_len = prefix_len;
+  g.groups = group_offsets.size() - 1;
+  g.candidates = sibling_rows.size();
+  for (const auto* part : {&prefix_rows, &sibling_rows, &group_offsets})
+    g.table.insert(g.table.end(), part->begin(), part->end());
+  return g;
 }
 
 /// Deterministic pseudo-support in [0, 1000) of a candidate path — a pure
