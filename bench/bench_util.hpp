@@ -299,9 +299,7 @@ inline int run_figure(const char* figure_id, const char* stem,
          << "  \"host_threads\": " << host_threads << ",\n"
          << "  \"exec_path\": \"" << (native ? "native" : "interpreted")
          << "\",\n"
-         << "  \"tiled\": "
-         << (gpapriori::resolve_tiled(opts.gpu_config.tiled) ? "true"
-                                                             : "false")
+         << "  \"tiled\": " << (opts.gpu_config.tiled ? "true" : "false")
          << ",\n"
          << "  \"compact_level\": " << opts.gpu_config.compact_level << ",\n"
          << "  \"max_group_size\": "

@@ -78,7 +78,7 @@ int usage() {
       "N]\n"
       "                [--max-size K] [--rules CONF] [--closed | --maximal]\n"
       "                [--out FILE] [--fault-plan SPEC] [--host-threads N]\n"
-      "                [--no-native] [--no-tiled] [--compact-level N]\n"
+      "                [--no-native] [--no-tiled] [--compact-level 0|1]\n"
       "                [--max-group-size N]\n"
       "                [--trace-out FILE] [--metrics]\n"
       "                [--deadline-ms MS] [--device-budget-ms MS]\n"
@@ -130,15 +130,13 @@ int usage() {
       "\n"
       "--no-tiled disables the equivalence-class tiled support kernel and\n"
       "counts every candidate by complete k-way intersection (identical\n"
-      "itemsets either way; GPAPRIORI_NO_TILED env var has the same\n"
-      "effect). --compact-level N controls vertical bitset compaction:\n"
-      "0 = off, 1 (default) = drop transaction columns with fewer than two\n"
-      "frequent items after level 1, N >= 2 = additionally re-compact after\n"
-      "each level k <= N when a density heuristic predicts >= 25%% payload\n"
-      "reduction. Compaction is support-invariant, so results never change.\n"
+      "itemsets either way). --compact-level 0|1 controls vertical bitset\n"
+      "compaction: 1 (default) drops the transaction columns with fewer\n"
+      "than two frequent items once, after level 1; 0 keeps every column.\n"
+      "Compaction is support-invariant, so results never change.\n"
       "--max-group-size N caps the tiled kernel's sibling-group size in\n"
-      "[1, 64] (0 = auto: GPAPRIORI_MAX_GROUP_SIZE env var, else 64).\n"
-      "Oversized equivalence classes are split; supports never change.\n"
+      "[1, 64] (default 64). Oversized equivalence classes are split;\n"
+      "supports never change.\n"
       "\n"
       "--fault-plan injects deterministic device faults (GPApriori and the\n"
       "partitioned variant), e.g. --fault-plan \'seed=42;h2d#3=fail;\n"
@@ -282,8 +280,8 @@ bool parse_flags(int argc, char** argv, int start, Options& o) {
       if (!v) return false;
       char* end = nullptr;
       const unsigned long n = std::strtoul(v, &end, 10);
-      if (end == v || *end != '\0' || n > 64) {
-        std::fprintf(stderr, "--compact-level needs an integer in [0, 64]\n");
+      if (end == v || *end != '\0' || n > 1) {
+        std::fprintf(stderr, "--compact-level needs 0 or 1\n");
         return false;
       }
       o.compact_level = static_cast<std::uint32_t>(n);

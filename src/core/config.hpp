@@ -4,7 +4,6 @@
 // are exposed here so the ablation benches can toggle each one.
 
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 
 #include "baselines/apriori_util.hpp"
@@ -82,8 +81,8 @@ struct Config {
   /// Equivalence-class tiled support counting (DESIGN.md §12): one block
   /// per sibling group computes the shared k-1 prefix AND once per word
   /// tile instead of once per candidate. Bit-identical output to the
-  /// complete-intersection kernel; disable via --no-tiled or
-  /// GPAPRIORI_NO_TILED to force per-candidate blocks.
+  /// complete-intersection kernel; disable via --no-tiled to force
+  /// per-candidate blocks.
   bool tiled = true;
 
   /// Hard ceiling of the tiled kernel's sibling-group size: its shared-
@@ -94,17 +93,14 @@ struct Config {
   /// Sibling-group size cap handed to flatten_level_grouped when the tiled
   /// kernel is active: equivalence classes larger than this are split into
   /// consecutive groups (splits duplicate only the shared prefix work,
-  /// never change a support). 0 = auto: GPAPRIORI_MAX_GROUP_SIZE when set
-  /// to an integer in [1, kGroupSizeCap], else kGroupSizeCap. Values above
+  /// never change a support). 0 = kGroupSizeCap. Values above
   /// kGroupSizeCap are rejected (valid_max_group_size()).
   std::uint32_t max_group_size = 0;
 
-  /// Vertical bitset compaction (DESIGN.md §12): 0 = off; 1 = drop, after
-  /// level 1, transaction columns covered by fewer than two frequent items
-  /// (they cannot support any k>=2 itemset); N >= 2 additionally
-  /// re-compacts after each level 2..N when the measured density heuristic
-  /// projects at least a 25% word reduction. Support-invariant by the
-  /// argument in fim/vertical.hpp.
+  /// Vertical bitset compaction (DESIGN.md §12): 1 = drop, after level 1,
+  /// transaction columns covered by fewer than two frequent items (they
+  /// cannot support any k>=2 itemset); 0 = off. No other value is valid.
+  /// Support-invariant by the argument in fim/vertical.hpp.
   std::uint32_t compact_level = 1;
 
   /// Bounds-check every device access against live allocations (tests).
@@ -123,8 +119,10 @@ struct Config {
   /// ablation benches.
   bool allow_degradation = true;
 
-  /// Device-bitset budget used when degrading to partitioned streaming
-  /// (0 = arena_bytes / 4).
+  /// Device-bitset budget of a partitioned store: the ladder's second rung
+  /// and PartitionedGpApriori cut the generation-1 store into transaction
+  /// chunks whose slices fit it (partition_chunk_trans; 0 = a quarter of
+  /// the device arena).
   std::size_t partition_budget_bytes = 0;
 
   /// Run lifecycle control (core/run_control.hpp): deadlines, cooperative
@@ -157,17 +155,9 @@ struct Config {
   }
 
   /// The sibling-group cap a driver should pass to flatten_level_grouped:
-  /// the configured value, or the GPAPRIORI_MAX_GROUP_SIZE / kGroupSizeCap
-  /// auto rule when 0.
+  /// the configured value, or kGroupSizeCap when 0.
   [[nodiscard]] std::uint32_t resolve_max_group_size() const {
-    if (max_group_size != 0) return max_group_size;
-    if (const char* env = std::getenv("GPAPRIORI_MAX_GROUP_SIZE")) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 1 && v <= kGroupSizeCap)
-        return static_cast<std::uint32_t>(v);
-    }
-    return kGroupSizeCap;
+    return max_group_size != 0 ? max_group_size : kGroupSizeCap;
   }
 
   /// Host worker threads the driver hands to every parallel host phase
@@ -197,16 +187,6 @@ struct Config {
   local.emplace(
       miners::preprocess(db, min_count, miners::ItemOrder::kAscendingFreq));
   return *local;
-}
-
-/// Effective tiled-kernel setting: the configured value unless the
-/// GPAPRIORI_NO_TILED environment variable is set non-empty and not "0".
-[[nodiscard]] inline bool resolve_tiled(bool configured) {
-  if (const char* env = std::getenv("GPAPRIORI_NO_TILED");
-      env != nullptr && env[0] != '\0' &&
-      !(env[0] == '0' && env[1] == '\0'))
-    return false;
-  return configured;
 }
 
 }  // namespace gpapriori

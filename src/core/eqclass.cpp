@@ -87,8 +87,6 @@ class EqClassCounter final : public SupportCounter {
                  std::size_t& peak_bytes)
       : device_(device), cfg_(cfg), peak_bytes_(peak_bytes) {}
 
-  [[nodiscard]] std::uint32_t max_compact_level() const override { return 0; }
-
   void attach(std::span<const fim::BitsetStore> slices) override {
     const fim::BitsetStore& store = slices[0];
     stride_ = static_cast<std::uint32_t>(store.row_stride_words());

@@ -120,7 +120,7 @@ miners::MiningOutput GpApriori::mine(const fim::TransactionDb& db,
   // ---- Rung 1: the paper's static-bitset design. ----
   bool oom = false;
   try {
-    DeviceCounter counter(fdev, cfg_, /*stream=*/false, &history_);
+    DeviceCounter counter(fdev, cfg_, &history_);
     return finish(loop.run(counter));
   } catch (const gpusim::SimError& e) {
     if (!cfg_.allow_degradation) throw;
@@ -135,22 +135,15 @@ miners::MiningOutput GpApriori::mine(const fim::TransactionDb& db,
   if (oom) {
     lost.restart();
     try {
-      const std::size_t budget = cfg_.partition_budget_bytes != 0
-                                     ? cfg_.partition_budget_bytes
-                                     : device.memory().capacity() / 4;
       const std::size_t num_trans = loop.num_transactions();
       const std::size_t chunk =
-          pick_chunk_trans(num_trans, loop.num_items(), budget);
-      if (chunk == 0)
-        throw gpusim::DeviceOomError(
-            "partition budget (" + std::to_string(budget) +
-            " B) too small for even a 512-transaction chunk");
+          partition_chunk_trans(cfg_, device, num_trans, loop.num_items());
       degrade(DegradationStep::kPartitioned, "degrade:static->partitioned",
               "degraded static -> partitioned streaming (" +
                   std::to_string((num_trans + chunk - 1) / chunk) +
-                  " partitions, " + std::to_string(budget) +
-                  " B bitset budget)");
-      DeviceCounter counter(fdev, cfg_, /*stream=*/false, &history_);
+                  " partitions of " + std::to_string(chunk) +
+                  " transactions)");
+      DeviceCounter counter(fdev, cfg_, &history_);
       return finish(loop.run(counter, chunk));
     } catch (const gpusim::SimError& e) {
       failed("partitioned", e);
@@ -162,20 +155,20 @@ miners::MiningOutput GpApriori::mine(const fim::TransactionDb& db,
   // and produces the identical (itemset, support) set. ----
   degrade(DegradationStep::kCpu, "degrade:->cpu-test",
           "degraded to CPU_TEST (device abandoned)");
-  HostCounter counter(resolve_tiled(cfg_.tiled));
+  HostCounter counter(cfg_.tiled);
   return finish(loop.run(counter));
 }
 
 miners::MiningOutput CpuBitsetApriori::mine(const fim::TransactionDb& db,
                                             const miners::MiningParams& params) {
-  // The device path's host-pipeline knobs, resolved through a Config so
-  // the env overrides (GPAPRIORI_HOST_THREADS / GPAPRIORI_MAX_GROUP_SIZE)
-  // behave identically.
+  // The device path's host-pipeline knobs, resolved and validated through
+  // a Config so they behave identically (GPAPRIORI_HOST_THREADS included).
   Config knobs;
   knobs.run_control = run_control_;
   knobs.compact_level = compact_level_;
   knobs.max_group_size = max_group_size_;
   knobs.host_threads = host_threads_;
+  validate_config(knobs, "CpuBitsetApriori");
   LevelLoop loop(knobs, db, params, "cpu-level");
   HostCounter counter(tiled_);
   return loop.run(counter);
@@ -186,7 +179,7 @@ std::vector<std::unique_ptr<miners::Miner>> make_all_miners(
   std::vector<std::unique_ptr<miners::Miner>> v;
   v.push_back(std::make_unique<GpApriori>(gpapriori_config));
   v.push_back(std::make_unique<CpuBitsetApriori>(
-      gpapriori_config.run_control, resolve_tiled(gpapriori_config.tiled),
+      gpapriori_config.run_control, gpapriori_config.tiled,
       gpapriori_config.compact_level, gpapriori_config.max_group_size,
       gpapriori_config.host_threads));
   for (auto& m : miners::make_cpu_miners()) v.push_back(std::move(m));

@@ -22,8 +22,6 @@ class HybridCounter final : public SupportCounter {
         gpu_fraction_(std::clamp(gpu_fraction, 0.0, 1.0)),
         reports_(reports) {}
 
-  [[nodiscard]] std::uint32_t max_compact_level() const override { return 0; }
-
   void attach(std::span<const fim::BitsetStore> slices) override {
     d_bitsets_ = upload_store(device_, slices[0]);
   }

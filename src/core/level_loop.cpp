@@ -140,19 +140,28 @@ void validate_config(const Config& cfg, const char* driver) {
     throw std::invalid_argument(
         who + ": max_group_size must be 0 (auto) or in [1, " +
         std::to_string(Config::kGroupSizeCap) + "]");
+  if (cfg.compact_level > 1)
+    throw std::invalid_argument(who + ": compact_level must be 0 or 1");
 }
 
-std::size_t pick_chunk_trans(std::size_t num_trans, std::size_t n,
-                             std::size_t budget_bytes) {
+std::size_t partition_chunk_trans(const Config& cfg,
+                                  const gpusim::Device& device,
+                                  std::size_t num_trans, std::size_t n) {
+  const std::size_t budget = cfg.partition_budget_bytes != 0
+                                 ? cfg.partition_budget_bytes
+                                 : device.memory().capacity() / 4;
   auto slice_bytes = [&](std::size_t t) {
     const std::size_t words = (t + 31) / 32;
     const std::size_t stride = (words + 15) / 16 * 16;
     return n * stride * 4;
   };
   std::size_t chunk = num_trans;
-  while (chunk > 512 && slice_bytes(chunk) > budget_bytes)
-    chunk = (chunk + 1) / 2;
-  return slice_bytes(chunk) > budget_bytes ? 0 : chunk;
+  while (chunk > 512 && slice_bytes(chunk) > budget) chunk = (chunk + 1) / 2;
+  if (slice_bytes(chunk) > budget)
+    throw gpusim::DeviceOomError(
+        "partition budget (" + std::to_string(budget) +
+        " B) too small for even a 512-transaction chunk");
+  return chunk;
 }
 
 gpusim::DevicePtr<std::uint32_t> upload_store(gpusim::Device& device,
@@ -223,26 +232,17 @@ void SupportCounter::add_metrics(const LevelCandidates& lv,
 // DeviceCounter
 
 DeviceCounter::DeviceCounter(FaultAwareDevice& fdev, const Config& cfg,
-                             bool stream,
                              std::vector<gpusim::KernelStats>* history)
-    : fdev_(fdev),
-      cfg_(cfg),
-      tiled_(resolve_tiled(cfg.tiled)),
-      stream_(stream),
-      history_(history) {}
+    : fdev_(fdev), cfg_(cfg), history_(history) {}
 
 void DeviceCounter::attach(std::span<const fim::BitsetStore> slices) {
   num_slices_ = slices.size();
-  resident_ = num_slices_ == 1 && !stream_;
+  resident_ = num_slices_ == 1;
   std::size_t max_slice_words = 0;
   for (const auto& s : slices)
     max_slice_words = std::max(max_slice_words, s.arena().size());
   d_bits_.emplace(fdev_, max_slice_words, fim::BitsetStore::kAlignBytes);
   if (resident_) fdev_.upload(d_bits_->get(), slices[0].arena());
-}
-
-void DeviceCounter::store_changed(const fim::BitsetStore& store) {
-  fdev_.upload(d_bits_->get(), store.arena());
 }
 
 double DeviceCounter::count(const LevelCandidates& lv,
@@ -260,7 +260,7 @@ double DeviceCounter::count(const LevelCandidates& lv,
   // indices.
   ScopedDeviceAlloc d_sup(fdev_, lv.count);
   const std::span<const std::uint32_t> table =
-      tiled_ ? std::span<const std::uint32_t>(grouped.table) : lv.paths;
+      cfg_.tiled ? std::span<const std::uint32_t>(grouped.table) : lv.paths;
   ScopedDeviceAlloc d_tab(fdev_, table.size());
   fdev_.upload(d_tab.get(), table);
 
@@ -272,7 +272,7 @@ double DeviceCounter::count(const LevelCandidates& lv,
       gpusim::KernelStats stats = fdev_.launch(kernel, {grid, block});
       if (history_ != nullptr) history_->push_back(std::move(stats));
     };
-    if (tiled_) {
+    if (cfg_.tiled) {
       TiledSupportKernel::Args args;
       args.bitsets = d_bits_->get();
       args.stride_words = static_cast<std::uint32_t>(slice.row_stride_words());
@@ -324,7 +324,7 @@ LevelLoop::LevelLoop(const Config& cfg, const fim::TransactionDb& db,
     : name_(name),
       workers_(cfg.resolve_workers()),
       group_cap_(cfg.resolve_max_group_size()),
-      compact_level_(cfg.compact_level),
+      compact_(cfg.compact_level != 0),
       max_itemset_size_(params.max_itemset_size),
       min_count_(params.resolve_min_count(db.num_transactions())),
       scope_(cfg.run_control) {
@@ -419,13 +419,11 @@ miners::MiningOutput LevelLoop::run(SupportCounter& counter,
                                     std::size_t chunk_trans) {
   miners::MiningOutput out = level1();
   if (num_items() != 0) {
-    const std::uint32_t compact_level =
-        std::min(compact_level_, counter.max_compact_level());
     // Spans the host bitset build and the counter's store upload.
     std::optional<obs::ScopedSpan> store_span(
         std::in_place, obs::SpanKind::kOther, "store-build");
-    std::vector<fim::BitsetStore> slices =
-        build_slices(out, chunk_trans, compact_level);
+    const std::vector<fim::BitsetStore> slices =
+        build_slices(out, chunk_trans);
     CandidateTrie trie(num_items());
     trie.set_workers(workers_);
     // `k` is the level currently being counted; anything thrown while it
@@ -440,7 +438,7 @@ miners::MiningOutput LevelLoop::run(SupportCounter& counter,
       } else {
         checkpoint(out, 1);
       }
-      mine_levels(counter, slices, k, trie, out, compact_level);
+      mine_levels(counter, slices, k, trie, out);
     } catch (const gpusim::CancelledError& e) {
       // Cooperative salvage: the executor drained its in-flight chunks and
       // scoped device buffers unwound; keep the completed levels and mark
@@ -455,8 +453,7 @@ miners::MiningOutput LevelLoop::run(SupportCounter& counter,
 }
 
 std::vector<fim::BitsetStore> LevelLoop::build_slices(
-    miners::MiningOutput& out, std::size_t chunk_trans,
-    std::uint32_t compact_level) const {
+    miners::MiningOutput& out, std::size_t chunk_trans) const {
   const miners::StopWatch watch;
   const fim::TransactionDb& db = pre_->db;
   const std::size_t num_trans = db.num_transactions();
@@ -478,7 +475,7 @@ std::vector<fim::BitsetStore> LevelLoop::build_slices(
           fim::BitsetStore::from_db(std::move(b).build(), rows, workers_));
     }
   }
-  if (compact_level >= 1) {
+  if (compact_) {
     obs::ScopedSpan span(obs::SpanKind::kOther, "compact-columns");
     const std::uint64_t dropped = compact_slices_initial(slices);
     if (span.active()) {
@@ -615,10 +612,9 @@ std::size_t LevelLoop::rebuild(CandidateTrie& trie,
 }
 
 void LevelLoop::mine_levels(SupportCounter& counter,
-                            std::vector<fim::BitsetStore>& slices,
+                            std::span<const fim::BitsetStore> slices,
                             std::size_t& k, CandidateTrie& trie,
-                            miners::MiningOutput& out,
-                            std::uint32_t compact_level) {
+                            miners::MiningOutput& out) {
   auto& metrics = obs::MetricsRegistry::global();
   const bool grouped = counter.grouped();
   for (;; ++k) {
@@ -717,29 +713,6 @@ void LevelLoop::mine_levels(SupportCounter& counter,
     scope_.level_completed(k, counter.device_ms());
     checkpoint(out, k);
     if (survivors == 0) break;
-
-    // ---- Host: per-level re-compaction of a resident store (streamed
-    // slices are re-uploaded every level anyway, so the initial pass is
-    // the profitable one there). ----
-    if (slices.size() == 1 && compact_level >= 2 && k <= compact_level) {
-      host.restart();
-      obs::ScopedSpan span(obs::SpanKind::kOther, "compact-columns");
-      if (const auto plan =
-              plan_level_recompaction(slices[0], trie, k, num_items())) {
-        const std::uint64_t dropped = plan->original_columns - plan->kept();
-        slices[0] = fim::BitsetStore::compact_columns(slices[0], *plan);
-        counter.store_changed(slices[0]);
-        metrics.add(obs::Counter::kCompactColumnsDropped, dropped);
-        if (span.active()) {
-          span.add_arg("level", static_cast<double>(k));
-          span.add_arg("columns_dropped", static_cast<double>(dropped));
-        }
-      }
-      miners::HostPhases cph;
-      cph.build_ms = host.elapsed_ms();
-      record_host_phases(out, cph);
-      out.host_ms += cph.build_ms;
-    }
   }
 }
 

@@ -15,8 +15,9 @@
 //     per-level LevelStats;
 //   * observability: the level and candidate-gen spans and the per-level
 //     metrics, so no driver can forget them;
-//   * vertical compaction: the initial column drop and the per-level
-//     re-compaction of a resident store.
+//   * the generation-1 store: one build, the initial column drop, and the
+//     cut into transaction chunks when it must fit a device budget
+//     (partition_chunk_trans).
 //
 // A driver builds its device(s), wraps them in a counter, and calls
 // LevelLoop::run. DeviceCounter (the paper's design, static or streamed
@@ -62,11 +63,6 @@ class SupportCounter {
 
   /// Whether count() consumes LevelCandidates::grouped (tiled counting).
   [[nodiscard]] virtual bool grouped() const { return false; }
-  /// Deepest compaction level this counter supports (Config::compact_level
-  /// semantics): 0 none, 1 the initial column drop, more = per-level.
-  [[nodiscard]] virtual std::uint32_t max_compact_level() const {
-    return ~std::uint32_t{0};
-  }
   /// Whether counting runs on the host, so its wall time is host time.
   [[nodiscard]] virtual bool counts_on_host() const { return false; }
 
@@ -74,8 +70,6 @@ class SupportCounter {
   virtual void attach(std::span<const fim::BitsetStore> slices) {
     (void)slices;
   }
-  /// The resident store was re-compacted (max_compact_level() >= 2 only).
-  virtual void store_changed(const fim::BitsetStore& store) { (void)store; }
   /// Writes every candidate's support into `supports` (zero-filled, one
   /// slot per candidate) and returns the level's modeled device time (ms).
   virtual double count(const LevelCandidates& lv,
@@ -113,15 +107,18 @@ class SupportCounter {
 [[nodiscard]] gpusim::Device make_device(const Config& cfg, RunScope& scope);
 
 /// Throws std::invalid_argument naming `driver` unless the config's block
-/// size, unroll factor, and group-size cap are valid.
+/// size, unroll factor, group-size cap and compaction level are valid.
 void validate_config(const Config& cfg, const char* driver);
 
-/// Largest per-slice transaction count whose bitset slice (n rows at the
-/// 64-byte-aligned stride) fits `budget_bytes`; 0 when even a
-/// 512-transaction slice does not fit.
-[[nodiscard]] std::size_t pick_chunk_trans(std::size_t num_trans,
-                                           std::size_t n,
-                                           std::size_t budget_bytes);
+/// Transactions per slice when a store of `num_trans` transactions and `n`
+/// rows is cut into chunks for `device`: the largest chunk whose slice (n
+/// rows at the 64-byte-aligned stride) fits Config::partition_budget_bytes,
+/// 0 meaning a quarter of the device's memory. Throws DeviceOomError when
+/// not even a 512-transaction slice fits.
+[[nodiscard]] std::size_t partition_chunk_trans(const Config& cfg,
+                                                const gpusim::Device& device,
+                                                std::size_t num_trans,
+                                                std::size_t n);
 
 /// Calls `launch(first, grid)` over [0, units) in grid-sized batches:
 /// CUDA 2.x grids are limited to 65535 blocks per dimension, so larger
@@ -152,23 +149,17 @@ double count_complete(gpusim::Device& device, const Config& cfg,
 
 /// The paper's counter: the support kernel (tiled or complete
 /// intersection) on one simulated device. A single slice is the static
-/// design — bitsets resident after one upload; several slices (or
-/// `stream`) stream each chunk through one resident buffer every level and
-/// sum the per-chunk supports on the host. Device buffers are scoped, so a
-/// fault mid-level unwinds with a clean arena for the next ladder rung.
+/// design — bitsets resident after one upload; several slices stream each
+/// chunk through one resident buffer every level and sum the per-chunk
+/// supports on the host. Device buffers are scoped, so a fault mid-level
+/// unwinds with a clean arena for the next ladder rung.
 class DeviceCounter final : public SupportCounter {
  public:
-  DeviceCounter(FaultAwareDevice& fdev, const Config& cfg, bool stream = false,
+  DeviceCounter(FaultAwareDevice& fdev, const Config& cfg,
                 std::vector<gpusim::KernelStats>* history = nullptr);
 
-  [[nodiscard]] bool grouped() const override { return tiled_; }
-  /// Streamed slices are re-uploaded every level anyway, so only the
-  /// initial compaction pays for them.
-  [[nodiscard]] std::uint32_t max_compact_level() const override {
-    return stream_ ? 1 : ~std::uint32_t{0};
-  }
+  [[nodiscard]] bool grouped() const override { return cfg_.tiled; }
   void attach(std::span<const fim::BitsetStore> slices) override;
-  void store_changed(const fim::BitsetStore& store) override;
   double count(const LevelCandidates& lv,
                std::span<fim::Support> supports) override;
   [[nodiscard]] double device_ms() const override;
@@ -177,8 +168,6 @@ class DeviceCounter final : public SupportCounter {
  private:
   FaultAwareDevice& fdev_;
   const Config& cfg_;
-  bool tiled_;
-  bool stream_;
   bool resident_ = false;
   std::size_t num_slices_ = 0;
   std::vector<gpusim::KernelStats>* history_;
@@ -207,7 +196,8 @@ class LevelLoop {
   [[nodiscard]] miners::MiningOutput level1() const;
 
   /// Mines every level with `counter` from a store of `chunk_trans`
-  /// transactions per slice (0 = one resident slice). A cancellation
+  /// transactions per slice (0 = one resident slice; see
+  /// partition_chunk_trans). A cancellation
   /// salvages the completed levels. The output is canonicalized and its
   /// device_ms is the counter's. May be called again (next ladder rung).
   [[nodiscard]] miners::MiningOutput run(SupportCounter& counter,
@@ -220,19 +210,17 @@ class LevelLoop {
  private:
   void checkpoint(const miners::MiningOutput& out, std::size_t level);
   [[nodiscard]] std::vector<fim::BitsetStore> build_slices(
-      miners::MiningOutput& out, std::size_t chunk_trans,
-      std::uint32_t compact_level) const;
+      miners::MiningOutput& out, std::size_t chunk_trans) const;
   [[nodiscard]] std::size_t rebuild(CandidateTrie& trie,
                                     miners::MiningOutput& out);
   void mine_levels(SupportCounter& counter,
-                   std::vector<fim::BitsetStore>& slices, std::size_t& k,
-                   CandidateTrie& trie, miners::MiningOutput& out,
-                   std::uint32_t compact_level);
+                   std::span<const fim::BitsetStore> slices, std::size_t& k,
+                   CandidateTrie& trie, miners::MiningOutput& out);
 
   const char* name_;
   std::uint32_t workers_;
   std::uint32_t group_cap_;
-  std::uint32_t compact_level_;
+  bool compact_;
   std::size_t max_itemset_size_;
   fim::Support min_count_;
   RunScope scope_;

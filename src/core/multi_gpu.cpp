@@ -19,8 +19,6 @@ class MultiGpuCounter final : public SupportCounter {
         num_devices_(static_cast<std::size_t>(num_devices)),
         reports_(reports) {}
 
-  [[nodiscard]] std::uint32_t max_compact_level() const override { return 0; }
-
   /// One simulated T10 per slot; the static bitsets are replicated. The
   /// replication copies happen once and concurrently (one PCIe link per
   /// device on the S1070 host), so setup costs one transfer, not N.

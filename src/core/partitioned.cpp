@@ -1,14 +1,10 @@
 #include "core/partitioned.hpp"
 
-#include <stdexcept>
-
 #include "core/level_loop.hpp"
 
 namespace gpapriori {
 
-PartitionedGpApriori::PartitionedGpApriori(Config cfg,
-                                           std::size_t device_bitset_budget_bytes)
-    : cfg_(cfg), budget_bytes_(device_bitset_budget_bytes) {
+PartitionedGpApriori::PartitionedGpApriori(Config cfg) : cfg_(cfg) {
   validate_config(cfg_, "PartitionedGpApriori");
 }
 
@@ -20,23 +16,14 @@ miners::MiningOutput PartitionedGpApriori::mine(
   const std::size_t num_trans = loop.num_transactions();
   if (loop.num_items() == 0 || num_trans == 0) return loop.level1();
 
-  // Partition geometry: the largest chunk whose slice fits the budget, or
-  // everything when there is no budget.
-  const std::size_t chunk =
-      budget_bytes_ == 0
-          ? num_trans
-          : pick_chunk_trans(num_trans, loop.num_items(), budget_bytes_);
-  if (chunk == 0)
-    throw std::invalid_argument(
-        "PartitionedGpApriori: budget too small for even a 512-transaction "
-        "chunk");
-  num_partitions_ = (num_trans + chunk - 1) / chunk;
-
   gpusim::Device device = make_device(cfg_, loop.scope());
+  const std::size_t chunk =
+      partition_chunk_trans(cfg_, device, num_trans, loop.num_items());
+  num_partitions_ = (num_trans + chunk - 1) / chunk;
   ResilienceReport report;
   FaultAwareDevice fdev(device, cfg_.retry, report);
   fdev.set_cancel_token(loop.scope().cancel_token());
-  DeviceCounter counter(fdev, cfg_, /*stream=*/true);
+  DeviceCounter counter(fdev, cfg_);
   miners::MiningOutput out = loop.run(counter, chunk);
   ledger_ = device.ledger();
   return out;

@@ -6,11 +6,13 @@
 // bitset") — elegant, but it caps the database at device-memory size
 // (4 GiB on the T10 ~ a few hundred million transactions times frequent
 // items). This variant removes the cap: transactions are partitioned into
-// chunks whose bitset slices fit a configurable device budget; each level
-// streams the chunks through the device and per-chunk supports are summed
-// on the host. Support counting is exact because support is additive over
-// a transaction partition. The ablation bench quantifies the streaming
-// price (bitset re-upload per level per chunk) against the static design.
+// chunks whose bitset slices fit Config::partition_budget_bytes (0 = a
+// quarter of the arena, the degradation ladder's second rung uses the same
+// cut); each level streams the chunks through the device and per-chunk
+// supports are summed on the host. Support counting is exact because
+// support is additive over a transaction partition. A store that fits in
+// one chunk is the static design. The ablation bench quantifies the
+// streaming price (bitset re-upload per level per chunk) against it.
 
 #include "baselines/miner.hpp"
 #include "core/config.hpp"
@@ -20,10 +22,7 @@ namespace gpapriori {
 
 class PartitionedGpApriori final : public miners::Miner {
  public:
-  /// `device_bitset_budget_bytes` caps the resident bitset slice (0 means
-  /// "whatever fits the arena", degenerating to one chunk = static design).
-  explicit PartitionedGpApriori(Config cfg = {},
-                                std::size_t device_bitset_budget_bytes = 0);
+  explicit PartitionedGpApriori(Config cfg = {});
 
   [[nodiscard]] std::string_view name() const override {
     return "GPApriori (partitioned)";
@@ -39,7 +38,6 @@ class PartitionedGpApriori final : public miners::Miner {
 
  private:
   Config cfg_;
-  std::size_t budget_bytes_;
   gpusim::TimeLedger ledger_;
   std::size_t num_partitions_ = 0;
 };

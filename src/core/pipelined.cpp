@@ -18,15 +18,9 @@ class PipelinedCounter final : public SupportCounter {
  public:
   PipelinedCounter(gpusim::Device& device, const Config& cfg,
                    std::uint32_t chunks)
-      : device_(device),
-        cfg_(cfg),
-        tiled_(resolve_tiled(cfg.tiled)),
-        chunks_(chunks) {}
+      : device_(device), cfg_(cfg), chunks_(chunks) {}
 
-  [[nodiscard]] bool grouped() const override { return tiled_; }
-  /// Per-level re-compaction would force a full re-upload barrier
-  /// mid-pipeline, defeating the overlap this driver exists to show.
-  [[nodiscard]] std::uint32_t max_compact_level() const override { return 1; }
+  [[nodiscard]] bool grouped() const override { return cfg_.tiled; }
 
   void attach(std::span<const fim::BitsetStore> slices) override {
     d_bitsets_ = upload_store(device_, slices[0]);
@@ -45,7 +39,6 @@ class PipelinedCounter final : public SupportCounter {
  private:
   gpusim::Device& device_;
   const Config& cfg_;
-  bool tiled_;
   std::uint32_t chunks_;
   std::size_t num_chunks_ = 0;
   gpusim::DevicePtr<std::uint32_t> d_bitsets_;
@@ -58,14 +51,14 @@ double PipelinedCounter::count(const LevelCandidates& lv,
   const CandidateTrie::GroupedLevel& grouped = lv.grouped;
   const auto offsets = grouped.group_offsets();
   const std::size_t k = lv.k;
-  const std::size_t num_units = tiled_ ? grouped.groups : lv.count;
+  const std::size_t num_units = cfg_.tiled ? grouped.groups : lv.count;
   const std::size_t chunk_units = (num_units + chunks_ - 1) / chunks_;
   num_chunks_ = (num_units + chunk_units - 1) / chunk_units;
   auto d_sup = device_.alloc<std::uint32_t>(lv.count);
 
   gpusim::DevicePtr<std::uint32_t> d_cand, d_prefix, d_sib, d_off;
   const std::size_t p = k - 1;
-  if (tiled_) {
+  if (cfg_.tiled) {
     d_prefix = device_.alloc<std::uint32_t>(grouped.prefix_rows().size());
     d_sib = device_.alloc<std::uint32_t>(grouped.sibling_rows().size());
     d_off = device_.alloc<std::uint32_t>(offsets.size());
@@ -87,7 +80,7 @@ double PipelinedCounter::count(const LevelCandidates& lv,
   // kernels write and its download pulls back.
   auto cand_bounds = [&](std::size_t lo, std::size_t hi) {
     using Range = std::pair<std::size_t, std::size_t>;
-    return tiled_ ? Range{offsets[lo], offsets[hi]} : Range{lo, hi};
+    return cfg_.tiled ? Range{offsets[lo], offsets[hi]} : Range{lo, hi};
   };
   // Issue order matters on the single DMA engine: chunk c+1's UPLOAD must
   // be issued before chunk c's kernel/download or it queues behind that
@@ -95,7 +88,7 @@ double PipelinedCounter::count(const LevelCandidates& lv,
   // pitfall — see Timeline tests).
   auto upload_chunk = [&](std::size_t c) {
     const auto [lo, hi] = chunk_bounds(c);
-    if (tiled_) {
+    if (cfg_.tiled) {
       const auto [clo, chi] = cand_bounds(lo, hi);
       device_.copy_to_device_async(
           d_prefix + lo * p,
@@ -118,7 +111,7 @@ double PipelinedCounter::count(const LevelCandidates& lv,
     if (c + 1 < num_chunks_) upload_chunk(c + 1);
     const auto [lo, hi] = chunk_bounds(c);
     launch_batched(hi - lo, [&](std::uint32_t first, gpusim::Dim3 grid) {
-      if (tiled_) {
+      if (cfg_.tiled) {
         TiledSupportKernel::Args args;
         args.bitsets = d_bitsets_;
         args.stride_words = stride;
@@ -151,7 +144,7 @@ double PipelinedCounter::count(const LevelCandidates& lv,
                                stream_of(c));
   }
   device_.synchronize();
-  if (tiled_) {
+  if (cfg_.tiled) {
     device_.free(d_prefix);
     device_.free(d_sib);
     device_.free(d_off);

@@ -114,10 +114,9 @@ Support BitsetStore::masked_popcount(std::span<const Word> mask,
       {words_.data(), stride_, {&id, 1}}, words_per_row_, mask.data()));
 }
 
-std::vector<std::uint32_t> BitsetStore::column_populations(
-    std::span<const std::uint32_t> row_ids) const {
+std::vector<std::uint32_t> BitsetStore::column_populations() const {
   std::vector<std::uint32_t> counts(num_bits_, 0);
-  auto accumulate = [&](std::size_t r) {
+  for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t w = 0; w < words_per_row_; ++w) {
       Word v = words_[r * stride_ + w];
       while (v) {
@@ -126,11 +125,6 @@ std::vector<std::uint32_t> BitsetStore::column_populations(
         v &= v - 1;
       }
     }
-  };
-  if (row_ids.empty()) {
-    for (std::size_t r = 0; r < rows_; ++r) accumulate(r);
-  } else {
-    for (std::uint32_t r : row_ids) accumulate(r);
   }
   return counts;
 }

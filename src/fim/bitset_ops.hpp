@@ -77,11 +77,9 @@ class BitsetStore {
   [[nodiscard]] Support masked_popcount(std::span<const Word> mask,
                                         std::size_t r) const;
 
-  /// Bits set per column (transaction) across the subset of rows in
-  /// `row_ids` (all rows when empty) — the input to
+  /// Bits set per column (transaction) across all rows — the input to
   /// fim::plan_column_compaction.
-  [[nodiscard]] std::vector<std::uint32_t> column_populations(
-      std::span<const std::uint32_t> row_ids) const;
+  [[nodiscard]] std::vector<std::uint32_t> column_populations() const;
 
   /// Gathers the kept columns of every row into a fresh store with
   /// num_bits == plan.kept() (support-invariant for the miner when the

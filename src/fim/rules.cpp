@@ -1,5 +1,6 @@
 #include "fim/rules.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 namespace fim {
@@ -71,17 +72,22 @@ void grow_consequents(const Itemset& z, Support sup_z,
 
 std::vector<AssociationRule> generate_rules(const ItemsetCollection& frequent,
                                             const RuleParams& params) {
-  ItemsetCollection indexed = frequent;
-  indexed.build_index();
-
+  // Indexed on first use, so a run stopped before its first rule pays
+  // for no copy of the collection.
+  std::optional<ItemsetCollection> indexed;
   std::vector<AssociationRule> out;
   for (const auto& fs : frequent) {
+    if (params.stop && params.stop()) break;
     if (fs.items.size() < 2) continue;
+    if (!indexed) {
+      indexed.emplace(frequent);
+      indexed->build_index();
+    }
     // Seed with 1-item consequents.
     std::vector<Itemset> ones;
     ones.reserve(fs.items.size());
     for (Item x : fs.items) ones.push_back(Itemset{x});
-    grow_consequents(fs.items, fs.support, ones, indexed, params, out);
+    grow_consequents(fs.items, fs.support, ones, *indexed, params, out);
   }
   return out;
 }

@@ -47,20 +47,13 @@ struct VerticalDb {
 /// columns map to kDropped.
 ///
 /// SUPPORT INVARIANCE. Dropping a column with per-row population < 2 never
-/// changes the support of any itemset the miner still has to count:
-///   (1) After level 1 the store holds only frequent-item rows, and every
-///       later candidate is a set of >= 2 of those rows. A transaction
-///       column set in fewer than 2 rows cannot be set in the AND of >= 2
-///       rows, so it contributes 0 to every remaining popcount.
-///   (2) At level k the same holds with threshold k: every level-(k+j)
-///       candidate (j >= 1) consists of items that are each members of
-///       some frequent k-itemset (downward closure: all k-subsets of a
-///       candidate are frequent, and extend() only joins frequent nodes),
-///       so a transaction supporting it has >= k+1 live items — but the
-///       conservative < 2 threshold is what plan_column_compaction uses,
-///       which is correct at EVERY level and needs no per-level proof.
-/// Renumbering the kept columns is a bijection on the surviving bit
-/// positions, and popcount is permutation-invariant.
+/// changes the support of any itemset the miner still has to count: after
+/// level 1 the store holds only frequent-item rows, and every later
+/// candidate is a set of >= 2 of those rows. A transaction column set in
+/// fewer than 2 rows cannot be set in the AND of >= 2 rows, so it
+/// contributes 0 to every remaining popcount. Renumbering the kept columns
+/// is a bijection on the surviving bit positions, and popcount is
+/// permutation-invariant.
 struct ColumnCompaction {
   static constexpr std::uint32_t kDropped = ~std::uint32_t{0};
   std::vector<Tid> new_to_old;           ///< kept-column -> original column
@@ -68,12 +61,6 @@ struct ColumnCompaction {
   std::size_t original_columns = 0;
 
   [[nodiscard]] std::size_t kept() const { return new_to_old.size(); }
-  [[nodiscard]] double drop_fraction() const {
-    return original_columns == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(kept()) /
-                           static_cast<double>(original_columns);
-  }
 };
 
 /// Plans the remap that keeps exactly the columns whose population

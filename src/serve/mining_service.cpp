@@ -411,9 +411,8 @@ void MiningService::worker_loop() {
     // checkpoint the failed attempt left so its salvaged levels are not
     // recounted. The re-enqueue goes to the queue front — the request
     // already waited its turn once.
-    if (result.status == RequestStatus::kError && job->request.top_k == 0 &&
-        result.algo != "CPU_TEST" &&
-        job->attempts < opts_.max_hedges_per_request) {
+    if (result.status == RequestStatus::kError &&
+        hedgeable(*job, result.algo)) {
       bool hedged = false;
       {
         std::lock_guard lk(m_);
@@ -496,6 +495,11 @@ void MiningService::publish(const std::shared_ptr<Job>& job,
   job->promise.set_value(std::move(result));
 }
 
+bool MiningService::hedgeable(const Job& job, const std::string& algo) const {
+  return job.request.top_k == 0 && algo != "CPU_TEST" &&
+         job.attempts < opts_.max_hedges_per_request;
+}
+
 MiningResult MiningService::execute(Job& job) {
   const MiningRequest& req = job.request;
   MiningResult r;
@@ -566,8 +570,7 @@ MiningResult MiningService::execute(Job& job) {
         r.planner_reason =
             "hedged retry pinned to CPU_TEST after a device-fault error";
       } else if (algo.empty()) {
-        const PlanDecision plan =
-            plan_driver(ds.dataset->stats, min_count, cfg);
+        const PlanDecision plan = plan_driver(ds.dataset->stats, min_count);
         algo = plan.algo;
         cfg.tiled = plan.tiled;
         r.planner_reason = plan.reason;
@@ -587,10 +590,11 @@ MiningResult MiningService::execute(Job& job) {
       gpapriori::RunControlOptions rco;
       rco.deadline_ms =
           req.deadline_ms > 0 ? req.deadline_ms : opts_.default_deadline_ms;
-      // Arm a per-level checkpoint while a hedge is still possible, so a
-      // retry resumes the salvaged prefix instead of recounting it. The
-      // final allowed attempt skips the write (nothing would consume it).
-      if (job.attempts < opts_.max_hedges_per_request) {
+      // Arm a per-level checkpoint only when this attempt could be hedged,
+      // so a retry resumes the salvaged prefix instead of recounting it.
+      // An attempt that cannot be hedged (the final one, or CPU_TEST)
+      // skips the writes: nothing would consume them.
+      if (hedgeable(job, algo)) {
         if (job.checkpoint_path.empty()) {
           namespace fs = std::filesystem;
           std::error_code ec;
@@ -641,11 +645,21 @@ MiningResult MiningService::execute(Job& job) {
       }
 
       // -- Rules -------------------------------------------------------------
+      // Still inside the request's deadline and cancel: generation polls
+      // the run once per frequent itemset, and a stop truncates the request.
       if (req.rules_confidence >= 0) {
         fim::RuleParams rp;
         rp.min_confidence = req.rules_confidence;
         rp.num_transactions = ds.dataset->db.num_transactions();
+        rp.stop = [&run] {
+          run.poll();
+          return run.cancelled();
+        };
         r.num_rules = fim::generate_rules(r.itemsets, rp).size();
+        if (run.cancelled() && r.status == RequestStatus::kOk) {
+          r.status = RequestStatus::kTruncated;
+          r.stop_reason = gpusim::to_string(run.cause());
+        }
       }
     }
 

@@ -250,6 +250,10 @@ class MiningService {
   };
 
   void worker_loop();
+  /// Whether an attempt of `job` on `algo` can still be hedged onto
+  /// CPU_TEST: the one rule both for re-enqueueing a kError attempt and
+  /// for arming the checkpoint that retry would resume from.
+  [[nodiscard]] bool hedgeable(const Job& job, const std::string& algo) const;
   MiningResult execute(Job& job);
   /// Terminal delivery: releases admission tokens, retires the dedup and
   /// id entries, satisfies followers and the job's promise, updates stats.

@@ -15,24 +15,9 @@ std::string fmt(const char* f, double a, double b) {
 }  // namespace
 
 PlanDecision plan_driver(const fim::DatasetStats& stats,
-                         fim::Support min_count,
-                         const gpapriori::Config& base) {
+                         fim::Support min_count) {
   const double ntrans = static_cast<double>(stats.num_transactions);
   const double items = static_cast<double>(stats.distinct_items);
-  const std::size_t words_per_row = (stats.num_transactions + 63) / 64;
-
-  // Upper bound of the level-1 vertical bitset: every distinct item turns
-  // frequent. The real footprint is smaller (preprocess drops infrequent
-  // items), but the bound is what we know before parsing-time work, and
-  // overshooting only costs the partitioned driver's streaming overhead.
-  const double l1_bytes = items * static_cast<double>(words_per_row) * 8.0;
-  const double budget = static_cast<double>(base.arena_bytes) / 2.0;
-  if (l1_bytes > budget)
-    return {"GPApriori (partitioned)", true,
-            fmt("level-1 bitset bound %.0f MiB exceeds half the %.0f MiB "
-                "arena; streaming transaction partitions",
-                l1_bytes / (1 << 20),
-                static_cast<double>(base.arena_bytes) / (1 << 20))};
 
   // Sparse and wide: the levelwise candidate front is the cost driver, DFS
   // tid-list intersection over equivalence classes stays narrow.

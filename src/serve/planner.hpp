@@ -1,8 +1,7 @@
 #pragma once
 // Driver planner for the mining service (DESIGN.md §14): when a request
 // does not pin an algorithm, pick one from the dataset's shape statistics
-// and the requested threshold. The decision space mirrors the degradation
-// ladder's rungs plus the DFS alternative:
+// and the requested threshold. Three routes:
 //
 //   * GPApriori, tiled       — the default: dense/moderate data where the
 //                              equivalence-class tiled kernel amortizes the
@@ -11,12 +10,13 @@
 //                              (tiny frequent-1 set) where sibling groups
 //                              collapse to singletons and tiling only adds
 //                              dispatch overhead;
-//   * GPApriori (partitioned) — when the estimated level-1 bitset would
-//                              crowd the device arena, stream transaction
-//                              partitions instead of risking the OOM rung;
 //   * GPU Eclat              — sparse, wide datasets where levelwise
 //                              candidate fronts explode but DFS tid-list
 //                              intersection stays narrow.
+//
+// Memory is not a route: a store too large for the device arena goes to
+// GPApriori, whose degradation ladder cuts it into transaction partitions
+// on the real out-of-memory error, sized from the arena it actually has.
 //
 // The planner only chooses among drivers that produce byte-identical
 // itemsets (cross-miner equivalence is a repo-wide test invariant), so a
@@ -24,8 +24,8 @@
 
 #include <string>
 
-#include "core/config.hpp"
 #include "fim/dataset_stats.hpp"
+#include "fim/itemset.hpp"
 
 namespace serve {
 
@@ -35,10 +35,8 @@ struct PlanDecision {
   std::string reason;  ///< one-line human-readable justification
 };
 
-/// Picks a driver for mining `stats`-shaped data at `min_count`, under the
-/// arena budget of `base` (Config supplies arena_bytes and device model).
+/// Picks a driver for mining `stats`-shaped data at `min_count`.
 [[nodiscard]] PlanDecision plan_driver(const fim::DatasetStats& stats,
-                                       fim::Support min_count,
-                                       const gpapriori::Config& base);
+                                       fim::Support min_count);
 
 }  // namespace serve

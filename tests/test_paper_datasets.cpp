@@ -72,7 +72,9 @@ TEST_P(DatasetSweep, EveryMinerAgrees) {
   check(mg);
   gpapriori::PipelinedGpApriori pl(cfg, 3);
   check(pl);
-  gpapriori::PartitionedGpApriori pt(cfg, 256 << 10);
+  gpapriori::Config streamed = cfg;
+  streamed.partition_budget_bytes = 256 << 10;
+  gpapriori::PartitionedGpApriori pt(streamed);
   check(pt);
 }
 

@@ -58,6 +58,29 @@ TEST(Rules, ThresholdFiltersLowConfidence) {
   EXPECT_EQ(find_rule(rules, Itemset{0}, Itemset{1}), nullptr);
 }
 
+TEST(Rules, StopCheckEndsGenerationAfterNItemsets) {
+  // The stop check is polled once per frequent itemset (in collection
+  // order); once it fires, generation returns the rules of the itemsets
+  // before it, a prefix of the full list.
+  RuleParams p;
+  p.min_confidence = 0;
+  p.num_transactions = 10;
+  const auto all = generate_rules(abc_collection(), p);
+  ASSERT_EQ(all.size(), 12u);
+  // Rules after the first n itemsets: {0,1}, {0,2} and {1,2} give two
+  // each, {0,1,2} gives six.
+  const std::size_t want[] = {0, 0, 0, 0, 2, 4, 6, 12};
+  for (std::size_t n = 0; n < std::size(want); ++n) {
+    SCOPED_TRACE(n);
+    std::size_t polls = 0;
+    p.stop = [&] { return ++polls > n; };
+    const auto some = generate_rules(abc_collection(), p);
+    EXPECT_EQ(polls, std::min<std::size_t>(n + 1, 7));
+    ASSERT_EQ(some.size(), want[n]);
+    EXPECT_TRUE(std::equal(some.begin(), some.end(), all.begin()));
+  }
+}
+
 TEST(Rules, MultiItemConsequentsAreGrown) {
   RuleParams p;
   p.min_confidence = 0.5;

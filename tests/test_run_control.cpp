@@ -338,8 +338,9 @@ TEST(Checkpoint, EveryLevelWiseDriverResumesBitIdentical) {
       {"eqclass",
        [](const Config& c) { return std::make_unique<EqClassApriori>(c); }},
       {"partitioned",
-       [](const Config& c) {
-         return std::make_unique<PartitionedGpApriori>(c, 1 << 10);
+       [](Config c) {
+         c.partition_budget_bytes = 1 << 10;
+         return std::make_unique<PartitionedGpApriori>(c);
        }},
       {"pipelined",
        [](const Config& c) { return std::make_unique<PipelinedGpApriori>(c); }},

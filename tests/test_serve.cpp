@@ -25,7 +25,9 @@
 #include "gpusim/fault.hpp"
 
 #include "core/gpapriori_all.hpp"
+#include "datagen/profiles.hpp"
 #include "fim/fimi_io.hpp"
+#include "obs/metrics.hpp"
 #include "serve/dataset_cache.hpp"
 #include "serve/planner.hpp"
 #include "serve/request_io.hpp"
@@ -208,7 +210,7 @@ TEST(MiningServiceTest, RejectsWhenQueueIsFull) {
   // must be rejected synchronously with a reason. (Whether the worker has
   // already popped the slow job when each submit lands only shifts WHICH
   // request bounces, never that most of them do.)
-  auto f_busy = service.submit(req("busy", "slow", 0.05, "CPU_TEST"));
+  auto f_busy = service.submit(req("busy", "slow", 0.02, "CPU_TEST"));
   std::vector<std::future<MiningResult>> raced;
   for (int i = 0; i < 5; ++i)
     raced.push_back(service.submit(
@@ -254,6 +256,25 @@ TEST(MiningServiceTest, DeadlineTruncatesAndSalvagesCompletedLevels) {
   const auto complete = full.mine(slow_db(), p);
   EXPECT_LT(results[0].itemsets.size(), complete.itemsets.size());
   EXPECT_GE(service.stats().truncated, 1u);
+}
+
+TEST(MiningServiceTest, RuleGenerationStopsAtTheDeadline) {
+  // About 10^5 frequent itemsets and millions of rules at confidence 0:
+  // rule generation alone takes seconds. It polls the request's run once
+  // per frequent itemset, so the 40 ms deadline ends it and the request
+  // completes truncated, in far less than that.
+  ServiceOptions so;
+  so.workers = 1;
+  MiningService service(so);
+  service.register_dataset("deep", testutil::random_db(3000, 30, 0.55, 4));
+  MiningRequest r = req("rules", "deep", 0.05, "CPU_TEST");
+  r.deadline_ms = 40;
+  r.rules_confidence = 0;
+  const auto results = service.run_batch({r});
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_EQ(results[0].status, RequestStatus::kTruncated) << results[0].error;
+  EXPECT_EQ(results[0].stop_reason, "deadline");
+  EXPECT_LT(results[0].exec_ms, 1000.0);
 }
 
 // -- In-flight dedup --------------------------------------------------------
@@ -533,6 +554,55 @@ TEST(MiningServiceTest, HedgedRetryRecoversFromPersistentDeviceFault) {
   const auto st = service.stats();
   EXPECT_EQ(st.hedges, 1u);
   EXPECT_EQ(st.errors, 0u);  // the kError attempt was hedged, not published
+}
+
+TEST(MiningServiceTest, StoreLargerThanTheArenaIsAnsweredByGpApriori) {
+  // accidents at the benchmark's scale (34,018 transactions): at support
+  // 0.6 its frequent-1 store outgrows a 64 KiB arena while every level's
+  // candidate tables fit. Unpinned, it plans to GPApriori, whose ladder
+  // cuts the store into partitions on the out-of-memory error; with
+  // hedging off nothing else could answer it.
+  const auto db =
+      datagen::profile(datagen::DatasetId::kAccidents).generate(0.1);
+  ASSERT_EQ(db.num_transactions(), 34'018u);
+  ServiceOptions so;
+  so.workers = 1;
+  so.max_hedges_per_request = 0;
+  so.base_config.arena_bytes = 64 << 10;
+  MiningService service(so);
+  service.register_dataset("accidents", db);
+  const auto results =
+      service.run_batch({req("planned", "accidents", 0.6),
+                         req("cpu", "accidents", 0.6, "CPU_TEST")});
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_EQ(results[0].status, RequestStatus::kOk) << results[0].error;
+  EXPECT_EQ(results[0].algo, "GPApriori");
+  EXPECT_EQ(results[0].hedges, 0u);
+  ASSERT_EQ(results[1].status, RequestStatus::kOk) << results[1].error;
+  EXPECT_GT(results[0].itemsets.size(), 0u);
+  EXPECT_EQ(results[0].itemsets.to_string(), results[1].itemsets.to_string());
+}
+
+TEST(MiningServiceTest, UnhedgeableAttemptWritesNoCheckpoint) {
+  // The hedge checkpoint is armed by the same rule that hedges: a CPU_TEST
+  // attempt is never hedged, so it writes no per-level snapshot, while a
+  // GPApriori attempt that could still be hedged does.
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.reset();
+  metrics.enable();
+  ServiceOptions so;
+  so.workers = 1;
+  so.hedge_checkpoint_dir = testing::TempDir();
+  MiningService service(so);
+  service.register_dataset("mem", small_db());
+  const auto cpu = service.run_batch({req("cpu", "mem", 0.3, "CPU_TEST")});
+  ASSERT_EQ(cpu[0].status, RequestStatus::kOk) << cpu[0].error;
+  EXPECT_EQ(metrics.value(obs::Counter::kCheckpointsWritten), 0u);
+  const auto gpu = service.run_batch({req("gpu", "mem", 0.3, "GPApriori")});
+  ASSERT_EQ(gpu[0].status, RequestStatus::kOk) << gpu[0].error;
+  EXPECT_GT(metrics.value(obs::Counter::kCheckpointsWritten), 0u);
+  metrics.disable();
+  metrics.reset();
 }
 
 TEST(MiningServiceTest, MaxHedgesZeroKeepsErrorsTerminal) {
@@ -933,14 +1003,17 @@ TEST(RequestIoTest, ServiceStatsJsonExportsCountersAndAdmission) {
 
 // -- Planner ----------------------------------------------------------------
 
-TEST(PlannerTest, PicksPartitionedWhenBitsetsWouldCrowdTheArena) {
+TEST(PlannerTest, OversizedShapePlansToGpApriori) {
+  // Memory is not a planner route: a shape whose level-1 store would be
+  // gigabytes plans to GPApriori, whose ladder cuts the store into
+  // transaction partitions on the device's real out-of-memory error.
   fim::DatasetStats s;
   s.num_transactions = 4'000'000;
   s.distinct_items = 50'000;
   s.density = 0.2;
-  gpapriori::Config cfg;  // 256 MiB arena
-  const auto plan = serve::plan_driver(s, 100, cfg);
-  EXPECT_EQ(plan.algo, "GPApriori (partitioned)");
+  const auto plan = serve::plan_driver(s, 100);
+  EXPECT_EQ(plan.algo, "GPApriori");
+  EXPECT_TRUE(plan.tiled);
   EXPECT_FALSE(plan.reason.empty());
 }
 
@@ -949,7 +1022,7 @@ TEST(PlannerTest, PicksEclatForSparseWideData) {
   s.num_transactions = 10'000;
   s.distinct_items = 1'000;
   s.density = 0.01;
-  const auto plan = serve::plan_driver(s, 50, gpapriori::Config{});
+  const auto plan = serve::plan_driver(s, 50);
   EXPECT_EQ(plan.algo, "GPU Eclat");
 }
 
@@ -959,7 +1032,7 @@ TEST(PlannerTest, DisablesTilingNearTheSupportCeiling) {
   s.distinct_items = 60;
   s.density = 0.5;
   s.top_item_frequency = 0.98;
-  const auto plan = serve::plan_driver(s, 975, gpapriori::Config{});
+  const auto plan = serve::plan_driver(s, 975);
   EXPECT_EQ(plan.algo, "GPApriori");
   EXPECT_FALSE(plan.tiled);
 }
@@ -970,7 +1043,7 @@ TEST(PlannerTest, DefaultsToTiledGpApriori) {
   s.distinct_items = 120;
   s.density = 0.3;
   s.top_item_frequency = 0.6;
-  const auto plan = serve::plan_driver(s, 5'000, gpapriori::Config{});
+  const auto plan = serve::plan_driver(s, 5'000);
   EXPECT_EQ(plan.algo, "GPApriori");
   EXPECT_TRUE(plan.tiled);
 }

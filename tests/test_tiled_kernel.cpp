@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -353,7 +352,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// Dropping columns with fewer than two set bits (over the whole store)
 /// cannot change any AND-of->=2-rows popcount: a surviving bit needs >= 2
 /// contributing rows. Row renumbering is a bijection and popcount is
-/// permutation-invariant (fim/vertical.hpp, argument (1)).
+/// permutation-invariant (fim/vertical.hpp).
 TEST(Compaction, PairSupportsInvariantUnderInitialCompaction) {
   const std::size_t items = 10;
   const auto db = testutil::random_db(600, items, 0.15, 99);
@@ -361,7 +360,7 @@ TEST(Compaction, PairSupportsInvariantUnderInitialCompaction) {
   for (fim::Item x = 0; x < items; ++x) rows.push_back(x);
   const auto store = BitsetStore::from_db(db, rows);
 
-  const auto counts = store.column_populations({});
+  const auto counts = store.column_populations();
   const auto plan = fim::plan_column_compaction(counts, 2);
   ASSERT_LT(plan.kept(), plan.original_columns)
       << "sparse db should drop at least one column";
@@ -415,7 +414,7 @@ TEST(TiledEndToEnd, ChessSliceBitIdenticalAcrossHostThreads) {
   ASSERT_GT(reference.itemsets.size(), 0u);
   const std::uint32_t hw = std::max(2u, std::thread::hardware_concurrency());
   for (std::uint32_t threads : {1u, 2u, hw}) {
-    const auto tiled = mine(true, 2, threads);
+    const auto tiled = mine(true, 1, threads);
     EXPECT_TRUE(tiled.itemsets.equivalent_to(reference.itemsets))
         << "host_threads " << threads;
     EXPECT_EQ(tiled.itemsets.to_string(), reference.itemsets.to_string())
@@ -430,29 +429,28 @@ TEST(TiledEndToEnd, CpuTestTiledMatchesComplete) {
   miners::MiningParams p;
   p.min_support_ratio = 0.1;
   gpapriori::CpuBitsetApriori plain(nullptr, false, 0);
-  gpapriori::CpuBitsetApriori tiled(nullptr, true, 2);
+  gpapriori::CpuBitsetApriori tiled(nullptr, true, 1);
   const auto a = plain.mine(db, p);
   const auto b = tiled.mine(db, p);
   ASSERT_GT(a.itemsets.size(), 0u);
   EXPECT_EQ(a.itemsets.to_string(), b.itemsets.to_string());
 }
 
-/// GPAPRIORI_NO_TILED gates the tiled path off without touching results.
-TEST(TiledEndToEnd, EnvKillSwitchFallsBackToCompleteIntersection) {
+/// Config::tiled = false (--no-tiled) gates the tiled path off without
+/// touching results.
+TEST(TiledEndToEnd, ConfigSwitchFallsBackToCompleteIntersection) {
   const auto db = testutil::random_db(300, 10, 0.4, 23);
   miners::MiningParams p;
   p.min_support_ratio = 0.12;
 
   gpapriori::Config cfg;
-  ASSERT_TRUE(gpapriori::resolve_tiled(cfg.tiled));
-  ::setenv("GPAPRIORI_NO_TILED", "1", 1);
-  EXPECT_FALSE(gpapriori::resolve_tiled(cfg.tiled));
+  ASSERT_TRUE(cfg.tiled);
+  cfg.tiled = false;
   gpapriori::GpApriori off(cfg);
   const auto sets_off = off.mine(db, p);
   ASSERT_FALSE(off.launch_history().empty());
   EXPECT_EQ(off.launch_history()[0].kernel_name, "gpapriori_support");
-  ::unsetenv("GPAPRIORI_NO_TILED");
-  EXPECT_TRUE(gpapriori::resolve_tiled(cfg.tiled));
+  cfg.tiled = true;
   gpapriori::GpApriori on(cfg);
   const auto sets_on = on.mine(db, p);
   ASSERT_FALSE(on.launch_history().empty());
