@@ -59,8 +59,7 @@ inline void install_signal_handlers() {
 
 /// Parses the run-lifecycle flags shared with gpapriori_cli:
 /// --deadline-ms MS, --device-budget-ms MS, --watchdog-ms MS (each a
-/// positive float; bad values warned and ignored). GPAPRIORI_DEADLINE_MS
-/// supplies the deadline when the flag is absent (see RunControl).
+/// positive float; bad values warned and ignored).
 inline gpapriori::RunControlOptions parse_run_control(int argc, char** argv) {
   gpapriori::RunControlOptions rco;
   auto grab = [&](const char* flag, const char* arg, double& out) {

@@ -6,7 +6,7 @@
 //   gpapriori_cli mine <file.dat> [--algo NAME] [--support 0.5 | --count 20]
 //                 [--max-size K] [--rules CONF] [--closed | --maximal]
 //                 [--out result.txt] [--fault-plan SPEC]
-//   gpapriori_cli topk <file.dat> <K> [--algo NAME]
+//   gpapriori_cli topk <file.dat> <K>
 //   gpapriori_cli serve --requests <file> [--workers N] [--queue-depth N]
 //   gpapriori_cli list-algos
 //
@@ -84,7 +84,7 @@ int usage() {
       "                [--deadline-ms MS] [--device-budget-ms MS]\n"
       "                [--watchdog-ms MS] [--checkpoint FILE] [--resume "
       "FILE]\n"
-      "  gpapriori_cli topk <file.dat> <K> [--algo NAME]\n"
+      "  gpapriori_cli topk <file.dat> <K>\n"
       "  gpapriori_cli serve --requests FILE [--workers N] [--queue-depth "
       "N]\n"
       "                [--cache-mb N] [--threads-per-request N] [--metrics]\n"
@@ -147,16 +147,15 @@ int usage() {
       "static -> partitioned -> CPU_TEST instead of failing; the\n"
       "ResilienceReport is printed to stderr on degraded runs.\n"
       "\n"
-      "Run lifecycle control: --deadline-ms caps wall time (env:\n"
-      "GPAPRIORI_DEADLINE_MS), --device-budget-ms caps simulated device\n"
-      "time, --watchdog-ms trips cancellation when no progress is made for\n"
-      "that long, and Ctrl-C / SIGTERM cancel cooperatively. A cancelled\n"
-      "run still prints every fully-counted level (stderr notes the level\n"
-      "it stopped at) and exits 6. --checkpoint FILE snapshots the frequent\n"
-      "itemsets after every completed level; --resume FILE restarts\n"
-      "bit-exactly from such a snapshot (every level-wise algorithm:\n"
-      "the GPApriori variants and CPU_TEST; digest-verified against the\n"
-      "input dataset).\n"
+      "Run lifecycle control: --deadline-ms caps wall time,\n"
+      "--device-budget-ms caps simulated device time, --watchdog-ms trips\n"
+      "cancellation when no progress is made for that long, and Ctrl-C /\n"
+      "SIGTERM cancel cooperatively. A cancelled run still prints every\n"
+      "fully-counted level (stderr notes the level it stopped at) and\n"
+      "exits 6. --checkpoint FILE snapshots the frequent itemsets after\n"
+      "every completed level; --resume FILE restarts bit-exactly from such\n"
+      "a snapshot (every level-wise algorithm: the GPApriori variants and\n"
+      "CPU_TEST; digest-verified against the input dataset).\n"
       "\n"
       "exit codes: 0 ok, 1 error, 2 device out-of-memory, 3 I/O error,\n"
       "            4 kernel-launch failure, 5 transfer failure,\n"

@@ -11,4 +11,3 @@
 #include "baselines/goethals.hpp"
 #include "baselines/hash_tree.hpp"
 #include "baselines/miner.hpp"
-#include "baselines/topk.hpp"

@@ -4,6 +4,7 @@
 // are exposed here so the ablation benches can toggle each one.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "baselines/apriori_util.hpp"
@@ -19,16 +20,22 @@ class RunControl;
 
 /// Immutable preprocessed layout shared across runs over the same dataset
 /// (serve/DatasetCache, DESIGN.md §14). Holds the frequent-1 scan + remap
-/// every driver would otherwise rebuild per mine() call. A driver only
-/// adopts it when the threshold AND the dataset digest match this run's,
-/// so a stale or mismatched injection can never change results — it is
-/// byte-for-byte the output of the miners::preprocess call the driver
-/// would have made itself.
+/// every driver would otherwise rebuild per mine() call. A driver adopts it
+/// only for the very TransactionDb object it was built from, at the same
+/// threshold, so a stale or mismatched injection can never change results:
+/// it is byte-for-byte the output of the miners::preprocess call the
+/// driver would have made itself.
 struct SharedLayout {
   fim::Support min_count = 0;        ///< threshold the layout was built at
-  std::uint64_t dataset_digest = 0;  ///< fim::dataset_digest of the source db
-  std::size_t num_transactions = 0;  ///< cheap guard consulted before digest
-  miners::Preprocessed pre;          ///< kAscendingFreq layout at min_count
+  std::uint64_t dataset_digest = 0;  ///< fim::dataset_digest of `source`
+  /// The object it was built from. Weak, so a layout never keeps an
+  /// evicted dataset alive, and an expired one matches no reused address.
+  std::weak_ptr<const fim::TransactionDb> source;
+  miners::Preprocessed pre;  ///< kAscendingFreq layout at min_count
+
+  [[nodiscard]] bool built_from(const fim::TransactionDb& db) const {
+    return source.lock().get() == &db;
+  }
 };
 
 struct Config {
@@ -127,14 +134,14 @@ struct Config {
 
   /// Run lifecycle control (core/run_control.hpp): deadlines, cooperative
   /// cancellation, hang watchdog, level checkpoint/resume. Unowned; must
-  /// outlive every mine() call. Null = each mine() builds its own from the
-  /// environment (GPAPRIORI_DEADLINE_MS), which is inert when unset.
+  /// outlive every mine() call. Null = no deadline, cancellation or
+  /// checkpoint for the run.
   RunControl* run_control = nullptr;
 
   /// Optional shared preprocessed layout (serve/DatasetCache). Unowned and
-  /// immutable; must outlive the mine() call. Ignored — a fresh preprocess
-  /// runs instead — unless min_count, transaction count, and dataset
-  /// digest all match the current run.
+  /// immutable; must outlive the mine() call. Ignored (a fresh preprocess
+  /// runs instead) unless it was built from this run's db object at this
+  /// run's min_count.
   const SharedLayout* shared_layout = nullptr;
 
   [[nodiscard]] bool valid_block_size() const {
@@ -171,18 +178,14 @@ struct Config {
   }
 };
 
-/// The preprocessed layout a driver mines from: the shared one when it
-/// matches this run's threshold and database (digest-verified), else a
-/// fresh build into `local`. `digest` is fim::dataset_digest(db) when the
-/// caller already has it; otherwise the digest scan is only paid when a
-/// shared layout is actually offered.
+/// The preprocessed layout a driver mines from: the shared one when it was
+/// built from this very `db` at this threshold, else a fresh build into
+/// `local` (which then holds a value exactly when nothing was adopted).
 [[nodiscard]] inline const miners::Preprocessed& resolve_preprocess(
     const SharedLayout* shared, const fim::TransactionDb& db,
-    fim::Support min_count, std::optional<miners::Preprocessed>& local,
-    std::optional<std::uint64_t> digest = std::nullopt) {
+    fim::Support min_count, std::optional<miners::Preprocessed>& local) {
   if (shared != nullptr && shared->min_count == min_count &&
-      shared->num_transactions == db.num_transactions() &&
-      shared->dataset_digest == (digest ? *digest : fim::dataset_digest(db)))
+      shared->built_from(db))
     return shared->pre;
   local.emplace(
       miners::preprocess(db, min_count, miners::ItemOrder::kAscendingFreq));

@@ -15,10 +15,12 @@ namespace gpapriori {
 namespace {
 
 /// CPU_TEST's counter: the kernel's arithmetic executed by the host over
-/// the same 64-byte-aligned store (a single resident slice).
+/// the same 64-byte-aligned store (a single resident slice). A level can be
+/// the run's long pole, so it honours cancellation every 1,024 candidates,
+/// the hybrid host share's cadence.
 class HostCounter final : public SupportCounter {
  public:
-  explicit HostCounter(bool tiled) : tiled_(tiled) {}
+  HostCounter(bool tiled, RunScope& scope) : tiled_(tiled), scope_(scope) {}
 
   [[nodiscard]] bool grouped() const override { return tiled_; }
   [[nodiscard]] bool counts_on_host() const override { return true; }
@@ -29,8 +31,10 @@ class HostCounter final : public SupportCounter {
     if (!tiled_) {
       // Complete intersection: the same k-way AND + popcount the kernel
       // performs.
-      for (std::size_t c = 0; c < lv.count; ++c)
+      for (std::size_t c = 0; c < lv.count; ++c) {
+        if ((c & 0x3ff) == 0) scope_.check("cpu-count");
         supports[c] = store.and_popcount(lv.paths.subspan(c * lv.k, lv.k));
+      }
       return 0;
     }
     // The tiled kernel's structure: materialize each sibling group's k-1
@@ -41,7 +45,12 @@ class HostCounter final : public SupportCounter {
     const auto offsets = g.group_offsets();
     const auto siblings = g.sibling_rows();
     std::vector<fim::BitsetStore::Word> mask(store.row_stride_words());
+    std::uint32_t next_check = 0;
     for (std::size_t i = 0; i < g.groups; ++i) {
+      if (offsets[i] >= next_check) {
+        scope_.check("cpu-count");
+        next_check = offsets[i] + 0x400;
+      }
       store.and_rows(prefixes.subspan(i * g.prefix_len, g.prefix_len), mask);
       for (std::uint32_t c = offsets[i]; c < offsets[i + 1]; ++c)
         supports[c] = store.masked_popcount(mask, siblings[c]);
@@ -51,6 +60,7 @@ class HostCounter final : public SupportCounter {
 
  private:
   bool tiled_;
+  RunScope& scope_;
 };
 
 template <typename M>
@@ -155,7 +165,7 @@ miners::MiningOutput GpApriori::mine(const fim::TransactionDb& db,
   // and produces the identical (itemset, support) set. ----
   degrade(DegradationStep::kCpu, "degrade:->cpu-test",
           "degraded to CPU_TEST (device abandoned)");
-  HostCounter counter(cfg_.tiled);
+  HostCounter counter(cfg_.tiled, loop.scope());
   return finish(loop.run(counter));
 }
 
@@ -170,7 +180,7 @@ miners::MiningOutput CpuBitsetApriori::mine(const fim::TransactionDb& db,
   knobs.host_threads = host_threads_;
   validate_config(knobs, "CpuBitsetApriori");
   LevelLoop loop(knobs, db, params, "cpu-level");
-  HostCounter counter(tiled_);
+  HostCounter counter(tiled_, loop.scope());
   return loop.run(counter);
 }
 

@@ -66,7 +66,7 @@ class GpApriori final : public miners::Miner {
 class CpuBitsetApriori final : public miners::Miner {
  public:
   /// Optional run lifecycle controller (deadline/cancel/checkpoint/resume,
-  /// core/run_control.hpp). Unowned; null = environment-driven.
+  /// core/run_control.hpp). Unowned; null = none.
   /// `tiled`, `compact_level`,
   /// `max_group_size`, and `host_threads` mirror the same-named Config
   /// fields so CPU_TEST exercises the same counting structure (and the

@@ -328,41 +328,39 @@ LevelLoop::LevelLoop(const Config& cfg, const fim::TransactionDb& db,
       max_itemset_size_(params.max_itemset_size),
       min_count_(params.resolve_min_count(db.num_transactions())),
       scope_(cfg.run_control) {
-  RunControl* rc = scope_.control();
-  const bool snapshotting =
-      rc != nullptr && (rc->want_resume() || rc->want_checkpoint());
-  if (snapshotting) {
-    obs::ScopedSpan span(obs::SpanKind::kOther, "dataset-digest");
-    dataset_dig_ = fim::dataset_digest(db);
-  }
-  if (rc != nullptr && rc->want_resume()) {
-    obs::ScopedSpan span(obs::SpanKind::kOther, "snapshot-read");
-    resume_ = load_resume(rc->options().resume_path, dataset_dig_, min_count_,
-                          max_itemset_size_);
-  }
-
-  // A matching Config::shared_layout (serve DatasetCache) replaces the
-  // build with a borrow — pre_ms_ then measures only the digest check,
-  // which reuses the digest computed above when there is one.
+  // A Config::shared_layout built from this very `db` (serve DatasetCache)
+  // replaces the build with a borrow.
   {
     obs::ScopedSpan span(obs::SpanKind::kOther, "preprocess");
     const miners::StopWatch watch;
-    pre_ = &resolve_preprocess(
-        cfg.shared_layout, db, min_count_, pre_local_,
-        snapshotting ? std::optional(dataset_dig_) : std::nullopt);
+    pre_ = &resolve_preprocess(cfg.shared_layout, db, min_count_, pre_local_);
     pre_ms_ = watch.elapsed_ms();
   }
 
-  // The layout digest fingerprints the preprocessing (dense item order +
-  // per-item supports): equal digests build identical vertical layouts, so
-  // a checkpoint taken by one driver resumes bit-exactly in another.
-  if (snapshotting) {
+  RunControl* rc = scope_.control();
+  if (rc != nullptr && (rc->want_resume() || rc->want_checkpoint())) {
+    // An adopted layout carries the digest the cache took of this object
+    // when it loaded it; only a local preprocess hashes the data here.
+    if (pre_local_) {
+      obs::ScopedSpan span(obs::SpanKind::kOther, "dataset-digest");
+      dataset_dig_ = fim::dataset_digest(db);
+    } else {
+      dataset_dig_ = cfg.shared_layout->dataset_digest;
+    }
+    // The layout digest fingerprints the preprocessing (dense item order +
+    // per-item supports): equal digests build identical vertical layouts,
+    // so a checkpoint taken by one driver resumes bit-exactly in another.
     const std::uint64_t n = num_items();
     layout_dig_ = fim::fnv1a_bytes(&n, sizeof(n), fim::kFnvOffset);
     layout_dig_ = fim::fnv1a_bytes(pre_->original_item.data(),
                                    n * sizeof(fim::Item), layout_dig_);
     layout_dig_ = fim::fnv1a_bytes(pre_->support.data(),
                                    n * sizeof(fim::Support), layout_dig_);
+  }
+  if (rc != nullptr && rc->want_resume()) {
+    obs::ScopedSpan span(obs::SpanKind::kOther, "snapshot-read");
+    resume_ = load_resume(rc->options().resume_path, dataset_dig_, min_count_,
+                          max_itemset_size_);
   }
   if (resume_ && resume_->layout_digest != layout_dig_)
     throw fim::IoError(

@@ -177,9 +177,9 @@ class DeviceCounter final : public SupportCounter {
 /// One level-wise mining run: construct per mine() call, then run().
 class LevelLoop {
  public:
-  /// Opens the run: resolves the threshold, starts the RunScope, loads and
-  /// verifies a resume snapshot, and preprocesses (or borrows
-  /// cfg.shared_layout). `name` labels the level span and poll point.
+  /// Opens the run: resolves the threshold, starts the RunScope,
+  /// preprocesses (or borrows cfg.shared_layout), and loads and verifies a
+  /// resume snapshot. `name` labels the level span and poll point.
   LevelLoop(const Config& cfg, const fim::TransactionDb& db,
             const miners::MiningParams& params, const char* name);
 

@@ -1,28 +1,14 @@
 #include "core/run_control.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
+#include <utility>
 
 #include "obs/obs.hpp"
 
 namespace gpapriori {
 namespace {
-
-/// Strictly-parsed positive double from the environment; 0 when unset,
-/// malformed, or non-positive (same tolerance as the other GPAPRIORI_*
-/// variables: garbage is ignored, not fatal).
-double env_deadline_ms() {
-  const char* env = std::getenv("GPAPRIORI_DEADLINE_MS");
-  if (env == nullptr || *env == '\0') return 0;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(env, &end);
-  if (errno != 0 || end == env || *end != '\0' || !(v > 0)) return 0;
-  return v;
-}
 
 double ms_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
@@ -31,10 +17,8 @@ double ms_between(std::chrono::steady_clock::time_point a,
 
 }  // namespace
 
-RunControl::RunControl(RunControlOptions opts) : opts_(std::move(opts)) {
-  deadline_ms_ = opts_.deadline_ms > 0 ? opts_.deadline_ms : env_deadline_ms();
-  start_ = std::chrono::steady_clock::now();
-}
+RunControl::RunControl(RunControlOptions opts)
+    : opts_(std::move(opts)), start_(std::chrono::steady_clock::now()) {}
 
 RunControl::~RunControl() { end_run(); }
 
@@ -45,7 +29,7 @@ double RunControl::elapsed_ms() const {
 bool RunControl::begin_run() {
   if (running_.exchange(true, std::memory_order_acq_rel)) return false;
   start_ = std::chrono::steady_clock::now();
-  if (opts_.watchdog_ms <= 0 && deadline_ms_ <= 0) return true;
+  if (opts_.watchdog_ms <= 0 && opts_.deadline_ms <= 0) return true;
 
   // Monitor thread: wakes every few milliseconds, trips the token on a
   // stalled heartbeat or an expired wall deadline, then exits. It is the
@@ -71,7 +55,8 @@ bool RunControl::begin_run() {
         return;
       }
       const auto now = std::chrono::steady_clock::now();
-      if (deadline_ms_ > 0 && ms_between(start_, now) > deadline_ms_) {
+      if (opts_.deadline_ms > 0 &&
+          ms_between(start_, now) > opts_.deadline_ms) {
         if (token_.request(gpusim::CancelCause::kDeadline)) report_cancelled();
         return;
       }
@@ -109,7 +94,7 @@ void RunControl::poll(double device_ms_used) {
     report_cancelled();
     return;
   }
-  if (deadline_ms_ > 0 && elapsed_ms() > deadline_ms_) {
+  if (opts_.deadline_ms > 0 && elapsed_ms() > opts_.deadline_ms) {
     if (token_.request(gpusim::CancelCause::kDeadline)) report_cancelled();
     return;
   }
@@ -151,10 +136,6 @@ void RunControl::report_cancelled() {
 }
 
 RunScope::RunScope(RunControl* rc) : rc_(rc) {
-  // No controller supplied: honor GPAPRIORI_DEADLINE_MS so every driver is
-  // deadline-capable from the environment alone; otherwise stay inert
-  // (null token — the executor fast path sees nullptr).
-  if (rc_ == nullptr && env_deadline_ms() > 0) rc_ = &local_.emplace();
   if (rc_ != nullptr) began_ = rc_->begin_run();
 }
 

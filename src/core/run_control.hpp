@@ -33,7 +33,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -45,9 +44,7 @@
 namespace gpapriori {
 
 struct RunControlOptions {
-  /// Wall-clock budget for one mine() call, in milliseconds. 0 = none;
-  /// when 0, the GPAPRIORI_DEADLINE_MS environment variable (strictly
-  /// parsed, ignored if malformed) supplies a default.
+  /// Wall-clock budget for one mine() call, in milliseconds. 0 = none.
   double deadline_ms = 0;
   /// Simulated device-time budget (TimeLedger total), in milliseconds.
   /// 0 = none. Checked at driver poll points.
@@ -79,8 +76,6 @@ class RunControl {
 
   [[nodiscard]] gpusim::CancelToken& token() { return token_; }
   [[nodiscard]] const RunControlOptions& options() const { return opts_; }
-  /// The effective wall deadline (options value or env default).
-  [[nodiscard]] double deadline_ms() const { return deadline_ms_; }
 
   /// Async-signal-safe external cancellation (SIGINT handler, API).
   void request_cancel(gpusim::CancelCause cause = gpusim::CancelCause::kUser) {
@@ -125,7 +120,6 @@ class RunControl {
   void report_cancelled();  ///< once-per-run obs recording (normal thread)
 
   RunControlOptions opts_;
-  double deadline_ms_ = 0;  ///< resolved: opts_ or GPAPRIORI_DEADLINE_MS
   gpusim::CancelToken token_;
   std::chrono::steady_clock::time_point start_;
   std::atomic<bool> running_{false};
@@ -133,11 +127,9 @@ class RunControl {
   std::jthread watchdog_;
 };
 
-/// Driver-side adapter around an optional Config::run_control. When the
-/// config carries no RunControl, the scope builds a local one from the
-/// environment (inert — null token, zero overhead — unless
-/// GPAPRIORI_DEADLINE_MS is set). begin_run/end_run bracket the scope's
-/// lifetime automatically.
+/// Driver-side adapter around an optional Config::run_control. Without
+/// one the scope is inert (null token, zero overhead). begin_run/end_run
+/// bracket the scope's lifetime automatically.
 class RunScope {
  public:
   explicit RunScope(RunControl* rc);
@@ -169,7 +161,6 @@ class RunScope {
 
  private:
   RunControl* rc_ = nullptr;
-  std::optional<RunControl> local_;
   bool began_ = false;
 };
 

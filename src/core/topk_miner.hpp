@@ -2,14 +2,13 @@
 // Native top-K frequent-itemset mining: level-wise Apriori with a RISING
 // support threshold.
 //
-// The generic miners::mine_top_k re-mines at probed thresholds, which is
-// wasteful and — on dense data with a support cliff — dangerous (a probe
-// past the cliff materializes an exponential collection). The native
-// algorithm needs ONE level-wise pass: a size-K min-heap of the best
-// supports seen so far provides the current threshold; because the
-// threshold only ever rises, Apriori pruning with the current value stays
-// sound, and levels narrow as the heap tightens. Runs on the same
-// candidate trie + static bitset machinery as CPU_TEST.
+// Re-mining at probed thresholds would be wasteful and, on dense data with
+// a support cliff, dangerous (a probe past the cliff materializes an
+// exponential collection). This algorithm needs ONE level-wise pass: a
+// size-K min-heap of the best supports seen so far provides the current
+// threshold; because the threshold only ever rises, Apriori pruning with
+// the current value stays sound, and levels narrow as the heap tightens.
+// Runs on the same candidate trie + static bitset machinery as CPU_TEST.
 
 #include "fim/result.hpp"
 #include "fim/transaction_db.hpp"

@@ -50,13 +50,14 @@ bool stat_file(const std::string& path, std::uintmax_t& size,
   return true;
 }
 
-std::shared_ptr<const CachedDataset> build_dataset(const std::string& path) {
+/// The one place a served dataset is hashed: layouts built from the entry
+/// carry this digest to the runs that adopt them.
+std::shared_ptr<const CachedDataset> make_entry(fim::TransactionDb db) {
   auto entry = std::make_shared<CachedDataset>();
-  entry->db = fim::read_fimi_file(path);
+  entry->db = std::move(db);
   entry->digest = fim::dataset_digest(entry->db);
   entry->stats = fim::compute_stats(entry->db);
   entry->bytes = db_bytes(entry->db);
-  entry->source = path;
   return entry;
 }
 
@@ -66,12 +67,7 @@ DatasetCache::DatasetCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}
 
 void DatasetCache::register_handle(const std::string& name,
                                    fim::TransactionDb db) {
-  auto entry = std::make_shared<CachedDataset>();
-  entry->db = std::move(db);
-  entry->digest = fim::dataset_digest(entry->db);
-  entry->stats = fim::compute_stats(entry->db);
-  entry->bytes = db_bytes(entry->db);
-  entry->source = name;
+  auto entry = make_entry(std::move(db));
   std::lock_guard lk(m_);
   handles_[name] = std::move(entry);
 }
@@ -144,7 +140,7 @@ DatasetCache::DatasetResult DatasetCache::get_dataset(
 
       std::shared_ptr<const CachedDataset> entry;
       try {
-        entry = build_dataset(path_or_handle);
+        entry = make_entry(fim::read_fimi_file(path_or_handle));
       } catch (...) {
         promise.set_exception(std::current_exception());
         std::lock_guard relock(m_);
@@ -171,16 +167,23 @@ DatasetCache::LayoutResult DatasetCache::get_layout(
     const std::shared_ptr<const CachedDataset>& ds, fim::Support min_count) {
   auto& metrics = obs::MetricsRegistry::global();
   const std::string key = layout_key(ds->digest, min_count);
+  // While a build is pending its requester holds `ds`, so the address
+  // names one live object.
+  const PendingKey pending_key{&ds->db, min_count};
   std::shared_future<std::shared_ptr<const gpapriori::SharedLayout>> wait_on;
   {
     std::unique_lock lk(m_);
-    if (auto it = index_.find(key); it != index_.end()) {
+    // A slot built from another object with the same bytes (a re-parse, or
+    // a handle and a file of equal content) is a miss: drivers would
+    // refuse it, so the build below replaces it.
+    if (auto it = index_.find(key);
+        it != index_.end() && it->second->layout->built_from(ds->db)) {
       touch(it->second);
       ++stats_.layout_hits;
       metrics.add(obs::Counter::kServeLayoutCacheHits, 1);
       return {it->second->layout, true};
     }
-    if (auto pending = pending_layouts_.find(key);
+    if (auto pending = pending_layouts_.find(pending_key);
         pending != pending_layouts_.end()) {
       wait_on = pending->second;
       ++stats_.builds_coalesced;
@@ -188,7 +191,7 @@ DatasetCache::LayoutResult DatasetCache::get_layout(
       metrics.add(obs::Counter::kServeLayoutCacheHits, 1);
     } else {
       std::promise<std::shared_ptr<const gpapriori::SharedLayout>> promise;
-      pending_layouts_[key] = promise.get_future().share();
+      pending_layouts_[pending_key] = promise.get_future().share();
       ++stats_.layout_misses;
       metrics.add(obs::Counter::kServeLayoutCacheMisses, 1);
       lk.unlock();
@@ -198,20 +201,20 @@ DatasetCache::LayoutResult DatasetCache::get_layout(
         lay = std::make_shared<gpapriori::SharedLayout>();
         lay->min_count = min_count;
         lay->dataset_digest = ds->digest;
-        lay->num_transactions = ds->db.num_transactions();
+        lay->source = std::shared_ptr<const fim::TransactionDb>(ds, &ds->db);
         lay->pre = miners::preprocess(ds->db, min_count,
                                       miners::ItemOrder::kAscendingFreq);
       } catch (...) {
         promise.set_exception(std::current_exception());
         std::lock_guard relock(m_);
-        pending_layouts_.erase(key);
+        pending_layouts_.erase(pending_key);
         throw;
       }
       std::shared_ptr<const gpapriori::SharedLayout> entry = lay;
       promise.set_value(entry);
 
       lk.lock();
-      pending_layouts_.erase(key);
+      pending_layouts_.erase(pending_key);
       insert({key, layout_bytes(*entry), nullptr, entry});
       return {entry, false};
     }

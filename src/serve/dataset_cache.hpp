@@ -10,17 +10,22 @@
 //     size/mtime so an overwritten file is re-parsed, never served stale);
 //   * layout layer — the preprocessed frequent-1 layout
 //     (gpapriori::SharedLayout: miners::preprocess at kAscendingFreq),
-//     keyed by (digest, min_count). Drivers adopt it through
-//     Config::shared_layout after re-verifying digest + threshold, so a
-//     cache bug can slow a request down but never change its output.
+//     keyed by (digest, min_count) and bound by a weak pointer to the
+//     parsed object it was built from. A slot built from another object
+//     of equal content (a same-bytes re-parse, or a handle and a file with
+//     the same bytes) counts as a miss and is replaced. Drivers adopt a
+//     layout through Config::shared_layout only for that live object at
+//     that threshold, an O(1) identity check, so a cache bug can slow a
+//     request down but never change its output.
 //
 // Both layers live under one LRU with a byte budget: every get moves the
 // entry to the front, inserts evict from the back until the total fits.
 // Entries are handed out as shared_ptr, so an evicted entry stays alive
 // for requests already using it — eviction only drops the cache's own
-// reference. Concurrent misses on the same key coalesce onto a single
-// build: the first requester parses/preprocesses, later ones wait on its
-// shared_future instead of duplicating the work.
+// reference. Concurrent misses on the same dataset (or the same object and
+// threshold, for layouts) coalesce onto a single build: the first
+// requester parses/preprocesses, later ones wait on its shared_future
+// instead of duplicating the work.
 //
 // Datasets registered through register_handle (in-memory, no file) are
 // pinned: addressable by name, never evicted, not counted against the
@@ -29,11 +34,13 @@
 #include <cstdint>
 #include <future>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "core/config.hpp"
 #include "fim/dataset_stats.hpp"
@@ -47,7 +54,6 @@ struct CachedDataset {
   std::uint64_t digest = 0;  ///< fim::dataset_digest(db)
   fim::DatasetStats stats;
   std::size_t bytes = 0;   ///< approximate resident footprint
-  std::string source;      ///< path or handle it was first loaded from
 };
 
 /// Cumulative cache accounting (also mirrored into obs::MetricsRegistry
@@ -84,7 +90,8 @@ class DatasetCache {
     std::shared_ptr<const gpapriori::SharedLayout> layout;
     bool hit = false;
   };
-  /// The preprocessed layout for (dataset, min_count), built on first use.
+  /// The preprocessed layout for (dataset, min_count), built on first use
+  /// and bound to `ds->db`.
   LayoutResult get_layout(const std::shared_ptr<const CachedDataset>& ds,
                           fim::Support min_count);
 
@@ -127,9 +134,10 @@ class DatasetCache {
   std::unordered_map<std::string,
                      std::shared_future<std::shared_ptr<const CachedDataset>>>
       pending_datasets_;
-  std::unordered_map<
-      std::string,
-      std::shared_future<std::shared_ptr<const gpapriori::SharedLayout>>>
+  /// Layout builds in flight, by the object they are built from.
+  using PendingKey = std::pair<const fim::TransactionDb*, fim::Support>;
+  std::map<PendingKey,
+           std::shared_future<std::shared_ptr<const gpapriori::SharedLayout>>>
       pending_layouts_;
   CacheStats stats_;
 };

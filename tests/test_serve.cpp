@@ -3,8 +3,9 @@
 // cache accounts hits/misses/evictions correctly, admission control
 // rejects past the queue bound, a per-request deadline salvages completed
 // levels, identical in-flight requests dedup onto one execution, a cancel
-// reaches a request wherever it is before its answer, and the
-// request-file parser rejects malformed input with line context.
+// reaches a request wherever it is before its answer, a cached layout is
+// adopted only by the object it was built from, and the request-file
+// parser rejects malformed input with line context.
 
 #include "serve/mining_service.hpp"
 
@@ -15,9 +16,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +31,7 @@
 #include "datagen/profiles.hpp"
 #include "fim/fimi_io.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "serve/dataset_cache.hpp"
 #include "serve/planner.hpp"
 #include "serve/request_io.hpp"
@@ -195,6 +199,138 @@ TEST(DatasetCacheTest, OverwrittenFileIsReparsedNotServedStale) {
   std::remove(path.c_str());
 }
 
+// -- Layout adoption by identity --------------------------------------------
+
+void expect_same_layout(const miners::Preprocessed& a,
+                        const miners::Preprocessed& b) {
+  EXPECT_EQ(a.original_item, b.original_item);
+  EXPECT_EQ(a.support, b.support);
+  EXPECT_TRUE(a.db == b.db);
+}
+
+TEST(DatasetCacheTest, LayoutIsAdoptedOnlyByTheObjectItWasBuiltFrom) {
+  const std::string path = scratch("same_as_handle.dat");
+  fim::write_fimi_file(small_db(), path);
+  serve::DatasetCache cache;
+  cache.register_handle("mem", fim::read_fimi_file(path));
+  const auto ds = cache.get_dataset("mem").dataset;
+  const fim::Support minc = 90;
+  const auto lay = cache.get_layout(ds, minc).layout;
+  std::optional<miners::Preprocessed> local;
+  EXPECT_EQ(&gpapriori::resolve_preprocess(lay.get(), ds->db, minc, local),
+            &lay->pre);
+  EXPECT_FALSE(local.has_value());
+
+  // An equal-content copy has the same digest but is another object: it
+  // gets its own build, identical to the shared one.
+  const fim::TransactionDb copy = ds->db;
+  ASSERT_EQ(fim::dataset_digest(copy), lay->dataset_digest);
+  const auto& from_copy =
+      gpapriori::resolve_preprocess(lay.get(), copy, minc, local);
+  ASSERT_TRUE(local.has_value());
+  EXPECT_EQ(&from_copy, &*local);
+  expect_same_layout(from_copy, lay->pre);
+
+  // Another threshold on the same object builds afresh at that threshold.
+  local.reset();
+  const auto& other =
+      gpapriori::resolve_preprocess(lay.get(), ds->db, minc + 30, local);
+  ASSERT_TRUE(local.has_value());
+  expect_same_layout(other,
+                     miners::preprocess(ds->db, minc + 30,
+                                        miners::ItemOrder::kAscendingFreq));
+
+  // The file the handle was read from parses into another object: the
+  // cached slot is a miss for it and is replaced by one built from it.
+  const auto file = cache.get_dataset(path).dataset;
+  ASSERT_EQ(file->digest, ds->digest);
+  const auto from_file = cache.get_layout(file, minc);
+  EXPECT_FALSE(from_file.hit);
+  EXPECT_TRUE(from_file.layout->built_from(file->db));
+  EXPECT_FALSE(cache.get_layout(file, minc).layout->built_from(ds->db));
+  EXPECT_FALSE(cache.get_layout(ds, minc).hit);
+  std::remove(path.c_str());
+}
+
+/// How many spans named `name` an exported trace holds (their 'B' events).
+std::size_t spans_named(const std::string& json, const std::string& name) {
+  const std::string head = "{\"name\": \"" + name + "\", ";
+  const std::string phase = "\"ph\": \"";
+  std::size_t n = 0;
+  for (auto at = json.find(head); at != std::string::npos;
+       at = json.find(head, at + 1)) {
+    const auto ph = json.find(phase, at);
+    if (ph != std::string::npos && json[ph + phase.size()] == 'B') ++n;
+  }
+  return n;
+}
+
+TEST(MiningServiceTest, HedgeCheckpointTakesTheCachedDigest) {
+  // A GPApriori attempt arms its hedge checkpoint and adopts the cached
+  // layout, so its snapshots carry the digest the cache took at load and
+  // the request hashes nothing itself.
+  auto& rec = obs::TraceRecorder::global();
+  rec.clear();
+  rec.enable();
+  ServiceOptions so;
+  so.workers = 1;
+  so.hedge_checkpoint_dir = testing::TempDir();
+  {
+    MiningService service(so);
+    service.register_dataset("mem", small_db());
+    const auto r = service.run_batch({req("ok", "mem", 0.3, "GPApriori")});
+    ASSERT_EQ(r[0].status, RequestStatus::kOk) << r[0].error;
+  }
+  std::string json = rec.export_chrome_json();
+  EXPECT_GT(spans_named(json, "snapshot-write"), 0u);
+  EXPECT_EQ(spans_named(json, "dataset-digest"), 0u);
+
+  // Under a sticky device fault the hedge resumes on CPU_TEST, which
+  // preprocesses locally and hashes the dataset itself: the snapshot it
+  // accepts (span `replay`) carries fim::dataset_digest of the same data.
+  rec.clear();
+  so.base_config.allow_degradation = false;
+  {
+    MiningService service(so);
+    service.register_dataset("mem", small_db());
+    service.set_fault_plan(gpusim::FaultPlan::parse("launch#1+=timeout"));
+    const auto r = service.run_batch({req("hedged", "mem", 0.3, "GPApriori")});
+    ASSERT_EQ(r[0].status, RequestStatus::kOk) << r[0].error;
+    EXPECT_EQ(r[0].hedges, 1u);
+  }
+  json = rec.export_chrome_json();
+  rec.disable();
+  rec.clear();
+  EXPECT_EQ(spans_named(json, "dataset-digest"), 1u);
+  EXPECT_EQ(spans_named(json, "replay"), 1u);
+}
+
+TEST(MiningServiceTest, SameBytesRewriteRebuildsTheLayout) {
+  // A rewrite with identical bytes and a newer mtime re-parses the file
+  // into a new object; the layout built from the old one is a miss.
+  const std::string path = scratch("rewrite.dat");
+  fim::write_fimi_file(small_db(), path);
+  ServiceOptions so;
+  so.workers = 1;
+  MiningService service(so);
+  const auto before = service.run_batch({req("a", path, 0.3, "GPApriori"),
+                                         req("b", path, 0.25, "GPApriori"),
+                                         req("c", path, 0.3, "GPU Eclat")});
+  for (const auto& r : before)
+    ASSERT_EQ(r.status, RequestStatus::kOk) << r.id << ": " << r.error;
+  EXPECT_TRUE(before[2].layout_cache_hit);
+
+  const auto mtime = std::filesystem::last_write_time(path);
+  fim::write_fimi_file(small_db(), path);
+  std::filesystem::last_write_time(path, mtime + std::chrono::seconds(10));
+  const auto after = service.run_batch({req("d", path, 0.3, "GPApriori")});
+  ASSERT_EQ(after[0].status, RequestStatus::kOk) << after[0].error;
+  EXPECT_FALSE(after[0].db_cache_hit);
+  EXPECT_FALSE(after[0].layout_cache_hit);
+  EXPECT_EQ(after[0].itemsets.to_string(), before[0].itemsets.to_string());
+  std::remove(path.c_str());
+}
+
 // -- Admission control ------------------------------------------------------
 
 TEST(MiningServiceTest, RejectsWhenQueueIsFull) {
@@ -287,7 +423,7 @@ TEST(MiningServiceTest, IdenticalInFlightRequestsDedupOntoOneExecution) {
   service.register_dataset("small", small_db());
 
   // Occupy the single worker so the twins stay queued while attaching.
-  auto f_busy = service.submit(req("busy", "slow", 0.05, "CPU_TEST"));
+  auto f_busy = service.submit(req("busy", "slow", 0.02, "CPU_TEST"));
   auto f_a = service.submit(req("twin-a", "small", 0.3, "GPApriori"));
   auto f_b = service.submit(req("twin-b", "small", 0.3, "GPApriori"));
   auto f_c = service.submit(req("twin-c", "small", 0.3, "GPApriori"));
@@ -797,7 +933,7 @@ TEST(MiningServiceTest, CancelDetachesAFollowerAndItsLeaderKeepsRunning) {
 
   // Occupy the single worker so the leader is still queued when its twin
   // attaches as a follower.
-  auto f_busy = service.submit(req("busy", "slow", 0.05, "CPU_TEST"));
+  auto f_busy = service.submit(req("busy", "slow", 0.02, "CPU_TEST"));
   auto f_lead = service.submit(req("lead", "small", 0.3, "GPApriori"));
   auto f_twin = service.submit(req("twin", "small", 0.3, "GPApriori"));
   ASSERT_EQ(service.stats().deduped, 1u);
@@ -827,7 +963,7 @@ TEST(MiningServiceTest, CancelledRequestTakesNoNewFollowers) {
   service.register_dataset("slow", slow_db());
   service.register_dataset("small", small_db());
 
-  auto f_busy = service.submit(req("busy", "slow", 0.05, "CPU_TEST"));
+  auto f_busy = service.submit(req("busy", "slow", 0.02, "CPU_TEST"));
   auto f_gone = service.submit(req("gone", "small", 0.3, "GPApriori"));
   EXPECT_EQ(service.cancel("gone"), 1u);
   // An identical request arriving after the cancel must not inherit it.

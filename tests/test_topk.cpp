@@ -1,17 +1,14 @@
-#include "baselines/topk.hpp"
+#include "core/topk_miner.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "baselines/fpgrowth.hpp"
-#include "core/gpapriori.hpp"
 #include "test_util.hpp"
 
 namespace {
 
-using miners::mine_top_k;
-using miners::TopKResult;
+using gpapriori::mine_top_k_native;
 
 /// Reference: supports of ALL itemsets, sorted descending.
 std::vector<fim::Support> all_supports_desc(const fim::TransactionDb& db) {
@@ -25,9 +22,8 @@ std::vector<fim::Support> all_supports_desc(const fim::TransactionDb& db) {
 TEST(TopK, FindsTheKBestWithTies) {
   const auto db = testutil::random_db(80, 8, 0.45, 401);
   const auto ref = all_supports_desc(db);
-  gpapriori::CpuBitsetApriori miner;
   for (std::size_t k : {1u, 5u, 20u, 100u}) {
-    const TopKResult r = mine_top_k(miner, db, k);
+    const auto r = mine_top_k_native(db, k);
     ASSERT_GE(r.itemsets.size(), std::min<std::size_t>(k, ref.size()));
     // Every returned support >= the true k-th best; every set with support
     // strictly above the k-th best is present.
@@ -49,8 +45,7 @@ TEST(TopK, TiesAtKthPlaceAreKeptWhole) {
   // on the tie at 3, so both tied sets come back.
   const auto db = fim::TransactionDb::from_transactions(
       {{0, 1, 2, 3}, {0, 1, 2}, {0, 1}, {0}});
-  gpapriori::CpuBitsetApriori miner;
-  const auto r = mine_top_k(miner, db, 2);
+  const auto r = mine_top_k_native(db, 2);
   EXPECT_EQ(r.itemsets.size(), 3u);
   EXPECT_EQ(r.effective_min_support, 3u);
   EXPECT_EQ(r.itemsets.support_of(fim::Itemset{0}), 4u);
@@ -61,63 +56,38 @@ TEST(TopK, TiesAtKthPlaceAreKeptWhole) {
 TEST(TopK, KLargerThanEverythingReturnsAll) {
   const auto db = testutil::random_db(40, 5, 0.5, 402);
   const auto all = testutil::brute_force(db, 1);
-  gpapriori::CpuBitsetApriori miner;
-  const auto r = mine_top_k(miner, db, 1'000'000);
+  const auto r = mine_top_k_native(db, 1'000'000);
   EXPECT_TRUE(r.itemsets.equivalent_to(all));
-}
-
-TEST(TopK, WorksWithAnyMiner) {
-  const auto db = testutil::random_db(100, 9, 0.4, 403);
-  gpapriori::CpuBitsetApriori bitset;
-  miners::FpGrowth fp;
-  const auto a = mine_top_k(bitset, db, 25);
-  const auto b = mine_top_k(fp, db, 25);
-  EXPECT_TRUE(a.itemsets.equivalent_to(b.itemsets));
-  EXPECT_EQ(a.effective_min_support, b.effective_min_support);
 }
 
 TEST(TopK, MaxItemsetSizeCap) {
   const auto db = testutil::random_db(100, 9, 0.5, 404);
-  gpapriori::CpuBitsetApriori miner;
-  const auto r = mine_top_k(miner, db, 30, /*max_itemset_size=*/2);
+  const auto r = mine_top_k_native(db, 30, /*max_itemset_size=*/2);
   EXPECT_LE(r.itemsets.max_size(), 2u);
 }
 
-TEST(TopK, SearchIsLogarithmic) {
-  const auto db = testutil::random_db(500, 10, 0.4, 405);
-  gpapriori::CpuBitsetApriori miner;
-  const auto r = mine_top_k(miner, db, 50);
-  // Geometric descent (<= ~10 probes) plus binary search (<= ~10 probes).
-  EXPECT_LE(r.mining_runs, 22u);
-}
-
 TEST(TopK, DegenerateInputs) {
-  gpapriori::CpuBitsetApriori miner;
-  EXPECT_THROW((void)mine_top_k(miner, testutil::random_db(10, 3, 0.5, 1), 0),
+  EXPECT_THROW((void)mine_top_k_native(testutil::random_db(10, 3, 0.5, 1), 0),
                std::invalid_argument);
   const auto r =
-      mine_top_k(miner, fim::TransactionDb::from_transactions({}), 5);
+      mine_top_k_native(fim::TransactionDb::from_transactions({}), 5);
   EXPECT_TRUE(r.itemsets.empty());
-  EXPECT_EQ(r.mining_runs, 0u);
+  EXPECT_EQ(r.levels_mined, 0u);
 }
 
-}  // namespace
-
-// --- native rising-threshold top-K (core) ---
-
-#include "core/topk_miner.hpp"
-
-namespace {
-
 TEST(NativeTopK, AgreesWithGenericSearch) {
+  // The K-best cut of every itemset, ties at the K-th place kept whole.
   const auto db = testutil::random_db(120, 9, 0.45, 406);
-  gpapriori::CpuBitsetApriori miner;
+  const auto all = testutil::brute_force(db, 1);
+  const auto ref = all_supports_desc(db);
   for (std::size_t k : {1u, 7u, 40u}) {
-    const auto generic = mine_top_k(miner, db, k);
-    const auto native = gpapriori::mine_top_k_native(db, k);
-    EXPECT_TRUE(native.itemsets.equivalent_to(generic.itemsets)) << k;
-    EXPECT_EQ(native.effective_min_support, generic.effective_min_support)
-        << k;
+    const fim::Support kth = ref[std::min(k, ref.size()) - 1];
+    fim::ItemsetCollection cut;
+    for (const auto& fs : all)
+      if (fs.support >= kth) cut.add(fs.items, fs.support);
+    const auto native = mine_top_k_native(db, k);
+    EXPECT_TRUE(native.itemsets.equivalent_to(cut)) << k;
+    EXPECT_EQ(native.effective_min_support, kth) << k;
   }
 }
 
@@ -131,7 +101,7 @@ TEST(NativeTopK, SafeOnDenseDataWithSupportCliff) {
   txs.push_back({0, 1});
   txs.push_back({0});
   const auto db = fim::TransactionDb::from_transactions(txs);
-  const auto r = gpapriori::mine_top_k_native(db, 2);
+  const auto r = mine_top_k_native(db, 2);
   // {0} has 52, {1} and {0,1} have 51; k=2 keeps the 51-tie whole.
   EXPECT_EQ(r.effective_min_support, 51u);
   EXPECT_EQ(r.itemsets.size(), 3u);
@@ -142,7 +112,7 @@ TEST(NativeTopK, RisingThresholdMatchesBruteForceCut) {
   const auto db = testutil::random_db(200, 10, 0.4, 407);
   const auto ref = all_supports_desc(db);
   for (std::size_t k : {3u, 15u, 60u}) {
-    const auto r = gpapriori::mine_top_k_native(db, k);
+    const auto r = mine_top_k_native(db, k);
     const fim::Support kth = ref[std::min(k, ref.size()) - 1];
     EXPECT_EQ(r.effective_min_support, kth) << k;
     for (const auto& fs : r.itemsets) EXPECT_GE(fs.support, kth) << k;
@@ -151,19 +121,18 @@ TEST(NativeTopK, RisingThresholdMatchesBruteForceCut) {
 
 TEST(NativeTopK, MaxSizeCapAndDegenerates) {
   const auto db = testutil::random_db(80, 8, 0.5, 408);
-  const auto r = gpapriori::mine_top_k_native(db, 20, 2);
+  const auto r = mine_top_k_native(db, 20, 2);
   EXPECT_LE(r.itemsets.max_size(), 2u);
-  EXPECT_THROW((void)gpapriori::mine_top_k_native(db, 0),
-               std::invalid_argument);
-  const auto empty = gpapriori::mine_top_k_native(
-      fim::TransactionDb::from_transactions({}), 3);
+  EXPECT_THROW((void)mine_top_k_native(db, 0), std::invalid_argument);
+  const auto empty =
+      mine_top_k_native(fim::TransactionDb::from_transactions({}), 3);
   EXPECT_TRUE(empty.itemsets.empty());
 }
 
 TEST(NativeTopK, KBeyondEverythingReturnsAll) {
   const auto db = testutil::random_db(40, 5, 0.5, 409);
   const auto all = testutil::brute_force(db, 1);
-  const auto r = gpapriori::mine_top_k_native(db, 1'000'000);
+  const auto r = mine_top_k_native(db, 1'000'000);
   EXPECT_TRUE(r.itemsets.equivalent_to(all));
 }
 
