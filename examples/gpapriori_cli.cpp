@@ -608,11 +608,11 @@ int cmd_serve(int argc, char** argv) {
   if (!trace_out.empty()) obs::TraceRecorder::global().enable(trace_out);
   if (metrics) obs::MetricsRegistry::global().enable();
 
-  // Lenient parse: a malformed line is answered as a kInvalid result in
-  // its place instead of taking the whole batch down with it.
+  // A malformed line is answered as a kInvalid result in its place
+  // instead of taking the whole batch down with it.
   std::vector<serve::RequestFileEntry> entries;
   try {
-    entries = serve::parse_request_file_lenient(requests_path);
+    entries = serve::parse_request_file(requests_path);
   } catch (const fim::IoError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return kExitIo;

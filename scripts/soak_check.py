@@ -12,7 +12,9 @@ json it emitted:
     request count) and at least one completed kOk;
   * the salvage drills fired: at least one request was truncated (its
     deadline or a cancellation stopped it mid-run or in the queue) and at
-    least one cancellation hit a queued or running request.
+    least one cancellation hit a queued or running request;
+  * the hedge drill fired: at least one failed mine was retried on
+    CPU_TEST (service_stats.hedges > 0).
 
 The committed release-build numbers live in results/BENCH_soak_serve.json
 and EXPERIMENTS.md.
@@ -68,11 +70,15 @@ def check(report):
                         "drills salvaged nothing")
     if report.get("cancel_hits", 0) == 0:
         failures.append("no cancellation hit a queued or running request")
+    hedges = report.get("service_stats", {}).get("hedges", 0)
+    if hedges == 0:
+        failures.append("no failed mine was hedged: the storm wave's device "
+                        "faults were never retried on CPU_TEST")
 
     print(f"soak_check: {requests} requests -> "
           + ", ".join(f"{k} {v}" for k, v in sorted(counts.items()))
           + f"; {report.get('shed_retries', 0)} client retries, "
-            f"{report.get('cancel_hits', 0)} cancel hits, "
+            f"{report.get('cancel_hits', 0)} cancel hits, {hedges} hedges, "
             f"{report.get('compared', 0)} kOk results byte-identical to "
             f"serial")
 

@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "gpusim/cancel.hpp"
 #include "gpusim/host_pool.hpp"
 #include "obs/obs.hpp"
 
@@ -51,7 +52,7 @@ CandidateTrie::CandidateTrie(std::size_t num_frequent_items)
   levels_.push_back(std::move(level1));
 }
 
-std::size_t CandidateTrie::extend() {
+std::size_t CandidateTrie::extend(const gpusim::CancelToken* cancel) {
   const std::size_t k = depth();  // candidates will have size k+1
   const Level& cur = levels_[k - 1];
   const auto m = static_cast<std::uint32_t>(level_size(k));
@@ -69,6 +70,7 @@ std::size_t CandidateTrie::extend() {
     std::uint32_t* parent = next.parents.data();
     std::uint32_t* path = next.paths.data();
     for (std::uint32_t i = 0; i < m; ++i) {
+      gpusim::throw_if_cancelled(cancel, "candidate-gen");
       for (std::uint32_t j = i + 1; j < m; ++j) {
         *parent++ = i;
         *path++ = cur.paths[i];
@@ -116,6 +118,7 @@ std::size_t CandidateTrie::extend() {
         // search per subset.
         std::vector<std::uint32_t> base(k - 1);
         for (std::size_t g = bounds[s]; g < bounds[s + 1]; ++g) {
+          gpusim::throw_if_cancelled(cancel, "candidate-gen");
           for (std::uint32_t vi = groups[g].lo; vi + 1 < groups[g].hi; ++vi) {
             const std::uint32_t* vip = cur.paths.data() + std::size_t{vi} * k;
             bool live = true;

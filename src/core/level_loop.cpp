@@ -629,7 +629,7 @@ void LevelLoop::mine_levels(SupportCounter& counter,
     lv.trie = &trie;
     {
       obs::ScopedSpan cand_span(obs::SpanKind::kCandidateGen, "candidate-gen");
-      lv.count = trie.extend();
+      lv.count = trie.extend(scope_.cancel_token());
       ph.candgen_ms = host.elapsed_ms();
       ph.candgen_shards = trie.last_extend_shards();
       if (lv.count != 0) {

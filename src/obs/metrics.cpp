@@ -44,21 +44,6 @@ const char* to_string(Counter c) {
     case Counter::kHostFlattenUs: return "host_flatten_us";
     case Counter::kHostBuildUs: return "host_build_us";
     case Counter::kHostEmitUs: return "host_emit_us";
-    case Counter::kServeRequests: return "serve_requests";
-    case Counter::kServeRejected: return "serve_rejected";
-    case Counter::kServeDeduped: return "serve_deduped";
-    case Counter::kServeTruncated: return "serve_truncated";
-    case Counter::kServeErrors: return "serve_errors";
-    case Counter::kServeDbCacheHits: return "serve_db_cache_hits";
-    case Counter::kServeDbCacheMisses: return "serve_db_cache_misses";
-    case Counter::kServeLayoutCacheHits: return "serve_layout_cache_hits";
-    case Counter::kServeLayoutCacheMisses: return "serve_layout_cache_misses";
-    case Counter::kServeCacheEvictions: return "serve_cache_evictions";
-    case Counter::kServeQueueWaitUs: return "serve_queue_wait_us";
-    case Counter::kServeShedOverload: return "serve_shed_overload";
-    case Counter::kServeHedges: return "serve_hedges";
-    case Counter::kServeCancelled: return "serve_cancelled";
-    case Counter::kServeExpiredInQueue: return "serve_expired_in_queue";
     case Counter::kCount: break;
   }
   return "?";

@@ -64,21 +64,6 @@ enum class Counter : std::size_t {
   kHostFlattenUs,       ///< host µs flattening levels for upload
   kHostBuildUs,         ///< host µs building/compacting vertical bitsets
   kHostEmitUs,          ///< host µs materializing frequent itemsets
-  kServeRequests,       ///< mining requests accepted by MiningService
-  kServeRejected,       ///< requests refused by admission control
-  kServeDeduped,        ///< requests satisfied by an identical in-flight run
-  kServeTruncated,      ///< served requests salvaged by deadline/cancel
-  kServeErrors,         ///< served requests that failed (I/O, invalid, ...)
-  kServeDbCacheHits,    ///< DatasetCache parsed-db hits
-  kServeDbCacheMisses,  ///< DatasetCache parsed-db misses (parse + digest ran)
-  kServeLayoutCacheHits,    ///< DatasetCache preprocessed-layout hits
-  kServeLayoutCacheMisses,  ///< DatasetCache preprocessed-layout misses
-  kServeCacheEvictions,     ///< LRU evictions under the cache byte budget
-  kServeQueueWaitUs,    ///< cumulative µs requests spent queued
-  kServeShedOverload,   ///< requests shed by cost-based admission control
-  kServeHedges,         ///< kError requests re-enqueued onto another plan
-  kServeCancelled,      ///< requests cancelled via MiningService::cancel
-  kServeExpiredInQueue, ///< requests whose deadline lapsed before pickup
   kCount,
 };
 

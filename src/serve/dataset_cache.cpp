@@ -7,7 +7,6 @@
 #include "baselines/apriori_util.hpp"
 #include "fim/checkpoint.hpp"
 #include "fim/fimi_io.hpp"
-#include "obs/metrics.hpp"
 
 namespace serve {
 
@@ -77,7 +76,6 @@ void DatasetCache::touch(std::list<Slot>::iterator it) {
 }
 
 void DatasetCache::insert(Slot slot) {
-  auto& metrics = obs::MetricsRegistry::global();
   // Replace a same-key slot (e.g. two concurrent misses that both built
   // because one was a path re-stamp) instead of double-counting bytes.
   if (auto it = index_.find(slot.key); it != index_.end()) {
@@ -94,19 +92,16 @@ void DatasetCache::insert(Slot slot) {
     index_.erase(victim.key);
     lru_.pop_back();
     ++stats_.evictions;
-    metrics.add(obs::Counter::kServeCacheEvictions, 1);
   }
 }
 
 DatasetCache::DatasetResult DatasetCache::get_dataset(
     const std::string& path_or_handle) {
-  auto& metrics = obs::MetricsRegistry::global();
   std::shared_future<std::shared_ptr<const CachedDataset>> wait_on;
   {
     std::unique_lock lk(m_);
     if (auto h = handles_.find(path_or_handle); h != handles_.end()) {
       ++stats_.db_hits;
-      metrics.add(obs::Counter::kServeDbCacheHits, 1);
       return {h->second, true};
     }
     if (auto p = path_index_.find(path_or_handle); p != path_index_.end()) {
@@ -118,7 +113,6 @@ DatasetCache::DatasetResult DatasetCache::get_dataset(
             it != index_.end()) {
           touch(it->second);
           ++stats_.db_hits;
-          metrics.add(obs::Counter::kServeDbCacheHits, 1);
           return {it->second->dataset, true};
         }
       } else {
@@ -130,12 +124,10 @@ DatasetCache::DatasetResult DatasetCache::get_dataset(
       wait_on = pending->second;
       ++stats_.builds_coalesced;
       ++stats_.db_hits;
-      metrics.add(obs::Counter::kServeDbCacheHits, 1);
     } else {
       std::promise<std::shared_ptr<const CachedDataset>> promise;
       pending_datasets_[path_or_handle] = promise.get_future().share();
       ++stats_.db_misses;
-      metrics.add(obs::Counter::kServeDbCacheMisses, 1);
       lk.unlock();
 
       std::shared_ptr<const CachedDataset> entry;
@@ -165,7 +157,6 @@ DatasetCache::DatasetResult DatasetCache::get_dataset(
 
 DatasetCache::LayoutResult DatasetCache::get_layout(
     const std::shared_ptr<const CachedDataset>& ds, fim::Support min_count) {
-  auto& metrics = obs::MetricsRegistry::global();
   const std::string key = layout_key(ds->digest, min_count);
   // While a build is pending its requester holds `ds`, so the address
   // names one live object.
@@ -180,7 +171,6 @@ DatasetCache::LayoutResult DatasetCache::get_layout(
         it != index_.end() && it->second->layout->built_from(ds->db)) {
       touch(it->second);
       ++stats_.layout_hits;
-      metrics.add(obs::Counter::kServeLayoutCacheHits, 1);
       return {it->second->layout, true};
     }
     if (auto pending = pending_layouts_.find(pending_key);
@@ -188,12 +178,10 @@ DatasetCache::LayoutResult DatasetCache::get_layout(
       wait_on = pending->second;
       ++stats_.builds_coalesced;
       ++stats_.layout_hits;
-      metrics.add(obs::Counter::kServeLayoutCacheHits, 1);
     } else {
       std::promise<std::shared_ptr<const gpapriori::SharedLayout>> promise;
       pending_layouts_[pending_key] = promise.get_future().share();
       ++stats_.layout_misses;
-      metrics.add(obs::Counter::kServeLayoutCacheMisses, 1);
       lk.unlock();
 
       std::shared_ptr<gpapriori::SharedLayout> lay;

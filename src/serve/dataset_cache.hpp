@@ -56,8 +56,7 @@ struct CachedDataset {
   std::size_t bytes = 0;   ///< approximate resident footprint
 };
 
-/// Cumulative cache accounting (also mirrored into obs::MetricsRegistry
-/// under the serve_* counters when metrics are enabled).
+/// Cumulative cache accounting, reported in ServiceStats::cache.
 struct CacheStats {
   std::uint64_t db_hits = 0;
   std::uint64_t db_misses = 0;

@@ -11,7 +11,6 @@
 #include "fim/fimi_io.hpp"
 #include "fim/rules.hpp"
 #include "gpusim/cancel.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/planner.hpp"
 
@@ -134,7 +133,6 @@ int exit_code(RequestStatus s) {
 MiningService::MiningService(ServiceOptions opts)
     : opts_(std::move(opts)),
       cache_(opts_.cache_bytes),
-      estimator_(opts_.cost_model),
       admission_(opts_.admission, resolve_workers(opts_.workers)) {
   const std::uint32_t n = resolve_workers(opts_.workers);
   workers_.reserve(n);
@@ -150,8 +148,6 @@ void MiningService::register_dataset(const std::string& name,
 }
 
 std::future<MiningResult> MiningService::submit(MiningRequest req) {
-  auto& metrics = obs::MetricsRegistry::global();
-  metrics.add(obs::Counter::kServeRequests, 1);
   std::string invalid = invalid_reason(req);
   const std::string key = dedup_key(req);
   std::lock_guard lk(m_);
@@ -167,7 +163,6 @@ std::future<MiningResult> MiningService::submit(MiningRequest req) {
     r.error = std::move(invalid);
     ++stats_.completed;
     ++stats_.errors;
-    metrics.add(obs::Counter::kServeErrors, 1);
     return ready(std::move(r));
   }
 
@@ -177,7 +172,6 @@ std::future<MiningResult> MiningService::submit(MiningRequest req) {
     r.status = RequestStatus::kRejected;
     r.error = "service is shutting down";
     ++stats_.rejected;
-    metrics.add(obs::Counter::kServeRejected, 1);
     return ready(std::move(r));
   }
 
@@ -190,7 +184,6 @@ std::future<MiningResult> MiningService::submit(MiningRequest req) {
     pending_.emplace(req.id, it->second);
     it->second->followers.emplace_back(std::move(req.id), std::move(p));
     ++stats_.deduped;
-    metrics.add(obs::Counter::kServeDeduped, 1);
     return fut;
   }
 
@@ -200,7 +193,6 @@ std::future<MiningResult> MiningService::submit(MiningRequest req) {
     r.status = RequestStatus::kRejected;
     r.error = "queue full (depth " + std::to_string(opts_.max_queue) + ")";
     ++stats_.rejected;
-    metrics.add(obs::Counter::kServeRejected, 1);
     return ready(std::move(r));
   }
 
@@ -227,7 +219,6 @@ std::future<MiningResult> MiningService::submit(MiningRequest req) {
         r.error = d.reason;
         r.retry_after_ms = d.retry_after_ms;
         ++stats_.shed;
-        metrics.add(obs::Counter::kServeShedOverload, 1);
         return ready(std::move(r));
       }
       reserved = true;
@@ -290,7 +281,6 @@ std::size_t MiningService::cancel(const std::string& id) {
     }
     stats_.cancelled += hits;
   }
-  obs::MetricsRegistry::global().add(obs::Counter::kServeCancelled, hits);
   for (auto& promise : detached) {
     MiningResult r;
     r.id = id;
@@ -352,7 +342,6 @@ void MiningService::shutdown() {
 }
 
 void MiningService::worker_loop() {
-  auto& metrics = obs::MetricsRegistry::global();
   for (;;) {
     std::shared_ptr<Job> job;
     bool skip_cancelled = false;
@@ -380,11 +369,7 @@ void MiningService::worker_loop() {
     }
 
     const double queue_ms = ms_since(job->enqueued_at);
-    metrics.add(obs::Counter::kServeQueueWaitUs,
-                static_cast<std::uint64_t>(queue_ms * 1000.0));
-
     if (skip_cancelled || skip_expired) {
-      if (skip_expired) metrics.add(obs::Counter::kServeExpiredInQueue, 1);
       MiningResult r;
       r.id = job->request.id;
       r.status = RequestStatus::kTruncated;
@@ -405,57 +390,16 @@ void MiningService::worker_loop() {
     result.exec_ms = ms_since(exec_start);
     span.add_arg("exec_ms", result.exec_ms);
     span.add_arg("status", static_cast<double>(exit_code(result.status)));
-
-    // Hedge: a kError attempt on a device tier is re-enqueued once, pinned
-    // to CPU_TEST (which never touches the device), resuming from the
-    // checkpoint the failed attempt left so its salvaged levels are not
-    // recounted. The re-enqueue goes to the queue front — the request
-    // already waited its turn once.
-    if (result.status == RequestStatus::kError &&
-        hedgeable(*job, result.algo)) {
-      bool hedged = false;
-      {
-        std::lock_guard lk(m_);
-        if (!job->cancelled &&
-            (opts_.hedge_budget == 0 || hedges_spent_ < opts_.hedge_budget)) {
-          ++hedges_spent_;
-          ++stats_.hedges;
-          ++job->attempts;
-          job->forced_algo = "CPU_TEST";
-          std::error_code ec;
-          if (!job->checkpoint_path.empty() &&
-              std::filesystem::exists(job->checkpoint_path, ec))
-            job->resume_path = job->checkpoint_path;
-          // Restamp so queue metrics measure this attempt's wait, not the
-          // first attempt's execution time.
-          job->enqueued_at = std::chrono::steady_clock::now();
-          queue_.push_front(job);
-          hedged = true;
-        }
-      }
-      if (hedged) {
-        metrics.add(obs::Counter::kServeHedges, 1);
-        cv_.notify_one();
-        continue;
-      }
-    }
-
-    result.hedges = job->attempts;
     publish(job, std::move(result), queue_ms);
   }
 }
 
 void MiningService::publish(const std::shared_ptr<Job>& job,
                             MiningResult result, double queue_ms) {
-  auto& metrics = obs::MetricsRegistry::global();
   result.queue_ms = queue_ms;
   if (job->cost_reserved) {
     admission_.release(job->admitted_cost);
     job->cost_reserved = false;
-  }
-  if (!job->checkpoint_path.empty()) {
-    std::error_code ec;
-    std::filesystem::remove(job->checkpoint_path, ec);
   }
 
   // Retire from the dedup and id indexes before publishing: once the
@@ -478,13 +422,6 @@ void MiningService::publish(const std::shared_ptr<Job>& job,
         result.status == RequestStatus::kError)
       ++stats_.errors;
   }
-  if (result.status == RequestStatus::kTruncated)
-    metrics.add(obs::Counter::kServeTruncated, 1);
-  if (result.status == RequestStatus::kRejectedOverload)
-    metrics.add(obs::Counter::kServeShedOverload, 1);
-  if (result.status == RequestStatus::kInvalid ||
-      result.status == RequestStatus::kError)
-    metrics.add(obs::Counter::kServeErrors, 1);
 
   for (auto& [id, promise] : followers) {
     MiningResult copy = result;
@@ -495,16 +432,14 @@ void MiningService::publish(const std::shared_ptr<Job>& job,
   job->promise.set_value(std::move(result));
 }
 
-bool MiningService::hedgeable(const Job& job, const std::string& algo) const {
-  return job.request.top_k == 0 && algo != "CPU_TEST" &&
-         job.attempts < opts_.max_hedges_per_request;
+bool MiningService::hedgeable(const std::string& algo) const {
+  return algo != "CPU_TEST" && opts_.max_hedges_per_request > 0;
 }
 
 MiningResult MiningService::execute(Job& job) {
   const MiningRequest& req = job.request;
   MiningResult r;
   r.id = req.id;
-  r.hedges = job.attempts;
   try {
     // submit() already answered every malformed request (invalid_reason).
     miners::MiningParams params;
@@ -513,16 +448,10 @@ MiningResult MiningService::execute(Job& job) {
     params.max_itemset_size = req.max_itemset_size;
 
     // -- Dataset (cached parse) -------------------------------------------
-    DatasetCache::DatasetResult ds;
-    try {
-      ds = cache_.get_dataset(req.dataset);
-    } catch (const fim::IoError& e) {
-      r.status = RequestStatus::kError;
-      r.error = e.what();
-      return r;
-    }
+    const DatasetCache::DatasetResult ds = cache_.get_dataset(req.dataset);
+    const fim::TransactionDb& db = ds.dataset->db;
     r.db_cache_hit = ds.hit;
-    r.transactions = ds.dataset->db.num_transactions();
+    r.transactions = db.num_transactions();
 
     // -- Top-K short path --------------------------------------------------
     // A top-K mine cannot be interrupted: a cancel that lands during it is
@@ -533,17 +462,16 @@ MiningResult MiningService::execute(Job& job) {
         return r;
       }
       r.algo = "top-k (native)";
-      const auto tk = gpapriori::mine_top_k_native(ds.dataset->db, req.top_k,
-                                                   req.max_itemset_size);
+      const auto tk =
+          gpapriori::mine_top_k_native(db, req.top_k, req.max_itemset_size);
       r.itemsets = tk.itemsets;
       r.status = RequestStatus::kOk;
     } else {
       const fim::Support min_count =
-          params.resolve_min_count(ds.dataset->db.num_transactions());
+          params.resolve_min_count(db.num_transactions());
 
       // -- Late admission (dataset was cold at submit time) ----------------
-      if (opts_.admission.enabled && !job.cost_reserved &&
-          job.attempts == 0) {
+      if (opts_.admission.enabled && !job.cost_reserved) {
         const CostEstimate est =
             estimator_.estimate(ds.dataset->stats, min_count);
         const AdmissionDecision d = admission_.try_admit(est);
@@ -565,11 +493,7 @@ MiningResult MiningService::execute(Job& job) {
         if (fault_plan_override_) cfg.fault_plan = *fault_plan_override_;
       }
       std::string algo = req.algo;
-      if (!job.forced_algo.empty()) {
-        algo = job.forced_algo;
-        r.planner_reason =
-            "hedged retry pinned to CPU_TEST after a device-fault error";
-      } else if (algo.empty()) {
+      if (algo.empty()) {
         const PlanDecision plan = plan_driver(ds.dataset->stats, min_count);
         algo = plan.algo;
         cfg.tiled = plan.tiled;
@@ -586,60 +510,94 @@ MiningResult MiningService::execute(Job& job) {
         cfg.shared_layout = layout.get();
       }
 
-      // -- Execute ----------------------------------------------------------
+      // -- Mine --------------------------------------------------------------
       gpapriori::RunControlOptions rco;
       rco.deadline_ms =
           req.deadline_ms > 0 ? req.deadline_ms : opts_.default_deadline_ms;
       // Arm a per-level checkpoint only when this attempt could be hedged,
-      // so a retry resumes the salvaged prefix instead of recounting it.
-      // An attempt that cannot be hedged (the final one, or CPU_TEST)
-      // skips the writes: nothing would consume them.
-      if (hedgeable(job, algo)) {
-        if (job.checkpoint_path.empty()) {
-          namespace fs = std::filesystem;
-          std::error_code ec;
-          const fs::path dir = opts_.hedge_checkpoint_dir.empty()
-                                   ? fs::temp_directory_path(ec)
-                                   : fs::path(opts_.hedge_checkpoint_dir);
-          if (!ec) {
-            char name[80];
-            std::snprintf(name, sizeof(name), "gpapriori-svc-%zx-%llu.ckpt",
-                          reinterpret_cast<std::uintptr_t>(this),
-                          static_cast<unsigned long long>(job.seq));
-            job.checkpoint_path = (dir / name).string();
-          }
+      // so the retry resumes the salvaged prefix instead of recounting it.
+      // The file lives as long as this execution.
+      std::string checkpoint;
+      if (hedgeable(algo)) {
+        namespace fs = std::filesystem;
+        std::error_code ec;
+        const fs::path dir = opts_.hedge_checkpoint_dir.empty()
+                                 ? fs::temp_directory_path(ec)
+                                 : fs::path(opts_.hedge_checkpoint_dir);
+        if (!ec) {
+          char name[80];
+          std::snprintf(name, sizeof(name), "gpapriori-svc-%zx-%llu.ckpt",
+                        reinterpret_cast<std::uintptr_t>(this),
+                        static_cast<unsigned long long>(job.seq));
+          checkpoint = (dir / name).string();
         }
-        rco.checkpoint_path = job.checkpoint_path;
       }
-      rco.resume_path = job.resume_path;
+      rco.checkpoint_path = checkpoint;
+      ScopeExit remove_checkpoint{[&] {
+        std::error_code ec;
+        if (!checkpoint.empty()) std::filesystem::remove(checkpoint, ec);
+      }};
       gpapriori::RunControl run(rco);
-      cfg.run_control = &run;
-
-      // Expose the run to MiningService::cancel while mining. A request
-      // cancelled since it left the queue starts no mine.
-      if (!start_mine(job, &run)) {
-        mark_cancelled(r);
-        return r;
-      }
+      std::optional<gpapriori::RunControl> retry;
       ScopeExit unregister{[&] {
         std::lock_guard lk(m_);
         job.run = nullptr;
       }};
-
-      auto miner = gpapriori::make_miner(algo, cfg);
-      if (!miner) {
-        r.status = RequestStatus::kInvalid;
-        r.error = "unknown algorithm '" + algo + "'";
+      // Mines `algo` under `rc`, which cancel() can trip from here to the
+      // end of the execution; nullopt when a cancel came first.
+      const auto mine = [&](gpapriori::RunControl& rc)
+          -> std::optional<miners::MiningOutput> {
+        cfg.run_control = &rc;
+        auto miner = gpapriori::make_miner(algo, cfg);
+        if (!miner)
+          throw std::invalid_argument("unknown algorithm '" + algo + "'");
+        if (!start_mine(job, &rc)) return std::nullopt;
+        return miner->mine(db, params);
+      };
+      std::optional<miners::MiningOutput> out;
+      bool failed = false;
+      try {
+        out = mine(run);
+      } catch (const gpusim::CancelledError&) {
+        throw;
+      } catch (const std::invalid_argument&) {
+        throw;
+      } catch (const std::exception&) {
+        if (!hedgeable(algo)) throw;
+        std::lock_guard lk(m_);
+        if (job.cancelled ||
+            (opts_.hedge_budget != 0 && stats_.hedges >= opts_.hedge_budget))
+          throw;
+        ++stats_.hedges;
+        failed = true;
+      }
+      // Hedge: the failed mine's second attempt runs on CPU_TEST (which
+      // never touches the device and is never hedged itself) on this
+      // worker, under its own RunControl, resuming from the levels the
+      // failed attempt checkpointed.
+      if (failed) {
+        algo = "CPU_TEST";
+        r.algo = algo;
+        r.planner_reason =
+            "hedged retry pinned to CPU_TEST after a device-fault error";
+        r.hedges = 1;
+        rco.checkpoint_path.clear();
+        std::error_code ec;
+        if (std::filesystem::exists(checkpoint, ec))
+          rco.resume_path = checkpoint;
+        out = mine(retry.emplace(rco));
+      }
+      if (!out) {  // cancelled before its mine started
+        mark_cancelled(r);
         return r;
       }
-      const auto out = miner->mine(ds.dataset->db, params);
-      r.itemsets = out.itemsets;
-      r.host_ms = out.host_ms;
-      r.device_ms = out.device_ms;
-      if (out.truncated()) {
+      r.itemsets = std::move(out->itemsets);
+      r.host_ms = out->host_ms;
+      r.device_ms = out->device_ms;
+      if (out->truncated()) {
         r.status = RequestStatus::kTruncated;
-        r.truncated_at_level = out.truncated_at_level;
-        r.stop_reason = out.stop_reason;
+        r.truncated_at_level = out->truncated_at_level;
+        r.stop_reason = out->stop_reason;
       } else {
         r.status = RequestStatus::kOk;
       }
@@ -647,18 +605,19 @@ MiningResult MiningService::execute(Job& job) {
       // -- Rules -------------------------------------------------------------
       // Still inside the request's deadline and cancel: generation polls
       // the run once per frequent itemset, and a stop truncates the request.
+      gpapriori::RunControl& last = retry ? *retry : run;
       if (req.rules_confidence >= 0) {
         fim::RuleParams rp;
         rp.min_confidence = req.rules_confidence;
-        rp.num_transactions = ds.dataset->db.num_transactions();
-        rp.stop = [&run] {
-          run.poll();
-          return run.cancelled();
+        rp.num_transactions = db.num_transactions();
+        rp.stop = [&last] {
+          last.poll();
+          return last.cancelled();
         };
         r.num_rules = fim::generate_rules(r.itemsets, rp).size();
-        if (run.cancelled() && r.status == RequestStatus::kOk) {
+        if (last.cancelled() && r.status == RequestStatus::kOk) {
           r.status = RequestStatus::kTruncated;
-          r.stop_reason = gpusim::to_string(run.cause());
+          r.stop_reason = gpusim::to_string(last.cause());
         }
       }
     }

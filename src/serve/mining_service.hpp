@@ -79,7 +79,8 @@ struct MiningRequest {
   std::size_t top_k = 0;
   /// When >= 0, also generate association rules at this confidence.
   double rules_confidence = -1;
-  /// Wall-clock budget for this request's execution (queue wait excluded);
+  /// Wall-clock budget for each mining attempt of this request and the
+  /// rules after it (queue wait excluded; a hedge starts a fresh one);
   /// 0 = ServiceOptions::default_deadline_ms.
   double deadline_ms = 0;
   /// When non-empty, the itemsets are also written to this file.
@@ -107,8 +108,8 @@ struct MiningResult {
   /// kRejectedOverload: predicted ms until enough admitted work drains
   /// for a retry to stand a chance. 0 = retrying will never help.
   double retry_after_ms = 0;
-  /// Times this request was re-enqueued onto a different plan after a
-  /// kError attempt (the final status reflects the last attempt).
+  /// 1 when the request's mine failed and was retried on CPU_TEST, else 0
+  /// (the status, algo and itemsets are the retry's).
   std::uint32_t hedges = 0;
 };
 
@@ -134,20 +135,19 @@ struct ServiceOptions {
   /// predicted footprint does not fit the in-flight budgets are shed with
   /// kRejectedOverload + retry-after instead of occupying a queue slot.
   AdmissionOptions admission;
-  /// Cost-model constants the admission estimates are computed with.
-  CostEstimator::Calibration cost_model;
 
-  /// Service-level hedging: a kError request (device fault past the
-  /// ladder) is re-enqueued onto CPU_TEST — which never touches the
-  /// device — resuming from the per-level checkpoint its first attempt
-  /// left behind, so the salvaged prefix is not recomputed. Hedges allowed
-  /// per request (attempts = 1 + this); 0 turns hedging off.
+  /// Service-level hedging: a mine that fails (a device fault past the
+  /// ladder) is retried on CPU_TEST — which never touches the device — in
+  /// the same execution, resuming from the per-level checkpoint the failed
+  /// attempt left behind, so the salvaged prefix is not recomputed. Hedges
+  /// allowed per request: 0 turns hedging off, and values above 1 act as 1
+  /// (CPU_TEST is never hedged).
   std::uint32_t max_hedges_per_request = 1;
-  /// Run-wide hedge budget: total re-enqueues across the service's life.
+  /// Run-wide hedge budget: total retries across the service's life.
   /// Prevents a hostile workload from doubling itself. 0 = unlimited.
   std::uint64_t hedge_budget = 64;
   /// Directory for per-request hedge checkpoints; empty = the system
-  /// temp directory. Files are removed when their request completes.
+  /// temp directory. Each file is removed when its execution ends.
   std::string hedge_checkpoint_dir;
 };
 
@@ -170,7 +170,7 @@ struct ServiceStats {
   std::uint64_t deduped = 0;    ///< followers attached to an in-flight twin
   std::uint64_t truncated = 0;
   std::uint64_t errors = 0;     ///< kInvalid + kError
-  std::uint64_t hedges = 0;     ///< kError attempts re-enqueued onto CPU_TEST
+  std::uint64_t hedges = 0;     ///< failed mines retried on CPU_TEST
   std::uint64_t cancelled = 0;  ///< requests hit by MiningService::cancel
   std::uint64_t expired_in_queue = 0;  ///< drained with deadline already spent
   QueueWaitHistogram queue_wait;
@@ -200,7 +200,7 @@ class MiningService {
 
   /// Cancels every request with this correlation id that is not answered
   /// yet, wherever it is between submit and its answer: queued, loading or
-  /// planning, mining, waiting to be hedged, or attached as a follower.
+  /// planning, mining or being hedged, or attached as a follower.
   /// Every hit completes kTruncated. A queued one completes without
   /// executing ("cancelled while queued"); one that has not started its
   /// mine starts none, and no hedge ("cancelled"); a running threshold
@@ -234,12 +234,6 @@ class MiningService {
     std::vector<std::pair<std::string, std::promise<MiningResult>>> followers;
     std::chrono::steady_clock::time_point enqueued_at;
     std::uint64_t seq = 0;
-    /// Hedging state: attempts so far, the plan the next attempt is
-    /// pinned to, and the checkpoint the first attempt left behind.
-    std::uint32_t attempts = 0;
-    std::string forced_algo;
-    std::string checkpoint_path;
-    std::string resume_path;
     /// Admission accounting: the estimate whose tokens this job holds.
     CostEstimate admitted_cost;
     bool cost_reserved = false;
@@ -250,14 +244,16 @@ class MiningService {
   };
 
   void worker_loop();
-  /// Whether an attempt of `job` on `algo` can still be hedged onto
-  /// CPU_TEST: the one rule both for re-enqueueing a kError attempt and
-  /// for arming the checkpoint that retry would resume from.
-  [[nodiscard]] bool hedgeable(const Job& job, const std::string& algo) const;
+  /// Whether a failed mine on `algo` may be retried on CPU_TEST: the one
+  /// rule both for the retry and for arming the checkpoint it resumes from.
+  [[nodiscard]] bool hedgeable(const std::string& algo) const;
+  /// Loads, admits and plans the request once, then mines it; a failed
+  /// mine is retried once on CPU_TEST (the hedge) before rules and output.
   MiningResult execute(Job& job);
   /// Terminal delivery: releases admission tokens, retires the dedup and
   /// id entries, satisfies followers and the job's promise, updates stats.
-  /// A job cancel() hit completes kTruncated whatever its attempt returned.
+  /// A job cancel() hit completes kTruncated whatever its execution
+  /// returned.
   void publish(const std::shared_ptr<Job>& job, MiningResult result,
                double queue_ms);
   /// Marks `job` as running `run` (null: not interruptible) unless it was
@@ -287,7 +283,6 @@ class MiningService {
   std::optional<gpusim::FaultPlan> fault_plan_override_;
   ServiceStats stats_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t hedges_spent_ = 0;
   bool stopping_ = false;
 
   std::vector<std::thread> workers_;

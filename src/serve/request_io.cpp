@@ -162,27 +162,7 @@ bool parse_request_line(const std::string& line, int line_no,
   return true;
 }
 
-std::vector<MiningRequest> parse_request_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw fim::IoError("cannot open request file: " + path);
-  std::vector<MiningRequest> requests;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(f, line)) {
-    ++line_no;
-    MiningRequest req;
-    try {
-      if (parse_request_line(line, line_no, req))
-        requests.push_back(std::move(req));
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(path + ":" + e.what());
-    }
-  }
-  return requests;
-}
-
-std::vector<RequestFileEntry> parse_request_file_lenient(
-    const std::string& path) {
+std::vector<RequestFileEntry> parse_request_file(const std::string& path) {
   std::ifstream f(path);
   if (!f) throw fim::IoError("cannot open request file: " + path);
   std::vector<RequestFileEntry> entries;

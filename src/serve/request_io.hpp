@@ -17,9 +17,9 @@
 //   out=PATH          also write the itemsets to this file
 //
 // Numeric values go through the strict fim::parse_* helpers; any trailing
-// garbage, domain violation, duplicate key, or unknown key throws
-// std::invalid_argument naming the offending line, which the CLI maps to
-// the usage exit code.
+// garbage, domain violation, duplicate key, or unknown key makes the line
+// an invalid entry naming the offending line and key, which the CLI
+// answers as a kInvalid result in its place.
 //
 // Results are emitted one JSON object per line (JSONL), machine-parseable
 // without a JSON library on either side.
@@ -31,14 +31,8 @@
 
 namespace serve {
 
-/// Parses a request file (see above). Throws std::invalid_argument with
-/// "<path>:<line>: ..." context on malformed input, fim::IoError when the
-/// file cannot be read.
-[[nodiscard]] std::vector<MiningRequest> parse_request_file(
-    const std::string& path);
-
-/// One line of a leniently-parsed request file: either a well-formed
-/// request or the parse error that explains why the line is not one.
+/// One line of a parsed request file: either a well-formed request or the
+/// parse error that explains why the line is not one.
 struct RequestFileEntry {
   MiningRequest request;  ///< id is set even when !valid
   bool valid = false;
@@ -46,12 +40,13 @@ struct RequestFileEntry {
   int line_no = 0;
 };
 
-/// Like parse_request_file, but a malformed line becomes an invalid entry
-/// (error populated, id assigned) instead of aborting the whole file — the
-/// serving path answers it as kInvalid and keeps going, so one bad line in
-/// a batch cannot take down the healthy requests around it. Still throws
-/// fim::IoError when the file itself cannot be read.
-[[nodiscard]] std::vector<RequestFileEntry> parse_request_file_lenient(
+/// Parses a request file (see above), one entry per request line. A
+/// malformed line becomes an invalid entry (error populated, id assigned)
+/// instead of aborting the whole file — the serving path answers it as
+/// kInvalid and keeps going, so one bad line in a batch cannot take down
+/// the healthy requests around it. Throws fim::IoError when the file
+/// itself cannot be read.
+[[nodiscard]] std::vector<RequestFileEntry> parse_request_file(
     const std::string& path);
 
 /// Parses one request line (exposed for tests). `line_no` only feeds error

@@ -26,6 +26,7 @@
 #include "fim/checkpoint.hpp"
 #include "fim/fimi_io.hpp"
 #include "gpusim/cancel.hpp"
+#include "obs/trace.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -944,6 +945,92 @@ TEST(RunControl, CpuTestStopsInsideALevelAtItsDeadline) {
     prefix.canonicalize();
     EXPECT_EQ(out.itemsets.to_string(), prefix.to_string());
   }
+}
+
+/// The [begin, end] times, in ms of the trace clock, of every event named
+/// `name` in an exported trace: spans (which must not nest in each other)
+/// and instants, whose end is their begin.
+std::vector<std::pair<double, double>> event_times(const std::string& json,
+                                                   const std::string& name) {
+  std::vector<std::pair<double, double>> times;
+  const std::string head = "{\"name\": \"" + name + "\", ";
+  for (auto at = json.find(head); at != std::string::npos;
+       at = json.find(head, at + 1)) {
+    const char phase = json[json.find("\"ph\": \"", at) + 7];
+    const double ms =
+        std::strtod(json.c_str() + json.find("\"ts\": ", at) + 6, nullptr) /
+        1000.0;
+    if (phase == 'B' || phase == 'i') times.emplace_back(ms, ms);
+    if (phase == 'E' && !times.empty()) times.back().second = ms;
+  }
+  return times;
+}
+
+TEST(RunControl, CandidateGenerationStopsAtItsDeadline) {
+  // On dense data CPU_TEST spends most of a late level generating
+  // candidates. A deadline that fires inside candidate generation must
+  // stop it there, not at the level's first count check, and keep the
+  // completed levels intact.
+  const auto db = testutil::random_db(3000, 30, 0.55, 4);
+  miners::MiningParams params;
+  params.min_support_ratio = 0.05;
+  // A first run warms the allocator and is the reference answer.
+  const auto full = CpuBitsetApriori(nullptr, true, 1, 0, 1).mine(db, params);
+  auto& rec = obs::TraceRecorder::global();
+  rec.enable();
+  const auto now_ms = [&] { return static_cast<double>(rec.now_ns()) / 1e6; };
+  // The deadline is placed from a traced uncancelled run, and a loaded
+  // machine can move it out of candidate generation in the cancelled one;
+  // such an attempt is repeated.
+  bool landed = false;
+  for (int attempt = 0; attempt < 5 && !landed; ++attempt) {
+    rec.clear();
+    double t0 = now_ms();
+    (void)CpuBitsetApriori(nullptr, true, 1, 0, 1).mine(db, params);
+    std::pair<double, double> longest{0, 0};
+    for (const auto& gen :
+         event_times(rec.export_chrome_json(), "candidate-gen"))
+      if (gen.second - gen.first > longest.second - longest.first)
+        longest = gen;
+    const double gen_ms = longest.second - longest.first;
+
+    RunControlOptions rco;
+    rco.deadline_ms = longest.first - t0 + gen_ms / 3;
+    RunControl run(rco);
+    rec.clear();
+    t0 = now_ms();
+    const auto out = CpuBitsetApriori(&run, true, 1, 0, 1).mine(db, params);
+    const std::string json = rec.export_chrome_json();
+    for (const auto& gen : event_times(json, "candidate-gen"))
+      landed = landed || (gen.first - t0 <= rco.deadline_ms &&
+                          rco.deadline_ms <= gen.second - t0);
+    if (!landed) continue;
+
+    ASSERT_TRUE(out.truncated());
+    EXPECT_EQ(out.stop_reason, "deadline");
+    const auto cancelled = event_times(json, "cancel:deadline");
+    const auto salvaged = event_times(json, "salvaged:deadline");
+    ASSERT_EQ(cancelled.size(), 1u);
+    ASSERT_EQ(salvaged.size(), 1u);
+    // The watchdog trips the token on its 5 ms tick after the deadline;
+    // from there, finishing the candidate generation would take about
+    // two thirds of it.
+    EXPECT_LT(salvaged[0].first - cancelled[0].first, gen_ms / 4)
+        << "the longest candidate generation took " << gen_ms
+        << " ms uncancelled";
+
+    // The completed levels are the uninterrupted run's, byte for byte.
+    expect_level_prefix(full, out);
+    fim::ItemsetCollection prefix;
+    for (const auto& fs : full.itemsets)
+      if (fs.items.size() < out.truncated_at_level)
+        prefix.add(fs.items, fs.support);
+    prefix.canonicalize();
+    EXPECT_EQ(out.itemsets.to_string(), prefix.to_string());
+  }
+  rec.disable();
+  rec.clear();
+  EXPECT_TRUE(landed) << "no deadline of 5 fell inside candidate generation";
 }
 
 TEST(RunControl, GenerousLimitsDoNotPerturbTheRun) {

@@ -3,9 +3,10 @@
 // cache accounts hits/misses/evictions correctly, admission control
 // rejects past the queue bound, a per-request deadline salvages completed
 // levels, identical in-flight requests dedup onto one execution, a cancel
-// reaches a request wherever it is before its answer, a cached layout is
-// adopted only by the object it was built from, and the request-file
-// parser rejects malformed input with line context.
+// reaches a request wherever it is before its answer, a failed mine is
+// hedged inside its one execution, a cached layout is adopted only by the
+// object it was built from, and the request-file parser rejects malformed
+// input with line context.
 
 #include "serve/mining_service.hpp"
 
@@ -466,18 +467,30 @@ TEST(MiningServiceTest, MalformedRequestsGetTypedInvalidStatus) {
   MiningRequest missing = req("io", scratch("does_not_exist.dat"), 0.3);
   MiningRequest bad_conf = req("conf", "mem", 0.3);
   bad_conf.rules_confidence = 1.5;
+  MiningRequest bad_out = req("out", "mem", 0.3);
+  bad_out.out_path = scratch("no_such_dir/out.txt");
 
-  const auto results = service.run_batch(
-      {nan_ratio, neg, over, unknown_algo, no_dataset, missing, bad_conf});
-  ASSERT_EQ(results.size(), 7u);
+  const auto results = service.run_batch({nan_ratio, neg, over, unknown_algo,
+                                          no_dataset, missing, bad_conf,
+                                          bad_out});
+  ASSERT_EQ(results.size(), 8u);
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(results[i].status, RequestStatus::kInvalid) << results[i].id;
     EXPECT_FALSE(results[i].error.empty());
     EXPECT_EQ(serve::exit_code(results[i].status), 64);
   }
-  EXPECT_EQ(results[5].status, RequestStatus::kError);  // I/O failure
-  EXPECT_EQ(serve::exit_code(results[5].status), 1);
   EXPECT_EQ(results[6].status, RequestStatus::kInvalid);
+  // A dataset that fails to load and an output file that cannot be opened
+  // are I/O failures, not failed mines: neither is hedged, and the missing
+  // file is read once.
+  for (const std::size_t i : {5u, 7u}) {
+    EXPECT_EQ(results[i].status, RequestStatus::kError) << results[i].id;
+    EXPECT_EQ(serve::exit_code(results[i].status), 1);
+    EXPECT_EQ(results[i].hedges, 0u) << results[i].id;
+  }
+  EXPECT_NE(results[7].algo, "CPU_TEST");
+  EXPECT_EQ(service.stats().hedges, 0u);
+  EXPECT_EQ(service.stats().cache.db_misses, 1u);
 }
 
 TEST(MiningServiceTest, CancellingAMalformedRequestStillAnswersInvalid) {
@@ -531,6 +544,16 @@ TEST(MiningServiceTest, MalformedRequestReservesNoAdmissionBudget) {
 
 // -- Request-file parsing ---------------------------------------------------
 
+/// The requests of a request file, every line of which must parse.
+std::vector<MiningRequest> parse_valid(const std::string& path) {
+  std::vector<MiningRequest> reqs;
+  for (const auto& e : serve::parse_request_file(path)) {
+    EXPECT_TRUE(e.valid) << "line " << e.line_no << ": " << e.error;
+    reqs.push_back(e.request);
+  }
+  return reqs;
+}
+
 TEST(RequestIoTest, ParsesWellFormedFile) {
   const std::string path = scratch("reqs_good.txt");
   {
@@ -541,7 +564,7 @@ TEST(RequestIoTest, ParsesWellFormedFile) {
          "dataset=\"/tmp/with space.dat\" count=20 max-size=3 rules=0.9\n"
          "id=t dataset=/tmp/x.dat topk=10 deadline-ms=250 out=/tmp/o.txt\n";
   }
-  const auto reqs = serve::parse_request_file(path);
+  const auto reqs = parse_valid(path);
   ASSERT_EQ(reqs.size(), 3u);
   EXPECT_EQ(reqs[0].id, "a");
   EXPECT_DOUBLE_EQ(reqs[0].min_support_ratio, 0.5);
@@ -791,6 +814,40 @@ TEST(MiningServiceTest, UnpinnedRequestsUnderAStickyFaultEachHedgeOnce) {
   const auto st = service.stats();
   EXPECT_EQ(st.hedges, 10u);
   EXPECT_EQ(st.errors, 0u);
+}
+
+TEST(MiningServiceTest, HedgedRequestIsPickedUpOnce) {
+  // The hedge is the second attempt of the same execution: the request
+  // waits in the queue once (behind the busy request), is picked up once,
+  // and its answer's queue_ms is that one wait.
+  auto& rec = obs::TraceRecorder::global();
+  rec.clear();
+  rec.enable();
+  ServiceOptions so;
+  so.workers = 1;
+  so.base_config.allow_degradation = false;  // the device attempt fails
+  MiningResult busy, hedged;
+  {
+    MiningService service(so);
+    service.register_dataset("slow", slow_db());
+    service.register_dataset("mem", small_db());
+    service.set_fault_plan(gpusim::FaultPlan::parse("launch#1+=timeout"));
+    auto f_busy = service.submit(req("busy", "slow", 0.01, "CPU_TEST"));
+    auto f_hedged =
+        service.submit(req("hedged-once", "mem", 0.3, "GPApriori"));
+    busy = f_busy.get();
+    hedged = f_hedged.get();
+  }
+  const std::string json = rec.export_chrome_json();
+  rec.disable();
+  rec.clear();
+  ASSERT_EQ(busy.status, RequestStatus::kOk) << busy.error;
+  ASSERT_EQ(hedged.status, RequestStatus::kOk) << hedged.error;
+  EXPECT_EQ(hedged.hedges, 1u);
+  EXPECT_EQ(hedged.algo, "CPU_TEST");
+  EXPECT_GE(hedged.queue_ms, busy.exec_ms / 2)
+      << "busy request executed for " << busy.exec_ms << " ms";
+  EXPECT_EQ(spans_named(json, "hedged-once"), 1u);
 }
 
 // -- Cancellation -----------------------------------------------------------
@@ -1058,7 +1115,7 @@ TEST(RequestIoTest, CrlfAndBlankLinesParseCleanly) {
          "# comment with trailing return\r\n"
          "id=b dataset=\"x y.dat\" count=5\r\n";
   }
-  const auto reqs = serve::parse_request_file(path);
+  const auto reqs = parse_valid(path);
   ASSERT_EQ(reqs.size(), 2u);
   EXPECT_EQ(reqs[0].dataset, "x.dat");  // no trailing '\r'
   EXPECT_DOUBLE_EQ(reqs[0].min_support_ratio, 0.5);
@@ -1084,7 +1141,7 @@ TEST(RequestIoTest, LenientParseIsolatesBadLinesWithTheOffendingKey) {
          "\n"
          "id=b dataset=y.dat count=5\n";
   }
-  const auto entries = serve::parse_request_file_lenient(path);
+  const auto entries = serve::parse_request_file(path);
   ASSERT_EQ(entries.size(), 3u);  // comments/blanks produce no entry
 
   EXPECT_TRUE(entries[0].valid);
