@@ -189,7 +189,14 @@ int main(int argc, char** argv) {
   // -- Deterministic mixed workload ----------------------------------------
   std::mt19937_64 rng(seed);
   auto pct = [&rng]() { return static_cast<int>(rng() % 100); };
-  const char* pinnable[] = {"GPApriori", "GPApriori (partitioned)",
+  // GPApriori's ladder absorbs the storm's device faults; the drivers
+  // without a CPU rung surface them, and the service hedges those.
+  const char* pinnable[] = {"GPApriori",
+                            "GPApriori (partitioned)",
+                            "GPApriori (pipelined)",
+                            "GPApriori (eq-class)",
+                            "Hybrid CPU+GPU Apriori",
+                            "GPU Eclat",
                             "CPU_TEST"};
   const std::size_t topks[] = {5, 10, 25};
 
@@ -218,7 +225,7 @@ int main(int argc, char** argv) {
     } else {
       s.req.min_support_ratio = sh.supports[rng() % sh.supports.size()];
       if (pct() < 10) s.req.max_itemset_size = 2;
-      if (pct() < 40) s.req.algo = pinnable[rng() % 3];
+      if (pct() < 40) s.req.algo = pinnable[rng() % std::size(pinnable)];
       if (pct() < 10) s.req.rules_confidence = 0.6;
       if (pct() < 8) {
         s.req.dataset = deep_shape.name;
@@ -247,7 +254,6 @@ int main(int argc, char** argv) {
   so.workers = 4;
   so.max_queue = 512;
   so.hedge_budget = 0;  // unlimited for the drill
-  so.base_config.allow_degradation = false;  // faults surface as kError
   so.admission.max_inflight = 12;  // force shedding when a wave lands at once
 
   serve::MiningService svc(so);

@@ -98,9 +98,11 @@ int usage() {
       "serve executes a batch of mining requests concurrently through the\n"
       "MiningService (shared dataset cache, in-flight dedup, driver\n"
       "planner, cost-based admission, hedged retries) and prints one JSON\n"
-      "object per request. The request file holds one request per line as\n"
-      "key=value tokens ('#' comments); a malformed line is answered as\n"
-      "status=invalid and the rest of the file still runs:\n"
+      "object per request, in input order; at most --queue-depth requests\n"
+      "are outstanding at once, so none is rejected for a full queue. The\n"
+      "request file holds one request per line as key=value tokens ('#'\n"
+      "comments); a malformed line is answered as status=invalid and the\n"
+      "rest of the file still runs:\n"
       "  dataset=PATH [id=NAME] [algo=NAME] support=R|count=N|topk=K\n"
       "  [max-size=K] [rules=CONF] [deadline-ms=MS] [out=PATH]\n"
       "serve exits 0 when every request succeeded, 6 when some were\n"
@@ -635,17 +637,14 @@ int cmd_serve(int argc, char** argv) {
   }
 
   serve::MiningService service(so);
-  std::vector<std::optional<std::future<serve::MiningResult>>> futures;
-  futures.reserve(entries.size());
-  for (auto& e : entries) {
-    if (e.valid)
-      futures.emplace_back(service.submit(std::move(e.request)));
-    else
-      futures.emplace_back(std::nullopt);
-  }
-
+  std::vector<std::optional<std::future<serve::MiningResult>>> futures(
+      entries.size());
   bool any_failed = false, any_shed = false, any_truncated = false;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
+  std::size_t answered = 0;
+  // Waits for the oldest unanswered request and prints its answer, so the
+  // answers come out in input order.
+  auto answer_next = [&] {
+    const std::size_t i = answered++;
     serve::MiningResult r;
     if (futures[i]) {
       r = futures[i]->get();
@@ -661,7 +660,15 @@ int cmd_serve(int argc, char** argv) {
       any_shed = true;
     else if (r.status != serve::RequestStatus::kOk)
       any_failed = true;
+  };
+  // At most --queue-depth requests are outstanding, so the batch never
+  // overflows the queue it is submitted to.
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i - answered == so.max_queue) answer_next();
+    if (entries[i].valid)
+      futures[i] = service.submit(std::move(entries[i].request));
   }
+  while (answered < entries.size()) answer_next();
   const auto st = service.stats();
   std::fprintf(
       stderr,

@@ -23,10 +23,11 @@ GPAPRIORI_BENCH_JSON_DIR pointed at a temporary directory; with
 
 With --serve-cli the MiningService batch path is smoked instead: a small
 chess dataset is generated, an 8-request batch (4 thresholds x 2) is run
-through `gpapriori_cli serve`, and the check asserts that every request
-succeeded, that the repeated requests hit the dataset cache, and that each
-request's itemset file is byte-identical to a serial `gpapriori_cli mine`
-run at the same threshold.
+through `gpapriori_cli serve` twice (four workers; then one worker and
+--queue-depth 1), and the check asserts that every request succeeded and
+none was rejected, that the repeated requests hit the dataset cache, and
+that each request's itemset file is byte-identical to a serial
+`gpapriori_cli mine` run at the same threshold.
 """
 
 import argparse
@@ -68,7 +69,8 @@ def run_bench(binary, workdir):
 
 
 def run_serve_smoke(cli, dataset_tool):
-    """One serve batch: 8 requests, byte-identity vs serial, cache hits."""
+    """Two serve batches of 8 requests: byte-identity vs serial, cache hits,
+    and no request rejected behind a queue of depth one."""
     supports = ["0.95", "0.9", "0.85", "0.8"]
     with tempfile.TemporaryDirectory(prefix="gpapriori-serve-smoke-") as tmp:
         dataset = os.path.join(tmp, "chess.dat")
@@ -89,46 +91,59 @@ def run_serve_smoke(cli, dataset_tool):
                          f"{proc.returncode}: {proc.stderr}")
 
         # The batch: every threshold twice, so the second of each pair must
-        # be answered from the dataset cache (or deduped in flight).
-        reqfile = os.path.join(tmp, "requests.txt")
-        with open(reqfile, "w", encoding="utf-8") as f:
+        # be answered from the dataset cache (or deduped in flight). It runs
+        # twice: on four workers, then on one worker behind a queue of depth
+        # one, which the CLI must never overflow with its own batch.
+        for run, flags in ((0, ["--workers", "4"]),
+                           (1, ["--workers", "1", "--queue-depth", "1"])):
+            results, stderr = serve_batch(cli, tmp, dataset, supports, run,
+                                          flags)
+            if len(results) != 8:
+                sys.exit(f"smoke_check: expected 8 result lines, got "
+                         f"{len(results)}")
+            bad = [r for r in results if r.get("status") != "ok"]
+            if bad:
+                sys.exit(f"smoke_check: non-ok serve results ({flags}): "
+                         f"{bad}")
+            if " 0 rejected" not in stderr:
+                sys.exit(f"smoke_check: serve {flags} rejected requests of "
+                         f"its own batch: {stderr}")
+            shared = sum(r.get("db_cache_hit", 0) or r.get("deduped", 0)
+                         for r in results)
+            if shared < 1:
+                sys.exit("smoke_check: no request reused the dataset cache "
+                         "or deduped — sharing layer is not engaging")
+
             for i, s in enumerate(supports * 2):
-                out = os.path.join(tmp, f"serve_{i}_{s}.txt")
-                f.write(f"id=r{i} dataset={dataset} support={s} "
-                        f"algo=GPApriori out={out}\n")
-        proc = subprocess.run(
-            [cli, "serve", "--requests", reqfile, "--workers", "4"],
-            capture_output=True, text=True)
-        if proc.returncode != 0:
-            sys.exit(f"smoke_check: serve exited {proc.returncode}: "
-                     f"{proc.stderr}")
+                serve_out = os.path.join(tmp, f"serve{run}_{i}_{s}.txt")
+                with open(serve_out, "rb") as f:
+                    got = f.read()
+                with open(os.path.join(tmp, f"serial_{s}.txt"), "rb") as f:
+                    want = f.read()
+                if got != want:
+                    sys.exit(f"smoke_check: FAIL serve request r{i} (support "
+                             f"{s}, {flags}) differs from the serial mine — "
+                             f"determinism contract broken")
+            print(f"smoke_check: PASS ({' '.join(flags)}: 8 serve results "
+                  f"byte-identical to serial, {shared} answered via "
+                  f"cache/dedup, none rejected)")
 
-        results = [json.loads(line) for line in proc.stdout.splitlines()
-                   if line.strip()]
-        if len(results) != 8:
-            sys.exit(f"smoke_check: expected 8 result lines, got "
-                     f"{len(results)}")
-        bad = [r for r in results if r.get("status") != "ok"]
-        if bad:
-            sys.exit(f"smoke_check: non-ok serve results: {bad}")
-        shared = sum(r.get("db_cache_hit", 0) or r.get("deduped", 0)
-                     for r in results)
-        if shared < 1:
-            sys.exit("smoke_check: no request reused the dataset cache or "
-                     "deduped — sharing layer is not engaging")
 
+def serve_batch(cli, tmp, dataset, supports, run, flags):
+    """Runs one `serve` batch; returns its JSON results and its stderr."""
+    reqfile = os.path.join(tmp, f"requests{run}.txt")
+    with open(reqfile, "w", encoding="utf-8") as f:
         for i, s in enumerate(supports * 2):
-            serve_out = os.path.join(tmp, f"serve_{i}_{s}.txt")
-            with open(serve_out, "rb") as f:
-                got = f.read()
-            with open(os.path.join(tmp, f"serial_{s}.txt"), "rb") as f:
-                want = f.read()
-            if got != want:
-                sys.exit(f"smoke_check: FAIL serve request r{i} (support {s}) "
-                         f"differs from the serial mine — determinism "
-                         f"contract broken")
-        print(f"smoke_check: PASS (8 serve results byte-identical to serial, "
-              f"{shared} answered via cache/dedup)")
+            out = os.path.join(tmp, f"serve{run}_{i}_{s}.txt")
+            f.write(f"id=r{i} dataset={dataset} support={s} "
+                    f"algo=GPApriori out={out}\n")
+    proc = subprocess.run([cli, "serve", "--requests", reqfile] + flags,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"smoke_check: serve {flags} exited {proc.returncode}: "
+                 f"{proc.stderr}")
+    return ([json.loads(line) for line in proc.stdout.splitlines()
+             if line.strip()], proc.stderr)
 
 
 def main():

@@ -240,7 +240,8 @@ std::uint32_t CandidateTrie::GroupedLevel::max_group_size() const {
 }
 
 CandidateTrie::GroupedLevel CandidateTrie::flatten_level_grouped(
-    std::size_t level, std::uint32_t max_group_size) const {
+    std::size_t level, std::uint32_t max_group_size,
+    const gpusim::CancelToken* cancel) const {
   if (level < 2)
     throw std::invalid_argument(
         "CandidateTrie::flatten_level_grouped: level must be >= 2");
@@ -256,6 +257,7 @@ CandidateTrie::GroupedLevel CandidateTrie::flatten_level_grouped(
   std::vector<std::uint32_t> offsets{0};
   std::uint32_t size = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    if ((i & 0x3ff) == 0) gpusim::throw_if_cancelled(cancel, "candgen-group");
     if (size == max_group_size ||
         (i != 0 && lvl.parents[i] != lvl.parents[i - 1])) {
       offsets.push_back(static_cast<std::uint32_t>(i));
@@ -289,6 +291,7 @@ CandidateTrie::GroupedLevel CandidateTrie::flatten_level_grouped(
     const std::size_t glo = ngroups * s / nshards;
     const std::size_t ghi = ngroups * (s + 1) / nshards;
     for (std::size_t g = glo; g < ghi; ++g) {
+      if (cancel != nullptr && cancel->cancelled()) return;
       const std::uint32_t clo = offsets[g];
       const std::uint32_t chi = offsets[g + 1];
       const std::uint32_t* first = lvl.paths.data() + clo * level;
@@ -298,12 +301,14 @@ CandidateTrie::GroupedLevel CandidateTrie::flatten_level_grouped(
     }
   };
   gpusim::HostPool::instance().run(nshards, fill);
+  gpusim::throw_if_cancelled(cancel, "candgen-group");
   return out;
 }
 
 std::size_t CandidateTrie::mark_frequent(std::size_t level,
                                          std::span<const fim::Support> supports,
-                                         fim::Support min_count) {
+                                         fim::Support min_count,
+                                         const gpusim::CancelToken* cancel) {
   if (level != depth() || (level >= 2 && levels_.back().first_node != kNone))
     throw std::invalid_argument(
         "CandidateTrie::mark_frequent: not the deepest unmarked level");
@@ -344,6 +349,7 @@ std::size_t CandidateTrie::mark_frequent(std::size_t level,
     const auto [lo, hi] = range(s);
     std::size_t at = offsets[s];
     for (std::size_t i = lo; i < hi; ++i) {
+      if ((i & 0x3ff) == 0 && cancel != nullptr && cancel->cancelled()) return;
       if (supports[i] < min_count) continue;
       if (level >= 2) kept.parents[at] = lvl.parents[i];
       std::copy(lvl.paths.data() + i * level,
@@ -352,6 +358,7 @@ std::size_t CandidateTrie::mark_frequent(std::size_t level,
       ++at;
     }
   });
+  gpusim::throw_if_cancelled(cancel, "prune");
   lvl = std::move(kept);
   // Roots are nodes from the start; a dropped root keeps its node, but it
   // leaves level 1's survivor list and so is never joined.

@@ -117,14 +117,9 @@ struct Config {
   /// (chaos drills, `gpapriori_cli --fault-plan`). Default: no faults.
   gpusim::FaultPlan fault_plan;
 
-  /// Bounded retry-with-backoff applied to transient device faults.
+  /// Bounded retry-with-backoff every driver's device handle (make_device)
+  /// applies to transient device faults.
   RetryPolicy retry;
-
-  /// Degradation ladder (static bitset → partitioned streaming on OOM →
-  /// CPU_TEST on persistent failure). Disable to make GpApriori::mine()
-  /// rethrow device errors instead — used by throw-path tests and the
-  /// ablation benches.
-  bool allow_degradation = true;
 
   /// Device-bitset budget of a partitioned store: the ladder's second rung
   /// and PartitionedGpApriori cut the generation-1 store into transaction

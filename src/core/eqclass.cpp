@@ -83,14 +83,14 @@ namespace {
 /// surviving candidates' rows as the next level's cache.
 class EqClassCounter final : public SupportCounter {
  public:
-  EqClassCounter(gpusim::Device& device, const Config& cfg,
+  EqClassCounter(FaultAwareDevice& fdev, const Config& cfg,
                  std::size_t& peak_bytes)
-      : device_(device), cfg_(cfg), peak_bytes_(peak_bytes) {}
+      : fdev_(fdev), cfg_(cfg), peak_bytes_(peak_bytes) {}
 
   void attach(std::span<const fim::BitsetStore> slices) override {
     const fim::BitsetStore& store = slices[0];
     stride_ = static_cast<std::uint32_t>(store.row_stride_words());
-    d_gen1_ = upload_store(device_, store);
+    d_gen1_ = upload_store(fdev_, store);
     d_parents_ = d_gen1_;
   }
 
@@ -107,13 +107,11 @@ class EqClassCounter final : public SupportCounter {
       pair_table[c * 2] = lv.trie->parent_index(lv.k, c);
       pair_table[c * 2 + 1] = lv.paths[c * lv.k + lv.k - 1];
     }
-    d_pairs_ = device_.alloc<std::uint32_t>(pair_table.size());
-    device_.copy_to_device(d_pairs_,
-                           std::span<const std::uint32_t>(pair_table));
-    d_out_rows_ = device_.alloc<std::uint32_t>(
-        ncand * static_cast<std::size_t>(stride_),
-        fim::BitsetStore::kAlignBytes);
-    d_sup_ = device_.alloc<std::uint32_t>(ncand);
+    d_pairs_ = fdev_.alloc(pair_table.size());
+    fdev_.upload(d_pairs_, pair_table);
+    d_out_rows_ = fdev_.alloc(ncand * static_cast<std::size_t>(stride_),
+                              fim::BitsetStore::kAlignBytes);
+    d_sup_ = fdev_.alloc(ncand);
 
     const fim::BitsetStore& store = lv.slices[0];
     EqClassKernel::Args args;
@@ -124,15 +122,15 @@ class EqClassCounter final : public SupportCounter {
     args.pair_table = d_pairs_;
     args.out_rows = d_out_rows_;
     args.supports = d_sup_;
-    const double dev_before = device_.ledger().total_ns();
+    const double dev_before = fdev_.device().ledger().total_ns();
     const gpusim::Dim3 block{cfg_.resolve_block_size(store.words_per_row())};
     launch_batched(ncand, [&](std::uint32_t first, gpusim::Dim3 grid) {
       args.first_candidate = first;
-      device_.launch(EqClassKernel(args), {grid, block});
+      fdev_.launch(EqClassKernel(args), {grid, block});
     });
-    device_.copy_to_host(supports, d_sup_);
+    fdev_.download_verified(supports, d_sup_);
     note_peak();
-    return (device_.ledger().total_ns() - dev_before) / 1e6;
+    return (fdev_.device().ledger().total_ns() - dev_before) / 1e6;
   }
 
   /// Compacts the surviving rows into the next parent arena. Real CUDA
@@ -143,21 +141,20 @@ class EqClassCounter final : public SupportCounter {
                   fim::Support min_count) override {
     const std::size_t row_bytes = static_cast<std::size_t>(stride_) * 4;
     auto d_next = alloc_rows(trie.level_size(k));
+    gpusim::GlobalMemory& mem = fdev_.device().memory();
     std::vector<std::uint32_t> row(stride_);
     std::size_t w = 0;
     for (std::size_t c = 0; c < supports.size(); ++c) {
       if (supports[c] < min_count) continue;
-      device_.memory().read_bytes((d_out_rows_ + c * stride_).addr, row.data(),
-                                  row_bytes);
-      device_.memory().write_bytes((d_next + w * stride_).addr, row.data(),
-                                   row_bytes);
+      mem.read_bytes((d_out_rows_ + c * stride_).addr, row.data(), row_bytes);
+      mem.write_bytes((d_next + w * stride_).addr, row.data(), row_bytes);
       ++w;
     }
-    device_.charge_device_traffic(w * row_bytes);
+    fdev_.device().charge_device_traffic(w * row_bytes);
     replace_parents(d_next);
-    device_.free(d_out_rows_);
-    device_.free(d_pairs_);
-    device_.free(d_sup_);
+    fdev_.free(d_out_rows_);
+    fdev_.free(d_pairs_);
+    fdev_.free(d_sup_);
     note_peak();
   }
 
@@ -174,12 +171,12 @@ class EqClassCounter final : public SupportCounter {
       slices[0].and_rows(trie.candidate_row_span(k, i),
                          std::span(rows).subspan(i * stride_, stride_));
     auto d_rows = alloc_rows(survivors);
-    device_.copy_to_device(d_rows, std::span<const std::uint32_t>(rows));
+    fdev_.upload(d_rows, rows);
     replace_parents(d_rows);
   }
 
   [[nodiscard]] double device_ms() const override {
-    return device_.ledger().total_ns() / 1e6;
+    return fdev_.device_ms();
   }
   /// Each candidate ANDs its cached parent row with one generation-1 row.
   void add_metrics(const LevelCandidates& lv,
@@ -191,20 +188,20 @@ class EqClassCounter final : public SupportCounter {
 
  private:
   gpusim::DevicePtr<std::uint32_t> alloc_rows(std::size_t n) {
-    return device_.alloc<std::uint32_t>(
+    return fdev_.alloc(
         std::max<std::size_t>(1, n * static_cast<std::size_t>(stride_)),
         fim::BitsetStore::kAlignBytes);
   }
   void replace_parents(gpusim::DevicePtr<std::uint32_t> rows) {
-    if (parents_owned_) device_.free(d_parents_);
+    if (parents_owned_) fdev_.free(d_parents_);
     d_parents_ = rows;
     parents_owned_ = true;
   }
   void note_peak() {
-    peak_bytes_ = std::max(peak_bytes_, device_.memory().bytes_in_use());
+    peak_bytes_ = std::max(peak_bytes_, fdev_.device().memory().bytes_in_use());
   }
 
-  gpusim::Device& device_;
+  FaultAwareDevice& fdev_;
   const Config& cfg_;
   std::size_t& peak_bytes_;
   std::uint32_t stride_ = 0;
@@ -225,10 +222,10 @@ miners::MiningOutput EqClassApriori::mine(const fim::TransactionDb& db,
   peak_device_bytes_ = 0;
   LevelLoop loop(cfg_, db, params, "eqclass-level");
   if (loop.num_items() == 0) return loop.level1();
-  gpusim::Device device = make_device(cfg_, loop.scope());
-  EqClassCounter counter(device, cfg_, peak_device_bytes_);
+  FaultAwareDevice fdev = make_device(cfg_, loop.scope());
+  EqClassCounter counter(fdev, cfg_, peak_device_bytes_);
   miners::MiningOutput out = loop.run(counter);
-  ledger_ = device.ledger();
+  ledger_ = fdev.device().ledger();
   return out;
 }
 

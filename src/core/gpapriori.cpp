@@ -93,12 +93,11 @@ miners::MiningOutput GpApriori::mine(const fim::TransactionDb& db,
   LevelLoop loop(cfg_, db, params, "mine-level");
   if (loop.num_items() == 0) return loop.level1();
 
-  gpusim::Device device = make_device(cfg_, loop.scope());
-  FaultAwareDevice fdev(device, cfg_.retry, report_);
-  fdev.set_cancel_token(loop.scope().cancel_token());
+  FaultAwareDevice fdev = make_device(cfg_, loop.scope());
   auto finish = [&](miners::MiningOutput out) {
-    ledger_ = device.ledger();
-    report_.device_faults = device.fault_stats();
+    ledger_ = fdev.device().ledger();
+    report_ = fdev.report();
+    report_.device_faults = fdev.device().fault_stats();
     return out;
   };
   // A cancellation that lands between rungs salvages the guaranteed-valid
@@ -107,24 +106,25 @@ miners::MiningOutput GpApriori::mine(const fim::TransactionDb& db,
   auto salvaged = [&]() -> std::optional<miners::MiningOutput> {
     RunControl* rc = loop.scope().control();
     if (rc == nullptr) return std::nullopt;
-    loop.scope().poll(device.ledger().total_ns() / 1e6);
+    loop.scope().poll(fdev.device_ms());
     if (!rc->cancelled()) return std::nullopt;
     miners::MiningOutput out = loop.salvage_level1();
-    out.device_ms = device.ledger().total_ns() / 1e6;
+    out.device_ms = fdev.device_ms();
     return finish(std::move(out));
   };
   miners::StopWatch lost;
   auto failed = [&](const char* rung, const gpusim::SimError& e) {
     history_.clear();
-    report_.time_lost_ms += lost.elapsed_ms();
-    report_.push_event(std::string(rung) + " attempt failed: " + e.what());
+    fdev.report().time_lost_ms += lost.elapsed_ms();
+    fdev.report().push_event(std::string(rung) + " attempt failed: " +
+                             e.what());
   };
   auto degrade = [&](DegradationStep step, const char* hop,
                      const std::string& event) {
-    report_.degraded_to = step;
+    fdev.report().degraded_to = step;
     obs::MetricsRegistry::global().add(obs::Counter::kLadderHops, 1);
     obs::TraceRecorder::global().instant(obs::SpanKind::kLadderHop, hop);
-    report_.push_event(event);
+    fdev.report().push_event(event);
   };
 
   // ---- Rung 1: the paper's static-bitset design. ----
@@ -133,7 +133,6 @@ miners::MiningOutput GpApriori::mine(const fim::TransactionDb& db,
     DeviceCounter counter(fdev, cfg_, &history_);
     return finish(loop.run(counter));
   } catch (const gpusim::SimError& e) {
-    if (!cfg_.allow_degradation) throw;
     oom = dynamic_cast<const gpusim::DeviceOomError*>(&e) != nullptr;
     failed("static-bitset", e);
   }
@@ -146,8 +145,8 @@ miners::MiningOutput GpApriori::mine(const fim::TransactionDb& db,
     lost.restart();
     try {
       const std::size_t num_trans = loop.num_transactions();
-      const std::size_t chunk =
-          partition_chunk_trans(cfg_, device, num_trans, loop.num_items());
+      const std::size_t chunk = partition_chunk_trans(
+          cfg_, fdev.device(), num_trans, loop.num_items());
       degrade(DegradationStep::kPartitioned, "degrade:static->partitioned",
               "degraded static -> partitioned streaming (" +
                   std::to_string((num_trans + chunk - 1) / chunk) +

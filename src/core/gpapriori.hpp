@@ -46,11 +46,10 @@ class GpApriori final : public miners::Miner {
   [[nodiscard]] const gpusim::TimeLedger& ledger() const { return ledger_; }
   [[nodiscard]] const Config& config() const { return cfg_; }
 
-  /// Fault/retry/degradation record of the most recent mine() call. With
-  /// cfg.allow_degradation (the default), mine() never throws on device
-  /// faults: it retries transients, detects D2H corruption by checksum,
-  /// and walks the ladder static → partitioned → CPU_TEST, producing
-  /// bit-exact results at every rung.
+  /// Fault/retry/degradation record of the most recent mine() call.
+  /// mine() never throws on device faults: it retries transients, detects
+  /// D2H corruption by checksum, and walks the ladder static → partitioned
+  /// → CPU_TEST, producing bit-exact results at every rung.
   [[nodiscard]] const ResilienceReport& resilience_report() const {
     return report_;
   }

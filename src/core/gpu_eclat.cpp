@@ -20,7 +20,7 @@ struct Entry {
 };
 
 struct Ctx {
-  gpusim::Device* device;
+  FaultAwareDevice* fdev;
   std::uint32_t stride = 0;
   std::uint32_t words_per_row = 0;
   std::uint32_t block_size = 0;
@@ -34,12 +34,12 @@ struct Ctx {
 };
 
 void note_peak(const Ctx& ctx) {
-  *ctx.peak_bytes =
-      std::max(*ctx.peak_bytes, ctx.device->memory().bytes_in_use());
+  *ctx.peak_bytes = std::max(*ctx.peak_bytes,
+                             ctx.fdev->device().memory().bytes_in_use());
 }
 
 // Extends every member of the class rooted at `prefix`, device-side.
-// `arena` holds the class's bitset rows (freed by the caller).
+// `arena` holds the class's bitset rows (owned by the caller).
 void dfs(const fim::Itemset& prefix,
          gpusim::DevicePtr<std::uint32_t> arena,
          const std::vector<Entry>& entries, const Ctx& ctx) {
@@ -55,7 +55,7 @@ void dfs(const fim::Itemset& prefix,
     // mirroring the level-synchronous miners' once-per-level check. The
     // depth is recorded first so a throw reports the class being extended.
     *ctx.cur_depth = found.size() + 1;
-    ctx.scope->check("eclat-class", ctx.device->ledger().total_ns() / 1e6);
+    ctx.scope->check("eclat-class", ctx.fdev->device_ms());
 
     obs::ScopedSpan class_span(obs::SpanKind::kMineLevel, "eclat-class");
 
@@ -65,30 +65,29 @@ void dfs(const fim::Itemset& prefix,
       pair_table[c * 2] = entries[i].row;
       pair_table[c * 2 + 1] = entries[i + 1 + c].row;
     }
-    auto d_pairs = ctx.device->alloc<std::uint32_t>(pair_table.size());
-    ctx.device->copy_to_device(d_pairs,
-                               std::span<const std::uint32_t>(pair_table));
-    auto d_out = ctx.device->alloc<std::uint32_t>(
-        width * static_cast<std::size_t>(ctx.stride),
-        fim::BitsetStore::kAlignBytes);
-    auto d_sup = ctx.device->alloc<std::uint32_t>(width);
+    ScopedDeviceAlloc d_pairs(*ctx.fdev, pair_table.size());
+    ctx.fdev->upload(d_pairs.get(), pair_table);
+    ScopedDeviceAlloc d_out(*ctx.fdev,
+                            width * static_cast<std::size_t>(ctx.stride),
+                            fim::BitsetStore::kAlignBytes);
+    ScopedDeviceAlloc d_sup(*ctx.fdev, width);
 
     EqClassKernel::Args args;
     args.parents = arena;
     args.gen1 = arena;  // both operands live in the class arena
     args.stride_words = ctx.stride;
     args.words_per_row = ctx.words_per_row;
-    args.pair_table = d_pairs;
-    args.out_rows = d_out;
-    args.supports = d_sup;
+    args.pair_table = d_pairs.get();
+    args.out_rows = d_out.get();
+    args.supports = d_sup.get();
     EqClassKernel kernel(args);
-    ctx.device->launch(kernel,
-                       {gpusim::Dim3{static_cast<std::uint32_t>(width)},
-                        gpusim::Dim3{ctx.block_size}});
+    ctx.fdev->launch(kernel,
+                     {gpusim::Dim3{static_cast<std::uint32_t>(width)},
+                      gpusim::Dim3{ctx.block_size}});
 
     std::vector<std::uint32_t> supports(width);
-    ctx.device->copy_to_host(std::span<std::uint32_t>(supports), d_sup);
-    ctx.device->free(d_pairs);
+    ctx.fdev->download_verified(supports, d_sup.get());
+    d_pairs.reset();
     note_peak(ctx);
 
     std::vector<Entry> next;
@@ -116,9 +115,7 @@ void dfs(const fim::Itemset& prefix,
       metrics.record_level(found.size() + 1, lm);
     }
 
-    if (!next.empty()) dfs(found, d_out, next, ctx);
-    ctx.device->free(d_out);
-    ctx.device->free(d_sup);
+    if (!next.empty()) dfs(found, d_out.get(), next, ctx);
   }
 }
 
@@ -158,11 +155,8 @@ miners::MiningOutput GpuEclat::mine(const fim::TransactionDb& db,
     return out;
   }
 
-  gpusim::Device device = make_device(cfg_, scope);
-
-  auto d_gen1 = device.alloc<std::uint32_t>(store.arena().size(),
-                                            fim::BitsetStore::kAlignBytes);
-  device.copy_to_device(d_gen1, store.arena());
+  FaultAwareDevice fdev = make_device(cfg_, scope);
+  const auto d_gen1 = upload_store(fdev, store);
 
   std::vector<Entry> root;
   root.reserve(n);
@@ -170,7 +164,7 @@ miners::MiningOutput GpuEclat::mine(const fim::TransactionDb& db,
     root.push_back({x, x, pre.support[x]});
 
   std::size_t cur_depth = 2;
-  Ctx ctx{&device,
+  Ctx ctx{&fdev,
           static_cast<std::uint32_t>(store.row_stride_words()),
           static_cast<std::uint32_t>(store.words_per_row()),
           cfg_.resolve_block_size(store.words_per_row()),
@@ -185,15 +179,14 @@ miners::MiningOutput GpuEclat::mine(const fim::TransactionDb& db,
   try {
     dfs(fim::Itemset{}, d_gen1, root, ctx);
   } catch (const gpusim::CancelledError& e) {
-    // Every itemset already emitted survives; skipped per-class frees are
-    // reclaimed when `device` is destroyed.
+    // Every itemset already emitted survives.
     mark_truncated(out, cur_depth, e.cause());
   }
   // host_ms covers preprocessing only: the DFS wall time is dominated by
   // SIMULATING the kernels (which real hardware would execute), and the
   // driver bookkeeping itself is a few table fills per class.
 
-  ledger_ = device.ledger();
+  ledger_ = fdev.device().ledger();
   out.device_ms = ledger_.total_ns() / 1e6;
   out.itemsets.canonicalize();
   return out;

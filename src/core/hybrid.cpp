@@ -14,16 +14,16 @@ namespace {
 /// side — recorded as the level's device_ms.
 class HybridCounter final : public SupportCounter {
  public:
-  HybridCounter(gpusim::Device& device, const Config& cfg, RunScope& scope,
+  HybridCounter(FaultAwareDevice& fdev, const Config& cfg, RunScope& scope,
                 double gpu_fraction, std::vector<HybridLevelReport>& reports)
-      : device_(device),
+      : fdev_(fdev),
         cfg_(cfg),
         scope_(scope),
         gpu_fraction_(std::clamp(gpu_fraction, 0.0, 1.0)),
         reports_(reports) {}
 
   void attach(std::span<const fim::BitsetStore> slices) override {
-    d_bitsets_ = upload_store(device_, slices[0]);
+    d_bitsets_ = upload_store(fdev_, slices[0]);
   }
 
   double count(const LevelCandidates& lv,
@@ -35,7 +35,7 @@ class HybridCounter final : public SupportCounter {
   }
 
  private:
-  gpusim::Device& device_;
+  FaultAwareDevice& fdev_;
   const Config& cfg_;
   RunScope& scope_;
   double gpu_fraction_;
@@ -63,7 +63,7 @@ double HybridCounter::count(const LevelCandidates& lv,
   // --- device share: candidates [0, gpu_cands) ---
   double gpu_ms = 0;
   if (gpu_cands > 0)
-    gpu_ms = count_complete(device_, cfg_, store, d_bitsets_,
+    gpu_ms = count_complete(fdev_, cfg_, store, d_bitsets_,
                             lv.paths.first(gpu_cands * k), k,
                             supports.first(gpu_cands));
 
@@ -75,7 +75,7 @@ double HybridCounter::count(const LevelCandidates& lv,
       // The host share can be the level's long pole; honour cancellation
       // at the same granularity as the device's chunk dispatch.
       if ((c & 0x3ff) == 0)
-        scope_.check("hybrid-cpu-share", device_.ledger().total_ns() / 1e6);
+        scope_.check("hybrid-cpu-share", fdev_.device_ms());
       supports[c] = store.and_popcount(lv.paths.subspan(c * k, k));
     }
     cpu_ms = cpu_watch.elapsed_ms();
@@ -108,8 +108,8 @@ miners::MiningOutput HybridApriori::mine(const fim::TransactionDb& db,
   reports_.clear();
   LevelLoop loop(cfg_, db, params, "hybrid-level");
   if (loop.num_items() == 0) return loop.level1();
-  gpusim::Device device = make_device(cfg_, loop.scope());
-  HybridCounter counter(device, cfg_, loop.scope(), initial_gpu_fraction_,
+  FaultAwareDevice fdev = make_device(cfg_, loop.scope());
+  HybridCounter counter(fdev, cfg_, loop.scope(), initial_gpu_fraction_,
                         reports_);
   return loop.run(counter);
 }

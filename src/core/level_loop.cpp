@@ -47,11 +47,16 @@ constexpr std::size_t kMinParallelEmit = 4096;
 /// `original_item`, with support `supports_of_survivors[i]`. Large levels
 /// shard over contiguous survivor ranges on the HostPool, each shard
 /// filling a private buffer appended in shard order, so the collection is
-/// byte-identical to the serial emit for any worker count.
-void emit_frequent_level(const CandidateTrie& trie, std::size_t level,
-                         std::span<const fim::Support> supports_of_survivors,
-                         std::span<const fim::Item> original_item,
-                         fim::ItemsetCollection& out, std::uint32_t workers) {
+/// byte-identical to the serial emit for any worker count. `batches` is
+/// the caller's scratch: a tripped `cancel` stops the build with
+/// gpusim::CancelledError before anything reaches `out`, and leaves the
+/// partial level there for the caller to release after it salvages.
+void emit_frequent_level(
+    const CandidateTrie& trie, std::size_t level,
+    std::span<const fim::Support> supports_of_survivors,
+    std::span<const fim::Item> original_item, fim::ItemsetCollection& out,
+    std::uint32_t workers, const gpusim::CancelToken* cancel,
+    std::vector<std::vector<fim::FrequentItemset>>& batches) {
   const std::size_t n = trie.level_size(level);
   auto build = [&](std::size_t i) {
     const auto rows = trie.candidate_row_span(level, i);
@@ -62,24 +67,25 @@ void emit_frequent_level(const CandidateTrie& trie, std::size_t level,
                                 supports_of_survivors[i]};
   };
 
-  if (workers <= 1 || n < kMinParallelEmit) {
-    for (std::size_t i = 0; i < n; ++i) {
-      auto fs = build(i);
-      out.add(std::move(fs.items), fs.support);
-    }
-    return;
-  }
-
-  const std::uint32_t nshards = static_cast<std::uint32_t>(
-      std::min<std::size_t>(workers, n));
-  std::vector<std::vector<fim::FrequentItemset>> batches(nshards);
+  const std::uint32_t nshards =
+      workers <= 1 || n < kMinParallelEmit
+          ? 1u
+          : static_cast<std::uint32_t>(std::min<std::size_t>(workers, n));
+  // Growing `out` is the one step no cancel can interrupt, so it comes
+  // before the build, which reads the token.
+  out.reserve_more(n);
+  batches.assign(nshards, {});
   gpusim::HostPool::instance().run(nshards, [&](std::uint32_t s) {
     const std::size_t lo = n * s / nshards;
     const std::size_t hi = n * (s + 1) / nshards;
     auto& batch = batches[s];
     batch.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) batch.push_back(build(i));
+    for (std::size_t i = lo; i < hi; ++i) {
+      if ((i & 0x3ff) == 0 && cancel != nullptr && cancel->cancelled()) return;
+      batch.push_back(build(i));
+    }
   });
+  gpusim::throw_if_cancelled(cancel, "emit");
   for (auto& batch : batches) out.add_batch(std::move(batch));
 }
 
@@ -124,9 +130,10 @@ gpusim::DeviceOptions make_device_options(const Config& cfg,
   return o;
 }
 
-gpusim::Device make_device(const Config& cfg, RunScope& scope) {
+FaultAwareDevice make_device(const Config& cfg, RunScope& scope) {
   obs::ScopedSpan span(obs::SpanKind::kOther, "device-init");
-  return gpusim::Device(cfg.device, make_device_options(cfg, scope));
+  return FaultAwareDevice(cfg.device, make_device_options(cfg, scope),
+                          cfg.retry);
 }
 
 void validate_config(const Config& cfg, const char* driver) {
@@ -164,40 +171,37 @@ std::size_t partition_chunk_trans(const Config& cfg,
   return chunk;
 }
 
-gpusim::DevicePtr<std::uint32_t> upload_store(gpusim::Device& device,
+gpusim::DevicePtr<std::uint32_t> upload_store(FaultAwareDevice& fdev,
                                               const fim::BitsetStore& store) {
-  auto bits = device.alloc<std::uint32_t>(store.arena().size(),
-                                          fim::BitsetStore::kAlignBytes);
-  device.copy_to_device(bits, store.arena());
+  auto bits = fdev.alloc(store.arena().size(), fim::BitsetStore::kAlignBytes);
+  fdev.upload(bits, store.arena());
   return bits;
 }
 
-double count_complete(gpusim::Device& device, const Config& cfg,
+double count_complete(FaultAwareDevice& fdev, const Config& cfg,
                       const fim::BitsetStore& store,
                       gpusim::DevicePtr<std::uint32_t> bits,
                       std::span<const std::uint32_t> paths, std::size_t k,
                       std::span<fim::Support> supports) {
-  const double before = device.ledger().total_ns();
-  auto d_cand = device.alloc<std::uint32_t>(paths.size());
-  device.copy_to_device(d_cand, paths);
-  auto d_sup = device.alloc<std::uint32_t>(supports.size());
+  const double before = fdev.device().ledger().total_ns();
+  ScopedDeviceAlloc d_cand(fdev, paths.size());
+  fdev.upload(d_cand.get(), paths);
+  ScopedDeviceAlloc d_sup(fdev, supports.size());
   SupportKernel::Args args;
   args.bitsets = bits;
   args.stride_words = static_cast<std::uint32_t>(store.row_stride_words());
   args.words_per_row = static_cast<std::uint32_t>(store.words_per_row());
-  args.candidates = d_cand;
+  args.candidates = d_cand.get();
   args.k = static_cast<std::uint32_t>(k);
-  args.supports = d_sup;
+  args.supports = d_sup.get();
   const gpusim::Dim3 block{cfg.resolve_block_size(store.words_per_row())};
   launch_batched(supports.size(), [&](std::uint32_t first, gpusim::Dim3 grid) {
     args.first_candidate = first;
-    device.launch(SupportKernel(args, cfg.candidate_preload, cfg.unroll),
-                  {grid, block});
+    fdev.launch(SupportKernel(args, cfg.candidate_preload, cfg.unroll),
+                {grid, block});
   });
-  device.copy_to_host(supports, d_sup);
-  device.free(d_cand);
-  device.free(d_sup);
-  return (device.ledger().total_ns() - before) / 1e6;
+  fdev.download_verified(supports, d_sup.get());
+  return (fdev.device().ledger().total_ns() - before) / 1e6;
 }
 
 void SupportCounter::add_metrics(const LevelCandidates& lv,
@@ -309,7 +313,7 @@ double DeviceCounter::count(const LevelCandidates& lv,
 }
 
 double DeviceCounter::device_ms() const {
-  return fdev_.device().ledger().total_ns() / 1e6;
+  return fdev_.device_ms();
 }
 
 void DeviceCounter::annotate(obs::ScopedSpan& span) const {
@@ -424,6 +428,9 @@ miners::MiningOutput LevelLoop::run(SupportCounter& counter,
         build_slices(out, chunk_trans);
     CandidateTrie trie(num_items());
     trie.set_workers(workers_);
+    // What a cancel inside `emit` leaves of its level: released with the
+    // trie and the store, after the salvage.
+    std::vector<std::vector<fim::FrequentItemset>> emitting;
     // `k` is the level currently being counted; anything thrown while it
     // is in flight leaves `out` holding exactly the completed levels < k.
     std::size_t k = 2;
@@ -436,7 +443,7 @@ miners::MiningOutput LevelLoop::run(SupportCounter& counter,
       } else {
         checkpoint(out, 1);
       }
-      mine_levels(counter, slices, k, trie, out);
+      mine_levels(counter, slices, k, trie, out, emitting);
     } catch (const gpusim::CancelledError& e) {
       // Cooperative salvage: the executor drained its in-flight chunks and
       // scoped device buffers unwound; keep the completed levels and mark
@@ -609,10 +616,10 @@ std::size_t LevelLoop::rebuild(CandidateTrie& trie,
   return top;
 }
 
-void LevelLoop::mine_levels(SupportCounter& counter,
-                            std::span<const fim::BitsetStore> slices,
-                            std::size_t& k, CandidateTrie& trie,
-                            miners::MiningOutput& out) {
+void LevelLoop::mine_levels(
+    SupportCounter& counter, std::span<const fim::BitsetStore> slices,
+    std::size_t& k, CandidateTrie& trie, miners::MiningOutput& out,
+    std::vector<std::vector<fim::FrequentItemset>>& emitting) {
   auto& metrics = obs::MetricsRegistry::global();
   const bool grouped = counter.grouped();
   for (;; ++k) {
@@ -637,7 +644,8 @@ void LevelLoop::mine_levels(SupportCounter& counter,
         lv.paths = trie.level_paths(k);
         if (grouped) {
           obs::ScopedSpan span(obs::SpanKind::kCandidateGen, "candgen-group");
-          lv.grouped = trie.flatten_level_grouped(k, group_cap_);
+          lv.grouped =
+              trie.flatten_level_grouped(k, group_cap_, scope_.cancel_token());
         }
         ph.flatten_ms = flatten_watch.elapsed_ms();
       }
@@ -664,7 +672,7 @@ void LevelLoop::mine_levels(SupportCounter& counter,
     double mark_ms = 0;
     {
       obs::ScopedSpan span(obs::SpanKind::kOther, "prune");
-      trie.mark_frequent(k, supports, min_count_);
+      trie.mark_frequent(k, supports, min_count_, scope_.cancel_token());
       kept.reserve(trie.level_size(k));
       for (fim::Support s : supports)
         if (s >= min_count_) kept.push_back(s);
@@ -675,7 +683,7 @@ void LevelLoop::mine_levels(SupportCounter& counter,
     {
       obs::ScopedSpan span(obs::SpanKind::kOther, "emit");
       emit_frequent_level(trie, k, kept, pre_->original_item, out.itemsets,
-                          workers_);
+                          workers_, scope_.cancel_token(), emitting);
     }
     ph.emit_ms = host.elapsed_ms();
     ph.candgen_ms += mark_ms;

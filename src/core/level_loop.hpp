@@ -103,8 +103,9 @@ class SupportCounter {
 [[nodiscard]] gpusim::DeviceOptions make_device_options(const Config& cfg,
                                                         RunScope& scope);
 
-/// A driver's simulated device, constructed under a `device-init` span.
-[[nodiscard]] gpusim::Device make_device(const Config& cfg, RunScope& scope);
+/// A driver's one device handle (cfg.retry, the run's cancel token),
+/// constructed under a `device-init` span.
+[[nodiscard]] FaultAwareDevice make_device(const Config& cfg, RunScope& scope);
 
 /// Throws std::invalid_argument naming `driver` unless the config's block
 /// size, unroll factor, group-size cap and compaction level are valid.
@@ -134,14 +135,14 @@ void launch_batched(std::size_t units, Launch&& launch) {
   }
 }
 
-/// Allocates `store`'s arena on `device` and uploads it (a resident copy).
+/// Allocates `store`'s arena on `fdev` and uploads it (a resident copy).
 [[nodiscard]] gpusim::DevicePtr<std::uint32_t> upload_store(
-    gpusim::Device& device, const fim::BitsetStore& store);
+    FaultAwareDevice& fdev, const fim::BitsetStore& store);
 
 /// Counts `supports.size()` candidates (`paths`: k row ids each,
-/// candidate-major) with the complete-intersection kernel on `device`,
+/// candidate-major) with the complete-intersection kernel on `fdev`,
 /// whose resident copy of `store` is `bits`. Returns the modeled ms.
-double count_complete(gpusim::Device& device, const Config& cfg,
+double count_complete(FaultAwareDevice& fdev, const Config& cfg,
                       const fim::BitsetStore& store,
                       gpusim::DevicePtr<std::uint32_t> bits,
                       std::span<const std::uint32_t> paths, std::size_t k,
@@ -215,7 +216,8 @@ class LevelLoop {
                                     miners::MiningOutput& out);
   void mine_levels(SupportCounter& counter,
                    std::span<const fim::BitsetStore> slices, std::size_t& k,
-                   CandidateTrie& trie, miners::MiningOutput& out);
+                   CandidateTrie& trie, miners::MiningOutput& out,
+                   std::vector<std::vector<fim::FrequentItemset>>& emitting);
 
   const char* name_;
   std::uint32_t workers_;

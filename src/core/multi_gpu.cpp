@@ -19,21 +19,22 @@ class MultiGpuCounter final : public SupportCounter {
         num_devices_(static_cast<std::size_t>(num_devices)),
         reports_(reports) {}
 
-  /// One simulated T10 per slot; the static bitsets are replicated. The
-  /// replication copies happen once and concurrently (one PCIe link per
-  /// device on the S1070 host), so setup costs one transfer, not N.
+  /// One simulated T10 per slot, each behind its own FaultAwareDevice; the
+  /// static bitsets are replicated. The replication copies happen once and
+  /// concurrently (one PCIe link per device on the S1070 host), so setup
+  /// costs one transfer, not N.
   void attach(std::span<const fim::BitsetStore> slices) override {
     {
       obs::ScopedSpan span(obs::SpanKind::kOther, "device-init");
       const gpusim::DeviceOptions dopts = make_device_options(cfg_, scope_);
       for (std::size_t d = 0; d < num_devices_; ++d)
-        devices_.push_back(
-            std::make_unique<gpusim::Device>(cfg_.device, dopts));
+        devices_.push_back(std::make_unique<FaultAwareDevice>(
+            cfg_.device, dopts, cfg_.retry));
     }
-    for (auto& dev : devices_) {
-      d_bitsets_.push_back(upload_store(*dev, slices[0]));
-      setup_ns_ = std::max(setup_ns_, dev->ledger().total_ns());
-      dev->reset_ledger();
+    for (auto& fdev : devices_) {
+      d_bitsets_.push_back(upload_store(*fdev, slices[0]));
+      setup_ns_ = std::max(setup_ns_, fdev->device().ledger().total_ns());
+      fdev->device().reset_ledger();
     }
     device_ms_ = setup_ns_ / 1e6;
   }
@@ -51,7 +52,7 @@ class MultiGpuCounter final : public SupportCounter {
   RunScope& scope_;
   std::size_t num_devices_;
   std::vector<MultiGpuLevelReport>& reports_;
-  std::vector<std::unique_ptr<gpusim::Device>> devices_;
+  std::vector<std::unique_ptr<FaultAwareDevice>> devices_;
   std::vector<gpusim::DevicePtr<std::uint32_t>> d_bitsets_;
   double setup_ns_ = 0;
   double device_ms_ = 0;

@@ -16,16 +16,13 @@ miners::MiningOutput PartitionedGpApriori::mine(
   const std::size_t num_trans = loop.num_transactions();
   if (loop.num_items() == 0 || num_trans == 0) return loop.level1();
 
-  gpusim::Device device = make_device(cfg_, loop.scope());
+  FaultAwareDevice fdev = make_device(cfg_, loop.scope());
   const std::size_t chunk =
-      partition_chunk_trans(cfg_, device, num_trans, loop.num_items());
+      partition_chunk_trans(cfg_, fdev.device(), num_trans, loop.num_items());
   num_partitions_ = (num_trans + chunk - 1) / chunk;
-  ResilienceReport report;
-  FaultAwareDevice fdev(device, cfg_.retry, report);
-  fdev.set_cancel_token(loop.scope().cancel_token());
   DeviceCounter counter(fdev, cfg_);
   miners::MiningOutput out = loop.run(counter, chunk);
-  ledger_ = device.ledger();
+  ledger_ = fdev.device().ledger();
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "core/pipelined.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 #include "core/level_loop.hpp"
@@ -16,28 +17,28 @@ namespace {
 /// candidate range, so downloads stay contiguous).
 class PipelinedCounter final : public SupportCounter {
  public:
-  PipelinedCounter(gpusim::Device& device, const Config& cfg,
+  PipelinedCounter(FaultAwareDevice& fdev, const Config& cfg,
                    std::uint32_t chunks)
-      : device_(device), cfg_(cfg), chunks_(chunks) {}
+      : fdev_(fdev), cfg_(cfg), chunks_(chunks) {}
 
   [[nodiscard]] bool grouped() const override { return cfg_.tiled; }
 
   void attach(std::span<const fim::BitsetStore> slices) override {
-    d_bitsets_ = upload_store(device_, slices[0]);
+    d_bitsets_ = upload_store(fdev_, slices[0]);
   }
 
   double count(const LevelCandidates& lv,
                std::span<fim::Support> supports) override;
 
   [[nodiscard]] double device_ms() const override {
-    return device_.ledger().total_ns() / 1e6;
+    return fdev_.device_ms();
   }
   void annotate(obs::ScopedSpan& span) const override {
     span.add_arg("chunks", static_cast<double>(num_chunks_));
   }
 
  private:
-  gpusim::Device& device_;
+  FaultAwareDevice& fdev_;
   const Config& cfg_;
   std::uint32_t chunks_;
   std::size_t num_chunks_ = 0;
@@ -46,7 +47,7 @@ class PipelinedCounter final : public SupportCounter {
 
 double PipelinedCounter::count(const LevelCandidates& lv,
                                std::span<fim::Support> supports) {
-  const double dev_before = device_.ledger().total_ns();
+  const double dev_before = fdev_.device().ledger().total_ns();
   const fim::BitsetStore& store = lv.slices[0];
   const CandidateTrie::GroupedLevel& grouped = lv.grouped;
   const auto offsets = grouped.group_offsets();
@@ -54,19 +55,19 @@ double PipelinedCounter::count(const LevelCandidates& lv,
   const std::size_t num_units = cfg_.tiled ? grouped.groups : lv.count;
   const std::size_t chunk_units = (num_units + chunks_ - 1) / chunks_;
   num_chunks_ = (num_units + chunk_units - 1) / chunk_units;
-  auto d_sup = device_.alloc<std::uint32_t>(lv.count);
+  ScopedDeviceAlloc d_sup(fdev_, lv.count);
 
-  gpusim::DevicePtr<std::uint32_t> d_cand, d_prefix, d_sib, d_off;
+  std::optional<ScopedDeviceAlloc> d_prefix, d_sib, d_off, d_cand;
   const std::size_t p = k - 1;
   if (cfg_.tiled) {
-    d_prefix = device_.alloc<std::uint32_t>(grouped.prefix_rows().size());
-    d_sib = device_.alloc<std::uint32_t>(grouped.sibling_rows().size());
-    d_off = device_.alloc<std::uint32_t>(offsets.size());
+    d_prefix.emplace(fdev_, grouped.prefix_rows().size());
+    d_sib.emplace(fdev_, grouped.sibling_rows().size());
+    d_off.emplace(fdev_, offsets.size());
     // The offsets table is tiny and every chunk's kernels read it, so it
     // goes up front on the synchronous queue.
-    device_.copy_to_device(d_off, offsets);
+    fdev_.upload(d_off->get(), offsets);
   } else {
-    d_cand = device_.alloc<std::uint32_t>(lv.paths.size());
+    d_cand.emplace(fdev_, lv.paths.size());
   }
 
   auto chunk_bounds = [&](std::size_t c) {
@@ -90,16 +91,15 @@ double PipelinedCounter::count(const LevelCandidates& lv,
     const auto [lo, hi] = chunk_bounds(c);
     if (cfg_.tiled) {
       const auto [clo, chi] = cand_bounds(lo, hi);
-      device_.copy_to_device_async(
-          d_prefix + lo * p,
-          grouped.prefix_rows().subspan(lo * p, (hi - lo) * p), stream_of(c));
-      device_.copy_to_device_async(
-          d_sib + clo, grouped.sibling_rows().subspan(clo, chi - clo),
-          stream_of(c));
+      fdev_.upload(d_prefix->get() + lo * p,
+                   grouped.prefix_rows().subspan(lo * p, (hi - lo) * p),
+                   stream_of(c));
+      fdev_.upload(d_sib->get() + clo,
+                   grouped.sibling_rows().subspan(clo, chi - clo),
+                   stream_of(c));
     } else {
-      device_.copy_to_device_async(
-          d_cand + lo * k, lv.paths.subspan(lo * k, (hi - lo) * k),
-          stream_of(c));
+      fdev_.upload(d_cand->get() + lo * k,
+                   lv.paths.subspan(lo * k, (hi - lo) * k), stream_of(c));
     }
   };
 
@@ -116,43 +116,34 @@ double PipelinedCounter::count(const LevelCandidates& lv,
         args.bitsets = d_bitsets_;
         args.stride_words = stride;
         args.words_per_row = words;
-        args.prefix_rows = d_prefix;
-        args.sibling_rows = d_sib;
-        args.group_offsets = d_off;
+        args.prefix_rows = d_prefix->get();
+        args.sibling_rows = d_sib->get();
+        args.group_offsets = d_off->get();
         args.k = static_cast<std::uint32_t>(k);
         args.first_group = static_cast<std::uint32_t>(lo) + first;
         args.max_group_size = grouped.max_group_size();
-        args.supports = d_sup;
-        device_.launch_async(TiledSupportKernel(args, cfg_.unroll),
-                             {grid, block}, stream_of(c));
+        args.supports = d_sup.get();
+        fdev_.launch(TiledSupportKernel(args, cfg_.unroll), {grid, block},
+                     stream_of(c));
       } else {
         SupportKernel::Args args;
         args.bitsets = d_bitsets_;
         args.stride_words = stride;
         args.words_per_row = words;
-        args.candidates = d_cand;
+        args.candidates = d_cand->get();
         args.k = static_cast<std::uint32_t>(k);
-        args.supports = d_sup;
+        args.supports = d_sup.get();
         args.first_candidate = static_cast<std::uint32_t>(lo) + first;
-        device_.launch_async(
-            SupportKernel(args, cfg_.candidate_preload, cfg_.unroll),
-            {grid, block}, stream_of(c));
+        fdev_.launch(SupportKernel(args, cfg_.candidate_preload, cfg_.unroll),
+                     {grid, block}, stream_of(c));
       }
     });
     const auto [clo, chi] = cand_bounds(lo, hi);
-    device_.copy_to_host_async(supports.subspan(clo, chi - clo), d_sup + clo,
-                               stream_of(c));
+    fdev_.download_verified(supports.subspan(clo, chi - clo),
+                            d_sup.get() + clo, stream_of(c));
   }
-  device_.synchronize();
-  if (cfg_.tiled) {
-    device_.free(d_prefix);
-    device_.free(d_sib);
-    device_.free(d_off);
-  } else {
-    device_.free(d_cand);
-  }
-  device_.free(d_sup);
-  return (device_.ledger().total_ns() - dev_before) / 1e6;
+  fdev_.device().synchronize();
+  return (fdev_.device().ledger().total_ns() - dev_before) / 1e6;
 }
 
 }  // namespace
@@ -170,10 +161,10 @@ miners::MiningOutput PipelinedGpApriori::mine(
   ledger_.reset();
   LevelLoop loop(cfg_, db, params, "pipelined-level");
   if (loop.num_items() == 0) return loop.level1();
-  gpusim::Device device = make_device(cfg_, loop.scope());
-  PipelinedCounter counter(device, cfg_, chunks_);
+  FaultAwareDevice fdev = make_device(cfg_, loop.scope());
+  PipelinedCounter counter(fdev, cfg_, chunks_);
   miners::MiningOutput out = loop.run(counter);
-  ledger_ = device.ledger();
+  ledger_ = fdev.device().ledger();
   return out;
 }
 

@@ -47,14 +47,23 @@ std::string ResilienceReport::summary() const {
 }
 
 void FaultAwareDevice::upload(gpusim::DevicePtr<std::uint32_t> dst,
-                              std::span<const std::uint32_t> src) {
-  with_retry("h2d copy", [&] { dev_.copy_to_device(dst, src); });
+                              std::span<const std::uint32_t> src,
+                              gpusim::StreamId stream) {
+  with_retry("h2d copy", [&] {
+    if (stream == kSync) return dev_.copy_to_device(dst, src);
+    dev_.copy_to_device_async(dst, src, stream);
+  });
 }
 
 void FaultAwareDevice::download_verified(std::span<std::uint32_t> dst,
-                                         gpusim::DevicePtr<std::uint32_t> src) {
+                                         gpusim::DevicePtr<std::uint32_t> src,
+                                         gpusim::StreamId stream) {
   for (std::uint32_t attempt = 0;; ++attempt) {
-    with_retry("d2h copy", [&] { dev_.copy_to_host(dst, src); });
+    // An async copy lands at once too; only its timing is deferred.
+    with_retry("d2h copy", [&] {
+      if (stream == kSync) return dev_.copy_to_host(dst, src);
+      dev_.copy_to_host_async(dst, src, stream);
+    });
     std::uint64_t expect = 0, got = 0;
     {
       obs::ScopedSpan span(obs::SpanKind::kOther, "d2h-verify");
@@ -79,8 +88,12 @@ void FaultAwareDevice::download_verified(std::span<std::uint32_t> dst,
 }
 
 gpusim::KernelStats FaultAwareDevice::launch(const gpusim::Kernel& kernel,
-                                             const gpusim::LaunchConfig& cfg) {
-  return with_retry("kernel launch", [&] { return dev_.launch(kernel, cfg); });
+                                             const gpusim::LaunchConfig& cfg,
+                                             gpusim::StreamId stream) {
+  return with_retry("kernel launch", [&] {
+    return stream == kSync ? dev_.launch(kernel, cfg)
+                           : dev_.launch_async(kernel, cfg, stream);
+  });
 }
 
 }  // namespace gpapriori

@@ -7,18 +7,19 @@
 // D2H corruption, launch timeouts, ECC events. This header is the driver
 // side of the contract:
 //
-//   * FaultAwareDevice wraps a gpusim::Device and retries retryable()
-//     errors with (simulated) exponential backoff, and verifies every
-//     download end-to-end with an FNV checksum, re-transferring on
-//     mismatch.
+//   * FaultAwareDevice, every driver's one device handle, owns a
+//     gpusim::Device, retries retryable() errors with (simulated)
+//     exponential backoff, and verifies every download end-to-end with an
+//     FNV checksum, re-transferring on mismatch.
 //   * ResilienceReport records what happened: fault/retry counts,
 //     detected corruption, degradation events, and time lost.
-//   * GpApriori::mine() consumes both to implement the degradation
-//     ladder: static bitset → partitioned streaming (on device OOM) →
-//     CPU_TEST (on persistent device failure). Every rung recomputes the
-//     identical (itemset, support) output — support counting is additive
-//     over transaction partitions, and CPU_TEST runs the same algorithm —
-//     so exactness survives every fallback.
+//   * GpApriori::mine() adds the degradation ladder: static bitset →
+//     partitioned streaming (on device OOM) → CPU_TEST (on persistent
+//     device failure). Every rung recomputes the identical (itemset,
+//     support) output — support counting is additive over transaction
+//     partitions, and CPU_TEST runs the same algorithm — so exactness
+//     survives every fallback. The other drivers throw what retries
+//     cannot absorb.
 
 #include <cstdint>
 #include <span>
@@ -89,22 +90,31 @@ struct ResilienceReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// A gpusim::Device wrapped with the retry + verification policy. All
-/// GPApriori device traffic is uint32 words, so the interface is typed
-/// accordingly.
+/// A driver's device handle: a gpusim::Device of its own behind the retry +
+/// verification policy, and the report of what they did. All GPApriori
+/// device traffic is uint32 words, so the interface is typed accordingly.
+/// Copies and launches given a stream are issued there (Device's async API).
 class FaultAwareDevice {
  public:
-  FaultAwareDevice(gpusim::Device& device, RetryPolicy policy,
-                   ResilienceReport& report)
-      : dev_(device), policy_(policy), report_(report) {}
+  /// Not a stream: the call runs synchronously.
+  static constexpr gpusim::StreamId kSync = ~gpusim::StreamId{0};
+
+  /// Builds the device. The cancel token the options give its executor
+  /// (null: none) is also checked before every retry, so a watchdog or
+  /// deadline trip breaks out of a retry loop a hostile fault plan would
+  /// otherwise keep alive.
+  FaultAwareDevice(const gpusim::DeviceProperties& props,
+                   const gpusim::DeviceOptions& opts, RetryPolicy policy)
+      : dev_(props, opts), policy_(policy), cancel_(opts.executor.cancel) {}
 
   [[nodiscard]] gpusim::Device& device() { return dev_; }
-  [[nodiscard]] const RetryPolicy& policy() const { return policy_; }
-
-  /// Cooperative cancellation: when set, every retry decision first checks
-  /// the token, so a watchdog/deadline trip breaks out of a retry loop a
-  /// hostile fault plan would otherwise keep alive. Unowned, may be null.
-  void set_cancel_token(const gpusim::CancelToken* token) { cancel_ = token; }
+  [[nodiscard]] const gpusim::Device& device() const { return dev_; }
+  /// Modeled device time so far (the ledger's total).
+  [[nodiscard]] double device_ms() const {
+    return dev_.ledger().total_ns() / 1e6;
+  }
+  /// Retries, corruption and backoff so far (device_faults is not filled).
+  [[nodiscard]] ResilienceReport& report() { return report_; }
 
   /// Allocation is not retried: OOM is never transient (the arena will
   /// not shrink) — callers degrade instead.
@@ -116,20 +126,23 @@ class FaultAwareDevice {
 
   /// H2D copy with bounded retry on transient faults.
   void upload(gpusim::DevicePtr<std::uint32_t> dst,
-              std::span<const std::uint32_t> src);
+              std::span<const std::uint32_t> src,
+              gpusim::StreamId stream = kSync);
 
   /// D2H copy with bounded retry, then end-to-end checksum verification:
   /// on mismatch the transfer is re-issued (counted as detected
   /// corruption); persistent mismatch throws a non-transient
   /// TransferError.
   void download_verified(std::span<std::uint32_t> dst,
-                         gpusim::DevicePtr<std::uint32_t> src);
+                         gpusim::DevicePtr<std::uint32_t> src,
+                         gpusim::StreamId stream = kSync);
 
   /// Kernel launch with bounded retry on transient faults (timeouts,
-  /// ECC events). Re-running the support kernel is idempotent: it
+  /// ECC events). Re-running a support kernel is idempotent: it
   /// overwrites its whole output range.
   gpusim::KernelStats launch(const gpusim::Kernel& kernel,
-                             const gpusim::LaunchConfig& cfg);
+                             const gpusim::LaunchConfig& cfg,
+                             gpusim::StreamId stream = kSync);
 
  private:
   template <typename F>
@@ -175,10 +188,10 @@ class FaultAwareDevice {
     }
   }
 
-  gpusim::Device& dev_;
+  gpusim::Device dev_;
   RetryPolicy policy_;
-  ResilienceReport& report_;
-  const gpusim::CancelToken* cancel_ = nullptr;
+  const gpusim::CancelToken* cancel_;
+  ResilienceReport report_;
 };
 
 /// RAII device allocation: frees on scope exit, so a thrown fault mid-level

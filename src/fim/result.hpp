@@ -5,6 +5,7 @@
 // (sort by itemset) makes results from different algorithms directly
 // comparable, which the integration tests use as the correctness oracle.
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -27,6 +28,13 @@ class ItemsetCollection {
  public:
   void add(Itemset items, Support support) {
     sets_.push_back({std::move(items), support});
+  }
+
+  /// Room for `n` more results, grown geometrically as push_back would, so
+  /// that adding them moves none of the results already held.
+  void reserve_more(std::size_t n) {
+    if (sets_.size() + n > sets_.capacity())
+      sets_.reserve(std::max(sets_.size() + n, 2 * sets_.capacity()));
   }
 
   /// Appends a pre-built block of results in order — the merge step of the

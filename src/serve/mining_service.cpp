@@ -433,7 +433,8 @@ void MiningService::publish(const std::shared_ptr<Job>& job,
 }
 
 bool MiningService::hedgeable(const std::string& algo) const {
-  return algo != "CPU_TEST" && opts_.max_hedges_per_request > 0;
+  return algo != "CPU_TEST" && algo != "GPApriori" &&
+         opts_.max_hedges_per_request > 0;
 }
 
 MiningResult MiningService::execute(Job& job) {

@@ -137,11 +137,12 @@ struct ServiceOptions {
   AdmissionOptions admission;
 
   /// Service-level hedging: a mine that fails (a device fault past the
-  /// ladder) is retried on CPU_TEST — which never touches the device — in
-  /// the same execution, resuming from the per-level checkpoint the failed
-  /// attempt left behind, so the salvaged prefix is not recomputed. Hedges
-  /// allowed per request: 0 turns hedging off, and values above 1 act as 1
-  /// (CPU_TEST is never hedged).
+  /// driver's retries) is retried on CPU_TEST — which never touches the
+  /// device — in the same execution, resuming from the per-level
+  /// checkpoint the failed attempt left behind, so the salvaged prefix is
+  /// not recomputed. Hedges allowed per request: 0 turns hedging off, and
+  /// values above 1 act as 1. CPU_TEST and GPApriori, whose ladder already
+  /// ends on CPU_TEST, are never hedged and write no checkpoint.
   std::uint32_t max_hedges_per_request = 1;
   /// Run-wide hedge budget: total retries across the service's life.
   /// Prevents a hostile workload from doubling itself. 0 = unlimited.
@@ -246,6 +247,7 @@ class MiningService {
   void worker_loop();
   /// Whether a failed mine on `algo` may be retried on CPU_TEST: the one
   /// rule both for the retry and for arming the checkpoint it resumes from.
+  /// Only drivers without a CPU rung of their own are.
   [[nodiscard]] bool hedgeable(const std::string& algo) const;
   /// Loads, admits and plans the request once, then mines it; a failed
   /// mine is retried once on CPU_TEST (the hedge) before rules and output.

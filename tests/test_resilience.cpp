@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "core/gpapriori.hpp"
+#include "core/gpapriori_all.hpp"
 #include "gpusim/gpusim.hpp"
+#include "obs/obs.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -140,19 +143,77 @@ TEST(Resilience, PersistentCorruptionDegradesToCpu) {
   EXPECT_TRUE(out.itemsets.equivalent_to(reference(db, drill_params())));
 }
 
-TEST(Resilience, DegradationCanBeDisabled) {
-  const auto db = drill_db();
-  auto cfg = faulty_config("launch#1+=timeout");
-  cfg.allow_degradation = false;
-  GpApriori strict(cfg);
-  EXPECT_THROW((void)strict.mine(db, drill_params()), gpusim::LaunchError);
+// Every device driver reaches its device through one FaultAwareDevice, so
+// one transient fault is retried (or one corrupted download re-sent) in
+// every one of them, and none answers wrong or throws.
+struct DeviceDriver {
+  const char* name;
+  std::unique_ptr<miners::Miner> (*make)(const Config&);
+  bool tiled = true;
+};
 
-  auto oom_cfg = faulty_config("alloc#1+=oom");
-  oom_cfg.allow_degradation = false;
-  GpApriori strict_oom(oom_cfg);
-  EXPECT_THROW((void)strict_oom.mine(db, drill_params()),
-               gpusim::DeviceOomError);
+template <typename M, auto... Args>
+std::unique_ptr<miners::Miner> make(const Config& cfg) {
+  return std::make_unique<M>(cfg, Args...);
 }
+
+const DeviceDriver kDeviceDrivers[] = {
+    {"GPApriori", &make<GpApriori>},
+    {"GPAprioriUntiled", &make<GpApriori>, false},
+    {"Partitioned", &make<PartitionedGpApriori>},
+    {"Pipelined", &make<PipelinedGpApriori>},
+    {"EqClass", &make<EqClassApriori>},
+    {"Hybrid", &make<HybridApriori>},
+    {"MultiGpu2", &make<MultiGpuApriori, 2>},
+    {"GpuEclat", &make<GpuEclat>},
+};
+
+struct OneFault {
+  const char* name;
+  const char* plan;
+  obs::Counter handled;  ///< the metric that proves the fault was absorbed
+};
+
+const OneFault kOneFaults[] = {
+    {"D2hCorrupt", "d2h#2=corrupt", obs::Counter::kCorruptionDetected},
+    {"LaunchTimeout", "launch#2=timeout", obs::Counter::kRetries},
+    {"H2dFail", "h2d#2=fail", obs::Counter::kRetries},
+};
+
+void PrintTo(const DeviceDriver& d, std::ostream* os) { *os << d.name; }
+void PrintTo(const OneFault& f, std::ostream* os) { *os << f.plan; }
+
+class Resilience
+    : public ::testing::TestWithParam<std::tuple<DeviceDriver, OneFault>> {};
+
+TEST_P(Resilience, EveryDeviceDriverRecoversFromOneFault) {
+  const auto& [driver, fault] = GetParam();
+  // Several levels are counted at this threshold, so every driver's
+  // second transfer, download and launch falls inside the run.
+  const auto db = testutil::random_db(400, 16, 0.5, 33);
+  miners::MiningParams p;
+  p.min_support_ratio = 0.1;
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.reset();
+  metrics.enable();
+  Config cfg = faulty_config(fault.plan);
+  cfg.tiled = driver.tiled;
+  miners::MiningOutput out;
+  ASSERT_NO_THROW(out = driver.make(cfg)->mine(db, p));
+  EXPECT_GT(metrics.value(fault.handled), 0u) << "the fault never fired";
+  metrics.disable();
+  metrics.reset();
+  EXPECT_EQ(out.itemsets.to_string(), reference(db, p).to_string());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, Resilience,
+    ::testing::Combine(::testing::ValuesIn(kDeviceDrivers),
+                       ::testing::ValuesIn(kOneFaults)),
+    [](const auto& param_info) {
+      return std::string(std::get<0>(param_info.param).name) + "_" +
+             std::get<1>(param_info.param).name;
+    });
 
 TEST(Resilience, ProbabilisticFaultStormStillExact) {
   // A noisy device: 5% of transfers fail, 2% of launches time out, 2% of
@@ -196,9 +257,9 @@ TEST(FaultAwareDevice, DownloadVerifiedRepairsOneCorruption) {
   gpusim::DeviceOptions o;
   o.arena_bytes = 1 << 16;
   o.fault_plan = gpusim::FaultPlan::parse("d2h#1=corrupt");
-  gpusim::Device dev(gpusim::DeviceProperties::tesla_t10(), o);
-  ResilienceReport rep;
-  FaultAwareDevice fdev(dev, RetryPolicy{}, rep);
+  FaultAwareDevice fdev(gpusim::DeviceProperties::tesla_t10(), o,
+                        RetryPolicy{});
+  const ResilienceReport& rep = fdev.report();
 
   const auto p = fdev.alloc(32);
   std::vector<std::uint32_t> h(32);
@@ -215,9 +276,9 @@ TEST(FaultAwareDevice, PersistentCorruptionThrowsNonTransient) {
   gpusim::DeviceOptions o;
   o.arena_bytes = 1 << 16;
   o.fault_plan = gpusim::FaultPlan::parse("d2h#1+=corrupt");
-  gpusim::Device dev(gpusim::DeviceProperties::tesla_t10(), o);
-  ResilienceReport rep;
-  FaultAwareDevice fdev(dev, RetryPolicy{}, rep);
+  FaultAwareDevice fdev(gpusim::DeviceProperties::tesla_t10(), o,
+                        RetryPolicy{});
+  const ResilienceReport& rep = fdev.report();
 
   const auto p = fdev.alloc(32);
   std::vector<std::uint32_t> h(32, 5);
@@ -236,11 +297,10 @@ TEST(FaultAwareDevice, RetryBudgetIsBounded) {
   gpusim::DeviceOptions o;
   o.arena_bytes = 1 << 16;
   o.fault_plan = gpusim::FaultPlan::parse("h2d#1+=fail");
-  gpusim::Device dev(gpusim::DeviceProperties::tesla_t10(), o);
-  ResilienceReport rep;
   RetryPolicy policy;
   policy.max_retries = 2;
-  FaultAwareDevice fdev(dev, policy, rep);
+  FaultAwareDevice fdev(gpusim::DeviceProperties::tesla_t10(), o, policy);
+  const ResilienceReport& rep = fdev.report();
 
   const auto p = fdev.alloc(8);
   std::vector<std::uint32_t> h(8, 1);
@@ -254,18 +314,18 @@ TEST(FaultAwareDevice, RetryBudgetIsBounded) {
 TEST(FaultAwareDevice, ScopedAllocFreesOnThrow) {
   gpusim::DeviceOptions o;
   o.arena_bytes = 1 << 16;
-  gpusim::Device dev(gpusim::DeviceProperties::tesla_t10(), o);
-  ResilienceReport rep;
-  FaultAwareDevice fdev(dev, RetryPolicy{}, rep);
-  const std::size_t before = dev.memory().bytes_in_use();
+  FaultAwareDevice fdev(gpusim::DeviceProperties::tesla_t10(), o,
+                        RetryPolicy{});
+  const gpusim::GlobalMemory& mem = fdev.device().memory();
+  const std::size_t before = mem.bytes_in_use();
   try {
     ScopedDeviceAlloc a(fdev, 256);
     ScopedDeviceAlloc b(fdev, 256);
     throw std::runtime_error("mid-level failure");
   } catch (const std::runtime_error&) {
   }
-  EXPECT_EQ(dev.memory().bytes_in_use(), before);
-  EXPECT_NO_THROW(dev.memory().validate());
+  EXPECT_EQ(mem.bytes_in_use(), before);
+  EXPECT_NO_THROW(mem.validate());
 }
 
 }  // namespace

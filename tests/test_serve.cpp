@@ -56,6 +56,11 @@ std::string scratch(const std::string& name) {
   return testing::TempDir() + "/gpa_serve_" + name;
 }
 
+/// A device driver without a CPU rung of its own: under a sticky device
+/// fault its mine throws, so the service hedges it (GPApriori's ladder
+/// answers such a fault itself and is never hedged).
+constexpr const char* kPartitioned = "GPApriori (partitioned)";
+
 MiningRequest req(const std::string& id, const std::string& dataset,
                   double support, const std::string& algo = "") {
   MiningRequest r;
@@ -267,9 +272,10 @@ std::size_t spans_named(const std::string& json, const std::string& name) {
 }
 
 TEST(MiningServiceTest, HedgeCheckpointTakesTheCachedDigest) {
-  // A GPApriori attempt arms its hedge checkpoint and adopts the cached
-  // layout, so its snapshots carry the digest the cache took at load and
-  // the request hashes nothing itself.
+  // A partitioned GPApriori attempt (no CPU rung of its own) arms its
+  // hedge checkpoint and adopts the cached layout, so its snapshots carry
+  // the digest the cache took at load and the request hashes nothing
+  // itself.
   auto& rec = obs::TraceRecorder::global();
   rec.clear();
   rec.enable();
@@ -279,7 +285,7 @@ TEST(MiningServiceTest, HedgeCheckpointTakesTheCachedDigest) {
   {
     MiningService service(so);
     service.register_dataset("mem", small_db());
-    const auto r = service.run_batch({req("ok", "mem", 0.3, "GPApriori")});
+    const auto r = service.run_batch({req("ok", "mem", 0.3, kPartitioned)});
     ASSERT_EQ(r[0].status, RequestStatus::kOk) << r[0].error;
   }
   std::string json = rec.export_chrome_json();
@@ -290,12 +296,12 @@ TEST(MiningServiceTest, HedgeCheckpointTakesTheCachedDigest) {
   // preprocesses locally and hashes the dataset itself: the snapshot it
   // accepts (span `replay`) carries fim::dataset_digest of the same data.
   rec.clear();
-  so.base_config.allow_degradation = false;
   {
     MiningService service(so);
     service.register_dataset("mem", small_db());
     service.set_fault_plan(gpusim::FaultPlan::parse("launch#1+=timeout"));
-    const auto r = service.run_batch({req("hedged", "mem", 0.3, "GPApriori")});
+    const auto r =
+        service.run_batch({req("hedged", "mem", 0.3, kPartitioned)});
     ASSERT_EQ(r[0].status, RequestStatus::kOk) << r[0].error;
     EXPECT_EQ(r[0].hedges, 1u);
   }
@@ -686,13 +692,13 @@ TEST(MiningServiceTest, AdmissionWallCeilingShedsPermanently) {
 TEST(MiningServiceTest, HedgedRetryRecoversFromPersistentDeviceFault) {
   ServiceOptions so;
   so.workers = 1;
-  so.base_config.allow_degradation = false;  // first attempt must kError
   MiningService service(so);
   service.register_dataset("mem", small_db());
   service.set_fault_plan(gpusim::FaultPlan::parse("launch#1+=timeout"));
 
+  // A driver without a CPU rung: its first attempt must kError.
   const auto results =
-      service.run_batch({req("hedged", "mem", 0.3, "GPApriori")});
+      service.run_batch({req("hedged", "mem", 0.3, kPartitioned)});
   ASSERT_EQ(results.size(), 1u);
   const auto& r = results[0];
   // The device attempt failed, the service re-enqueued it onto CPU_TEST
@@ -743,23 +749,37 @@ TEST(MiningServiceTest, StoreLargerThanTheArenaIsAnsweredByGpApriori) {
 }
 
 TEST(MiningServiceTest, UnhedgeableAttemptWritesNoCheckpoint) {
-  // The hedge checkpoint is armed by the same rule that hedges: a CPU_TEST
-  // attempt is never hedged, so it writes no per-level snapshot, while a
-  // GPApriori attempt that could still be hedged does.
+  // The hedge checkpoint is armed by the same rule that hedges: CPU_TEST
+  // and GPApriori (planned or pinned; its ladder ends on CPU_TEST) are
+  // never hedged, so they write no per-level snapshot, while an attempt
+  // that could still be hedged does.
   auto& metrics = obs::MetricsRegistry::global();
   metrics.reset();
   metrics.enable();
+  auto& rec = obs::TraceRecorder::global();
+  rec.clear();
+  rec.enable();
   ServiceOptions so;
   so.workers = 1;
   so.hedge_checkpoint_dir = testing::TempDir();
   MiningService service(so);
   service.register_dataset("mem", small_db());
-  const auto cpu = service.run_batch({req("cpu", "mem", 0.3, "CPU_TEST")});
-  ASSERT_EQ(cpu[0].status, RequestStatus::kOk) << cpu[0].error;
-  EXPECT_EQ(metrics.value(obs::Counter::kCheckpointsWritten), 0u);
-  const auto gpu = service.run_batch({req("gpu", "mem", 0.3, "GPApriori")});
-  ASSERT_EQ(gpu[0].status, RequestStatus::kOk) << gpu[0].error;
+  for (const MiningRequest& r :
+       {req("cpu", "mem", 0.3, "CPU_TEST"), req("planned", "mem", 0.3),
+        req("gpu", "mem", 0.3, "GPApriori")}) {
+    const auto out = service.run_batch({r});
+    ASSERT_EQ(out[0].status, RequestStatus::kOk) << r.id << ": "
+                                                 << out[0].error;
+    EXPECT_EQ(out[0].algo, r.id == "cpu" ? "CPU_TEST" : "GPApriori");
+    EXPECT_EQ(metrics.value(obs::Counter::kCheckpointsWritten), 0u) << r.id;
+  }
+  EXPECT_EQ(spans_named(rec.export_chrome_json(), "snapshot-write"), 0u);
+  const auto part = service.run_batch({req("part", "mem", 0.3, kPartitioned)});
+  ASSERT_EQ(part[0].status, RequestStatus::kOk) << part[0].error;
   EXPECT_GT(metrics.value(obs::Counter::kCheckpointsWritten), 0u);
+  EXPECT_GT(spans_named(rec.export_chrome_json(), "snapshot-write"), 0u);
+  rec.disable();
+  rec.clear();
   metrics.disable();
   metrics.reset();
 }
@@ -768,13 +788,12 @@ TEST(MiningServiceTest, MaxHedgesZeroKeepsErrorsTerminal) {
   ServiceOptions so;
   so.workers = 1;
   so.max_hedges_per_request = 0;  // hedging off
-  so.base_config.allow_degradation = false;
   MiningService service(so);
   service.register_dataset("mem", small_db());
   service.set_fault_plan(gpusim::FaultPlan::parse("launch#1+=timeout"));
 
   const auto results =
-      service.run_batch({req("nohedge", "mem", 0.3, "GPApriori")});
+      service.run_batch({req("nohedge", "mem", 0.3, kPartitioned)});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, RequestStatus::kError);
   EXPECT_EQ(results[0].hedges, 0u);
@@ -782,35 +801,46 @@ TEST(MiningServiceTest, MaxHedgesZeroKeepsErrorsTerminal) {
   EXPECT_EQ(service.stats().errors, 1u);
 }
 
-TEST(MiningServiceTest, UnpinnedRequestsUnderAStickyFaultEachHedgeOnce) {
+TEST(MiningServiceTest, StickyFaultHedgesOnlyDriversWithoutACpuRung) {
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.reset();
+  metrics.enable();
   ServiceOptions so;
   so.workers = 1;
-  so.base_config.allow_degradation = false;  // every device attempt kErrors
   MiningService service(so);
   service.register_dataset("mem", small_db());
   service.set_fault_plan(gpusim::FaultPlan::parse("launch#1+=timeout"));
 
   // Distinct thresholds: no request dedups onto another's execution.
-  std::vector<MiningRequest> batch;
-  for (int i = 0; i < 10; ++i)
-    batch.push_back(req("u" + std::to_string(i), "mem", 0.10 + 0.02 * i));
-  const auto results = service.run_batch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-
-  // However many came before it, each request plans onto the device, fails
-  // there, and is recovered by one hedge onto CPU_TEST.
+  // Unpinned requests plan onto GPApriori, whose ladder answers the fault
+  // on CPU_TEST with no hedge and no snapshot; each pinned partitioned
+  // request fails on the device and is recovered by one hedge onto
+  // CPU_TEST.
   gpapriori::GpApriori clean;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    ASSERT_EQ(r.status, RequestStatus::kOk) << r.id << ": " << r.error;
-    EXPECT_EQ(r.hedges, 1u) << r.id;
-    EXPECT_EQ(r.algo, "CPU_TEST") << r.id;
-    miners::MiningParams p;
-    p.min_support_ratio = batch[i].min_support_ratio;
-    EXPECT_EQ(r.itemsets.to_string(),
-              clean.mine(small_db(), p).itemsets.to_string())
-        << r.id;
+  for (const std::string algo : {"", kPartitioned}) {
+    std::vector<MiningRequest> batch;
+    for (int i = 0; i < 10; ++i)
+      batch.push_back(req("r" + std::to_string(i), "mem", 0.10 + 0.02 * i,
+                          algo));
+    const auto results = service.run_batch(batch);
+    ASSERT_EQ(results.size(), batch.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const auto& r = results[i];
+      ASSERT_EQ(r.status, RequestStatus::kOk) << r.id << ": " << r.error;
+      EXPECT_EQ(r.hedges, algo.empty() ? 0u : 1u) << r.id;
+      EXPECT_EQ(r.algo, algo.empty() ? "GPApriori" : "CPU_TEST") << r.id;
+      miners::MiningParams p;
+      p.min_support_ratio = batch[i].min_support_ratio;
+      EXPECT_EQ(r.itemsets.to_string(),
+                clean.mine(small_db(), p).itemsets.to_string())
+          << r.id;
+    }
+    if (algo.empty()) {
+      EXPECT_EQ(metrics.value(obs::Counter::kCheckpointsWritten), 0u);
+    }
   }
+  metrics.disable();
+  metrics.reset();
   const auto st = service.stats();
   EXPECT_EQ(st.hedges, 10u);
   EXPECT_EQ(st.errors, 0u);
@@ -825,7 +855,6 @@ TEST(MiningServiceTest, HedgedRequestIsPickedUpOnce) {
   rec.enable();
   ServiceOptions so;
   so.workers = 1;
-  so.base_config.allow_degradation = false;  // the device attempt fails
   MiningResult busy, hedged;
   {
     MiningService service(so);
@@ -833,8 +862,9 @@ TEST(MiningServiceTest, HedgedRequestIsPickedUpOnce) {
     service.register_dataset("mem", small_db());
     service.set_fault_plan(gpusim::FaultPlan::parse("launch#1+=timeout"));
     auto f_busy = service.submit(req("busy", "slow", 0.01, "CPU_TEST"));
+    // The device attempt of a driver without a CPU rung fails.
     auto f_hedged =
-        service.submit(req("hedged-once", "mem", 0.3, "GPApriori"));
+        service.submit(req("hedged-once", "mem", 0.3, kPartitioned));
     busy = f_busy.get();
     hedged = f_hedged.get();
   }
@@ -946,10 +976,9 @@ TEST(MiningServiceTest, CancelledRequestStartsNoHedge) {
   const std::string path = write_slow_parse_file("cancel_nohedge.dat");
   ServiceOptions so;
   so.workers = 1;
-  so.base_config.allow_degradation = false;
   MiningService service(so);
   service.set_fault_plan(gpusim::FaultPlan::parse("launch#1+=timeout"));
-  auto f = service.submit(req("doomed", path, 0.5, "GPApriori"));
+  auto f = service.submit(req("doomed", path, 0.5, kPartitioned));
   ASSERT_TRUE(eventually([&] { return parse_started(service); }));
   EXPECT_EQ(service.cancel("doomed"), 1u);
   const auto r = f.get();
